@@ -139,7 +139,9 @@ class PiecewiseLinear(LatencyFn):
     """
 
     points: tuple[tuple[float, float], ...]
+    _breaks: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _final_slope: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple((float(x), float(y)) for x, y in self.points)
@@ -158,50 +160,45 @@ class PiecewiseLinear(LatencyFn):
         if ys[0] < 0.0:
             raise ValueError(f"breakpoint y values must be nonnegative, got {ys[0]}")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_breaks", tuple(xs))
         # cumulative integral from 0 up to each breakpoint
         cum = [xs[0] * ys[0]]
         for k in range(1, len(pts)):
             seg = (xs[k] - xs[k - 1]) * 0.5 * (ys[k] + ys[k - 1])
             cum.append(cum[-1] + seg)
         object.__setattr__(self, "_cum", tuple(cum))
-
-    @property
-    def _xs(self) -> list[float]:
-        return [p[0] for p in self.points]
-
-    def _final_slope(self) -> float:
-        if len(self.points) == 1:
-            return 0.0
-        (x0, y0), (x1, y1) = self.points[-2], self.points[-1]
-        return (y1 - y0) / (x1 - x0)
+        # slope past the last breakpoint
+        slope = 0.0
+        if len(pts) > 1:
+            (x0, y0), (x1, y1) = pts[-2], pts[-1]
+            slope = (y1 - y0) / (x1 - x0)
+        object.__setattr__(self, "_final_slope", slope)
 
     def __call__(self, x: float) -> float:
         x = max(x, 0.0)
         pts = self.points
-        xs = [p[0] for p in pts]
-        i = bisect_right(xs, x)
+        i = bisect_right(self._breaks, x)
         if i == 0:
             return pts[0][1]
         if i == len(pts):
             xk, yk = pts[-1]
-            return yk + self._final_slope() * (x - xk)
+            return yk + self._final_slope * (x - xk)
         (xa, ya), (xb, yb) = pts[i - 1], pts[i]
         return ya + (yb - ya) * (x - xa) / (xb - xa)
 
     def integral(self, x: float) -> float:
         x = max(x, 0.0)
         pts = self.points
-        xs = [p[0] for p in pts]
-        i = bisect_right(xs, x)
+        i = bisect_right(self._breaks, x)
         if i == 0:
             return pts[0][1] * x
         if i == len(pts):
             xk, yk = pts[-1]
             t = x - xk
-            return self._cum[-1] + yk * t + 0.5 * self._final_slope() * t * t
+            return self._cum[-1] + yk * t + 0.5 * self._final_slope * t * t
         (xa, ya) = pts[i - 1]
         yx = self(x)
         return self._cum[i - 1] + (x - xa) * 0.5 * (ya + yx)
 
     def knots_between(self, lo: float, hi: float) -> list[float]:
-        return [x for x, _ in self.points if lo < x < hi]
+        return [x for x in self._breaks if lo < x < hi]

@@ -259,24 +259,29 @@ def enumerate_paths(instance: NetworkInstance, cap: int = 4096) -> list[tuple[in
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     paths: list[tuple[int, ...]] = []
-    on_path: set[int] = set()
-
-    def walk(vertex: int, prefix: list[int]) -> None:
-        if vertex == instance.sink:
-            if len(paths) >= cap:
-                raise PathCapExceeded(
-                    f"more than {cap} simple paths; raise the cap to enumerate")
-            paths.append(tuple(prefix))
-            return
-        on_path.add(vertex)
-        for eid, head in instance.out_edges(vertex):
-            if head not in on_path:
-                prefix.append(eid)
-                walk(head, prefix)
-                prefix.pop()
-        on_path.discard(vertex)
-
-    walk(instance.source, [])
+    prefix: list[int] = []
+    on_path = {instance.source}
+    # depth-first walk with an explicit stack of out-edge iterators, so long
+    # paths cannot hit the interpreter's recursion limit
+    stack = [iter(instance.out_edges(instance.source))]
+    while stack:
+        for eid, head in stack[-1]:
+            if head in on_path:
+                continue
+            if head == instance.sink:
+                if len(paths) >= cap:
+                    raise PathCapExceeded(
+                        f"more than {cap} simple paths; raise the cap to enumerate")
+                paths.append(tuple(prefix) + (eid,))
+                continue
+            prefix.append(eid)
+            on_path.add(head)
+            stack.append(iter(instance.out_edges(head)))
+            break
+        else:
+            stack.pop()
+            if prefix:
+                on_path.discard(instance.edges[prefix.pop()].head)
     return paths
 
 

@@ -11,6 +11,16 @@ the shortest path with an exact line search of the potential, which
 converges fast enough for tight tolerances; SuccessiveAverages takes the
 classic averaged step toward the all-or-nothing assignment.
 
+An exact line-search step changes the flow only on the edges where the
+two paths differ, so the next iteration recomputes the costs of those
+edges alone; the flow rebuild every 256 iterations and a successive-
+averages step change every edge and recompute the whole cost vector.  The
+shortest path is one relaxation sweep over the vertices on source->sink
+paths in topological order, computed once per solve; when those vertices
+span a cycle the solve falls back to Dijkstra.  Both give the same path
+and distance, and every sum keeps the order and arithmetic of a full
+recompute, so the iterates do not depend on which route computed them.
+
 Mean-stdev path costs are not edge additive, so that solver works directly
 on the enumerated path set and equalizes path costs by shifting flow from
 the costliest used path to the cheapest one.
@@ -43,6 +53,7 @@ from .network import (
     PathFlow,
     RiskModel,
     enumerate_paths,
+    flow_demand,
     induced_edge_flow,
     path_cost,
     zero_flow,
@@ -82,19 +93,28 @@ class EquilibriumResult:
     converged: bool
 
 
-def _edge_cost(edge, x: float, gamma_eff: float) -> float:
+def _edge_cost_fns(instance: NetworkInstance, gamma_eff: float) -> list:
+    """Per-edge perceived cost x -> l_e(x) + gamma_eff * v_e(x), bound once."""
     if gamma_eff == 0.0:
-        return edge.latency(x)
-    return edge.latency(x) + gamma_eff * edge.variability(x)
+        return [e.latency.__call__ for e in instance.edges]
+    return [lambda x, lat=e.latency.__call__, var=e.variability.__call__:
+            lat(x) + gamma_eff * var(x) for e in instance.edges]
 
 
 def _cost_vector(instance: NetworkInstance, flow: np.ndarray, gamma_eff: float) -> np.ndarray:
-    return np.array([_edge_cost(e, float(flow[eid]), gamma_eff)
-                     for eid, e in enumerate(instance.edges)])
+    return np.array([cost(x) for cost, x in
+                     zip(_edge_cost_fns(instance, gamma_eff), flow.tolist())])
 
 
-def _shortest_path(instance: NetworkInstance, costs: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Min-cost source->sink path; ties broken by smallest edge-id sequence."""
+def _shortest_path(instance: NetworkInstance, costs, order=None) -> tuple[tuple[int, ...], float]:
+    """Min-cost source->sink path; ties broken by smallest edge-id sequence.
+
+    With `order` from `_topological_order` this is one relaxation sweep;
+    without it (required when the graph has a cycle) it is Dijkstra.  Both
+    return the same path and distance, bit for bit.
+    """
+    if order is not None:
+        return _dag_shortest_path(instance, costs, order)
     s, t = instance.source, instance.sink
     heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), s)]
     done: set[int] = set()
@@ -109,6 +129,79 @@ def _shortest_path(instance: NetworkInstance, costs: np.ndarray) -> tuple[tuple[
             if head not in done:
                 heapq.heappush(heap, (dist + float(costs[eid]), path + (eid,), head))
     raise GraphStructureError("sink not reachable from source")
+
+
+def _topological_order(instance: NetworkInstance) -> list[tuple[int, list]] | None:
+    """The vertices on source->sink paths in topological order, or None.
+
+    Each vertex comes with its out-edges (edge id, head) that stay among
+    those vertices.  Returns None when the vertices span a cycle.
+    """
+    ahead = {instance.source}
+    stack = [instance.source]
+    while stack:
+        for _, head in instance.out_edges(stack.pop()):
+            if head not in ahead:
+                ahead.add(head)
+                stack.append(head)
+    into: list[list[int]] = [[] for _ in range(instance.vertices)]
+    for e in instance.edges:
+        into[e.head].append(e.tail)
+    behind = {instance.sink}
+    stack = [instance.sink]
+    while stack:
+        for tail in into[stack.pop()]:
+            if tail not in behind:
+                behind.add(tail)
+                stack.append(tail)
+    keep = ahead & behind
+    out = {v: [(eid, head) for eid, head in instance.out_edges(v) if head in keep]
+           for v in keep}
+    indegree = dict.fromkeys(keep, 0)
+    for v in keep:
+        for _, head in out[v]:
+            indegree[head] += 1
+    ready = [v for v in keep if indegree[v] == 0]
+    order = []
+    while ready:
+        v = ready.pop()
+        order.append((v, out[v]))
+        for _, head in out[v]:
+            indegree[head] -= 1
+            if indegree[head] == 0:
+                ready.append(head)
+    return order if len(order) == len(keep) else None
+
+
+def _dag_shortest_path(instance: NetworkInstance, costs: list[float],
+                       order) -> tuple[tuple[int, ...], float]:
+    """Dijkstra's result on a DAG from one sweep in topological order.
+
+    Each vertex keeps the smallest distance, summed along the path as
+    Dijkstra sums it, and among equal distances the smallest edge-id
+    sequence, which is the (distance, path) pair Dijkstra pops first.
+    """
+    edges = instance.edges
+    n = instance.vertices
+    dist = [0.0] * n
+    via = [-1] * n          # last edge of each vertex's chosen path
+    paths: list[tuple[int, ...]] = [()] * n
+    for v, out in order:
+        e = via[v]
+        if e >= 0:
+            paths[v] = paths[edges[e].tail] + (e,)
+        d = dist[v]
+        for eid, head in out:
+            nd = d + costs[eid]
+            e = via[head]
+            if e < 0 or nd < dist[head]:
+                dist[head] = nd
+                via[head] = eid
+            elif nd == dist[head] and paths[v] + (eid,) < paths[edges[e].tail] + (e,):
+                via[head] = eid
+    # every other kept vertex reaches the sink, so it comes last
+    sink = instance.sink
+    return paths[sink], dist[sink]
 
 
 def beckmann_potential(instance: NetworkInstance, flow, gamma_eff: float) -> float:
@@ -132,36 +225,48 @@ def vi_residual(instance: NetworkInstance, flow, gamma_effective: float) -> floa
     flow = np.asarray(flow, dtype=float)
     costs = _cost_vector(instance, flow, gamma_effective)
     total = float(flow @ costs)
-    demand = sum(float(flow[eid]) for eid, _ in instance.out_edges(instance.source)) \
-        - sum(float(flow[eid]) for eid, e in enumerate(instance.edges)
-              if e.head == instance.source)
+    demand = flow_demand(instance, flow)
     _, dist = _shortest_path(instance, costs)
     return max(total - demand * dist, 0.0)
 
 
-def _path_cost_from_vector(path: tuple[int, ...], costs: np.ndarray) -> float:
-    return float(sum(costs[eid] for eid in path))
+def _costliest_path(paths, costs: list[float]) -> tuple[int, ...]:
+    """max(paths, key=lambda p: (cost of p, p)), without a call per path.
+
+    Each path cost is summed left to right, uncompensated: the same bits as
+    sum() over the numpy scalars of a cost array, whereas sum() over Python
+    floats is compensated from Python 3.12 on.
+    """
+    worst: tuple[int, ...] = ()
+    worst_cost = -math.inf
+    for path in paths:
+        q = 0.0
+        for eid in path:
+            q += costs[eid]
+        if q > worst_cost or (q == worst_cost and path > worst):
+            worst, worst_cost = path, q
+    return worst
 
 
 def _line_search(instance: NetworkInstance, flow: np.ndarray, deltas: dict[int, float],
-                 t_max: float, gamma_eff: float) -> float:
+                 t_max: float, gamma_eff: float, cost_of: list) -> float:
     """Step length in [0, t_max] minimizing the potential along `deltas`.
 
     The derivative t -> sum_e delta_e * c_e(f_e + delta_e * t) is
     non-decreasing.  For piecewise-linear costs the root is found exactly
     from the slope-change knots; polynomial costs fall back to bisection.
+    `cost_of` holds the per-edge costs from `_edge_cost_fns`.
     """
+    moves = [(eid, s, float(flow[eid]), cost_of[eid]) for eid, s in deltas.items()]
 
     def dphi(t: float) -> float:
-        return sum(s * _edge_cost(instance.edges[eid], float(flow[eid]) + s * t, gamma_eff)
-                   for eid, s in deltas.items())
+        return sum([s * cost(f + s * t) for _, s, f, cost in moves])
 
     knots = {0.0, t_max}
     linear = True
-    for eid, s in deltas.items():
+    for eid, s, f, _ in moves:
         e = instance.edges[eid]
         fns = (e.latency,) if gamma_eff == 0.0 else (e.latency, e.variability)
-        f = float(flow[eid])
         lo, hi = (f, f + t_max) if s > 0 else (f - t_max, f)
         for fn in fns:
             ks = fn.knots_between(max(lo, 0.0), hi)
@@ -220,24 +325,33 @@ def _prune_path_flow(weights: dict[tuple[int, ...], float], demand: float) -> Pa
 def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: float,
                     callback=None) -> EquilibriumResult:
     demand = instance.demand
+    order = _topological_order(instance)
+    cost_of = _edge_cost_fns(instance, gamma_eff)
+    first, dist = _shortest_path(instance, [cost(0.0) for cost in cost_of], order)
     if demand == 0.0:
-        flow = zero_flow(instance)
-        _, dist = _shortest_path(instance, _cost_vector(instance, flow, gamma_eff))
-        return EquilibriumResult(flow, PathFlow.of([]), dist, 0.0, 0, True)
+        return EquilibriumResult(zero_flow(instance), PathFlow.of([]), dist, 0.0, 0, True)
 
-    costs = _cost_vector(instance, zero_flow(instance), gamma_eff)
-    first, _ = _shortest_path(instance, costs)
     weights: dict[tuple[int, ...], float] = {first: demand}
     flow = _flow_from_weights(instance, weights)
 
+    # c holds the edge costs at `flow`.  A step changes the flow only on the
+    # edges in `moved`, so only their costs are recomputed; moved=None
+    # recomputes every edge.
+    c: list[float] = []
+    moved = None
     iterations = 0
     converged = False
     for k in itertools.count():
         if k and k % 256 == 0:
             flow = _flow_from_weights(instance, weights)
-        costs = _cost_vector(instance, flow, gamma_eff)
-        best, dist = _shortest_path(instance, costs)
-        total = float(flow @ costs)
+            moved = None
+        if moved is None:
+            c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
+        else:
+            for eid in moved:
+                c[eid] = cost_of[eid](float(flow[eid]))
+        best, dist = _shortest_path(instance, c, order)
+        total = float(flow @ np.array(c))
         gap = max(total - demand * dist, 0.0)
         if callback is not None:
             callback(k, flow.copy(), total, gap)
@@ -255,9 +369,10 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
                 flow[eid] += alpha * demand
             weights = {p: w * (1.0 - alpha) for p, w in weights.items()}
             weights[best] = weights.get(best, 0.0) + alpha * demand
+            moved = None
             continue
 
-        worst = max(weights, key=lambda p: (_path_cost_from_vector(p, costs), p))
+        worst = _costliest_path(weights, c)
         if worst == best:
             break
         deltas: dict[int, float] = {}
@@ -267,12 +382,13 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             deltas[eid] = deltas.get(eid, 0.0) - 1.0
         deltas = {eid: s for eid, s in deltas.items() if s != 0.0}
         t_max = weights[worst]
-        t = _line_search(instance, flow, deltas, t_max, gamma_eff) if deltas else t_max
+        t = _line_search(instance, flow, deltas, t_max, gamma_eff, cost_of) if deltas else t_max
         remainder = t_max - t
         if remainder <= _PRUNE_REL * demand:
             t = t_max
         for eid, s in deltas.items():
             flow[eid] = max(flow[eid] + s * t, 0.0)
+        moved = deltas
         weights[best] = weights.get(best, 0.0) + t
         if t >= t_max:
             del weights[worst]
@@ -280,9 +396,9 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             weights[worst] = t_max - t
 
     flow = _flow_from_weights(instance, weights)
-    costs = _cost_vector(instance, flow, gamma_eff)
-    _, dist = _shortest_path(instance, costs)
-    total = float(flow @ costs)
+    c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
+    _, dist = _shortest_path(instance, c, order)
+    total = float(flow @ np.array(c))
     gap = max(total - demand * dist, 0.0)
     residual = gap / total if total > 0.0 else 0.0
     return EquilibriumResult(flow, _prune_path_flow(weights, demand), dist,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskroute as rr
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
@@ -127,6 +129,63 @@ def test_enumerate_paths_cap():
         rr.enumerate_paths(g2, cap=3)
     with pytest.raises(ValueError):
         rr.enumerate_paths(g2, cap=0)
+
+
+def _recursive_paths(instance):
+    """Reference enumeration: plain recursive depth-first search."""
+    paths, on_path = [], set()
+
+    def walk(vertex, prefix):
+        if vertex == instance.sink:
+            paths.append(tuple(prefix))
+            return
+        on_path.add(vertex)
+        for eid, head in instance.out_edges(vertex):
+            if head not in on_path:
+                walk(head, prefix + [eid])
+        on_path.discard(vertex)
+
+    walk(instance.source, [])
+    return paths
+
+
+@st.composite
+def _small_graphs(draw):
+    """Small directed multigraphs, cycles allowed, sink reachable."""
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=12))
+    # a chain through every vertex keeps the sink reachable
+    chain = [(v, v + 1) for v in range(n - 1)]
+    arcs = draw(st.permutations(pairs + chain))
+    zero = rr.Constant(0.0)
+    edges = tuple(rr.Edge(u, v, zero, zero) for u, v in arcs)
+    return rr.NetworkInstance(n, edges, 0, n - 1, 1.0, 0.0, rr.RiskModel.MEAN_VAR)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs())
+def test_enumerate_paths_matches_recursive_reference(inst):
+    expected = _recursive_paths(inst)
+    assert expected == sorted(expected)
+    assert rr.enumerate_paths(inst) == expected
+    assert rr.enumerate_paths(inst, cap=len(expected)) == expected
+    if len(expected) > 1:
+        with pytest.raises(PathCapExceeded):
+            rr.enumerate_paths(inst, cap=len(expected) - 1)
+
+
+def test_long_chain_enumerates_and_solves_without_recursion():
+    # deeper than the interpreter's default recursion limit of 1000
+    n = 1500
+    edges = tuple(rr.Edge(v, v + 1, rr.Affine(1.0, 0.0), rr.Constant(1.0))
+                  for v in range(n - 1))
+    inst = rr.NetworkInstance(n, edges, 0, n - 1, 1.0, 1.0, rr.RiskModel.MEAN_STDEV)
+    assert rr.enumerate_paths(inst) == [tuple(range(n - 1))]
+    res = rr.solve_rawe_meanstdev(inst)
+    assert res.converged
+    assert np.all(res.flow == 1.0)
 
 
 def test_path_flow_total_and_iteration():

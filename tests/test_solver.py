@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskroute as rr
-from riskroute.instances import RecursiveFamilySpec, build_recursive
+from riskroute import solver
+from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
 from riskroute.solver import SolverConfig, StepRule
 from riskroute.synthetic import random_small_instance
 
@@ -168,3 +171,70 @@ def test_vi_residual_detects_disequilibrium():
     inst = _pigou()
     bad = np.array([1.0, 0.0])  # everyone on the constant link
     assert rr.vi_residual(inst, bad, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def _dags_with_costs(draw):
+    """Small DAGs under random vertex labels, with small integer edge costs
+    so that equal-cost paths are common."""
+    n = draw(st.integers(2, 7))
+    label = draw(st.permutations(range(n)))      # topological rank -> vertex
+    rank = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(rank, rank).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=14))
+    arcs = [(min(a, b), max(a, b)) for a, b in pairs]
+    arcs.append((0, draw(st.integers(1, n - 1))))
+    arcs = draw(st.permutations(arcs))
+    reach = {0}
+    for a, b in sorted(arcs):
+        if a in reach:
+            reach.add(b)
+    sink = draw(st.sampled_from(sorted(reach - {0})))
+    zero = rr.Constant(0.0)
+    edges = tuple(rr.Edge(label[a], label[b], zero, zero) for a, b in arcs)
+    inst = rr.NetworkInstance(n, edges, label[0], label[sink], 1.0, 0.0,
+                              rr.RiskModel.MEAN_VAR)
+    costs = draw(st.lists(st.integers(0, 3).map(float),
+                          min_size=len(edges), max_size=len(edges)))
+    return inst, costs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dags_with_costs())
+def test_topological_sweep_matches_dijkstra(case):
+    inst, costs = case
+    order = solver._topological_order(inst)
+    assert order is not None
+    assert solver._shortest_path(inst, costs, order) == solver._shortest_path(inst, costs)
+
+
+def test_cyclic_graph_falls_back_to_dijkstra():
+    # Braess graph plus a bottom->top back edge (id 5); at equilibrium a
+    # quarter of the demand takes the path that uses it
+    edges = (rr.Edge(0, 1, rr.Affine(1.0, 0.5), rr.Constant(0.0)),
+             rr.Edge(1, 3, rr.Affine(1.0, 0.0), rr.Constant(0.0)),
+             rr.Edge(0, 2, rr.Affine(1.0, 0.0), rr.Constant(0.0)),
+             rr.Edge(2, 3, rr.Affine(1.0, 0.5), rr.Constant(0.0)),
+             rr.Edge(1, 2, rr.Affine(1.0, 1.0), rr.Constant(0.0)),
+             rr.Edge(2, 1, rr.Affine(1.0, 0.0), rr.Constant(0.0)))
+    inst = rr.NetworkInstance(4, edges, 0, 3, 1.0, 0.0, rr.RiskModel.MEAN_VAR)
+    assert solver._topological_order(inst) is None
+    res = rr.solve_rnwe(inst, CFG)
+    bf = rr.brute_force_equilibrium(inst)
+    assert res.converged and bf.converged
+    assert np.max(np.abs(bf.flow - res.flow)) <= 1e-4
+    assert np.allclose(res.flow, [0.375, 0.625, 0.625, 0.375, 0.0, 0.25], atol=1e-8)
+
+
+@pytest.mark.parametrize("level, variant, rawe_iterations, rnwe_iterations", [
+    (5, Variant.STRUCTURAL, 1236, 881),
+    (4, Variant.FUNCTIONAL, 3472, 199),
+])
+def test_family_iteration_counts_are_pinned(level, variant, rawe_iterations,
+                                            rnwe_iterations):
+    # the solver's trajectory on the recursive family; a change to the step
+    # or the tie-breaking shows here first
+    inst, _ = build_recursive(RecursiveFamilySpec(level=level, gamma_kappa=1.0,
+                                                  variant=variant))
+    assert rr.solve_rawe_meanvar(inst).iterations == rawe_iterations
+    assert rr.solve_rnwe(inst).iterations == rnwe_iterations
