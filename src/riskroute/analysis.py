@@ -13,7 +13,8 @@ the upper bounds are built from:
     mu      worst smoothness parameter of the mean latencies at the
             risk-averse flows.
 
-and checks the observed ratio against five bound families:
+and checks the observed ratio against five bound families (`analyze`
+evaluates any set of them from one computation of the shared quantities):
 
     TopologicalEta        1 + eta * gamma * kappa
     TopologicalVertices   1 + gamma * kappa * ceil((n - 1) / 2)
@@ -302,64 +303,83 @@ def smoothness_mu_at_flow(instance: NetworkInstance, flow) -> float:
     return worst
 
 
-def check_bound(instance: NetworkInstance, rawe: EquilibriumResult,
-                rnwe: EquilibriumResult, kind: BoundKind,
-                tolerance: float = 1e-9,
-                tie_tol: float | None = None) -> BoundReport:
-    """Evaluate one bound family against the observed cost ratio."""
+# absolute amount by which the observed ratio may exceed a bound it satisfies
+_SATISFIED_TOL = 1e-9
+
+# the bound kinds built on the alternating path's forward subpath count
+_ETA_KINDS = (BoundKind.TOPOLOGICAL_ETA, BoundKind.STDEV_ZERO_ALT,
+              BoundKind.STDEV_ONE_ALT)
+
+
+def analyze(instance: NetworkInstance, rawe: EquilibriumResult,
+            rnwe: EquilibriumResult,
+            kinds=tuple(BoundKind)) -> dict[BoundKind, BoundReport]:
+    """Evaluate the bound families `kinds` against the observed cost ratio.
+
+    PRA and kappa are computed once for all kinds; eta only when a
+    requested kind is built on it, and mu only when FUNCTIONAL_SMOOTH is
+    requested.  The reports come back in the order of `kinds`.
+    """
     pra = compute_pra(instance, rawe, rnwe)
     kappa = compute_kappa(instance, rawe.flow)
     gamma = instance.gamma
     eta: int | None = None
+    eta_notes: list[str] = []
+    if any(kind in _ETA_KINDS for kind in kinds):
+        eta = _eta_with_fallback(instance, rawe, rnwe, eta_notes)
     mu: float | None = None
-    notes: list[str] = []
-
-    if kind in (BoundKind.TOPOLOGICAL_ETA, BoundKind.STDEV_ZERO_ALT,
-                BoundKind.STDEV_ONE_ALT):
-        eta = _eta_with_fallback(instance, rawe, rnwe, tie_tol, notes)
-
-    if kind is BoundKind.TOPOLOGICAL_ETA:
-        bound = 1.0 + eta * gamma * kappa
-    elif kind is BoundKind.TOPOLOGICAL_VERTICES:
-        bound = 1.0 + gamma * kappa * math.ceil((instance.vertices - 1) / 2)
-    elif kind is BoundKind.FUNCTIONAL_SMOOTH:
+    if BoundKind.FUNCTIONAL_SMOOTH in kinds:
         mu = smoothness_mu_at_flow(instance, rawe.flow)
-        if mu >= 1.0:
-            bound = math.inf
-            notes.append(f"vacuous: mu={mu!r} >= 1")
-        else:
-            bound = (1.0 + gamma * kappa) / (1.0 - mu)
-    elif kind is BoundKind.STDEV_ZERO_ALT:
-        bound = 1.0 + gamma * kappa
-        if eta > 1:
-            notes.append(f"inapplicable: alternating path has {eta} forward subpaths")
-    elif kind is BoundKind.STDEV_ONE_ALT:
-        bound = 1.0 + 2.0 * gamma * kappa
-        if eta > 2:
-            notes.append(f"inapplicable: alternating path has {eta} forward subpaths")
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown bound kind {kind}")
 
-    slack = bound - pra
-    return BoundReport(pra, kappa, bound, kind, pra <= bound + tolerance, slack,
-                       eta=eta, mu=mu, note="; ".join(notes))
+    reports: dict[BoundKind, BoundReport] = {}
+    for kind in kinds:
+        notes = list(eta_notes) if kind in _ETA_KINDS else []
+        if kind is BoundKind.TOPOLOGICAL_ETA:
+            bound = 1.0 + eta * gamma * kappa
+        elif kind is BoundKind.TOPOLOGICAL_VERTICES:
+            bound = 1.0 + gamma * kappa * math.ceil((instance.vertices - 1) / 2)
+        elif kind is BoundKind.FUNCTIONAL_SMOOTH:
+            if mu >= 1.0:
+                bound = math.inf
+                notes.append(f"vacuous: mu={mu!r} >= 1")
+            else:
+                bound = (1.0 + gamma * kappa) / (1.0 - mu)
+        elif kind is BoundKind.STDEV_ZERO_ALT:
+            bound = 1.0 + gamma * kappa
+            if eta > 1:
+                notes.append(f"inapplicable: alternating path has {eta} forward subpaths")
+        elif kind is BoundKind.STDEV_ONE_ALT:
+            bound = 1.0 + 2.0 * gamma * kappa
+            if eta > 2:
+                notes.append(f"inapplicable: alternating path has {eta} forward subpaths")
+        else:  # pragma: no cover - exhaustive enum
+            raise ValueError(f"unknown bound kind {kind}")
+        reports[kind] = BoundReport(
+            pra, kappa, bound, kind, pra <= bound + _SATISFIED_TOL, bound - pra,
+            eta=eta if kind in _ETA_KINDS else None,
+            mu=mu if kind is BoundKind.FUNCTIONAL_SMOOTH else None,
+            note="; ".join(notes))
+    return reports
+
+
+def check_bound(instance: NetworkInstance, rawe: EquilibriumResult,
+                rnwe: EquilibriumResult, kind: BoundKind) -> BoundReport:
+    """Evaluate one bound family against the observed cost ratio."""
+    return analyze(instance, rawe, rnwe, (kind,))[kind]
 
 
 def _eta_with_fallback(instance: NetworkInstance, rawe: EquilibriumResult,
-                       rnwe: EquilibriumResult, tie_tol: float | None,
-                       notes: list[str]) -> int:
+                       rnwe: EquilibriumResult, notes: list[str]) -> int:
     """Forward subpath count of the alternating path, with two numeric
     escapes: coinciding flows have no A edges and count as eta = 0, and a
     partition wrecked by solver noise is retried at a coarser tolerance.
     """
 
-    def attempt(tol: float | None) -> int:
+    def attempt(tol: float) -> int:
         partition = partition_edges(instance, rawe.flow, rnwe.flow, tol)
         if not partition.set_a:
             notes.append("flows coincide: no edge lost flow under risk aversion")
             return 0
-        if tol is None:
-            tol = 1e-7 * max(instance.demand, 1.0)
         ties = frozenset(
             eid for eid in partition.set_b
             if abs(float(rawe.flow[eid]) - float(rnwe.flow[eid])) <= tol)
@@ -367,7 +387,7 @@ def _eta_with_fallback(instance: NetworkInstance, rawe: EquilibriumResult,
                                      ties).forward_subpath_count
 
     try:
-        return attempt(tie_tol)
+        return attempt(1e-7 * max(instance.demand, 1.0))
     except AlternatingPathNotFound:
         notes.append("partition retried at coarse tie tolerance")
         return attempt(1e-4 * max(instance.demand, 1.0))

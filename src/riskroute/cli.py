@@ -16,21 +16,14 @@ paths are resolved against $RISKROUTE_OUT_DIR when that variable is set.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
 import os
 import sys
 from dataclasses import dataclass
 
 from . import analysis, instances, serialization, synthetic
-from .network import NetworkInstance, RiskModel
-from .solver import (
-    EquilibriumResult,
-    SolverConfig,
-    solve_rawe_meanstdev,
-    solve_rawe_meanvar,
-    solve_rnwe,
-)
+from .network import NetworkInstance, RiskModel, with_risk_model
+from .solver import EquilibriumResult, SolverConfig, solve_rawe, solve_rnwe
 
 OUT_DIR_ENV = "RISKROUTE_OUT_DIR"
 
@@ -53,7 +46,6 @@ class RunConfig:
 
     tolerance: float = 1e-8
     max_iterations: int = 100_000
-    jobs: int = 1
     out_dir: str | None = None
 
     def solver(self) -> SolverConfig:
@@ -69,18 +61,7 @@ class RunConfig:
 def _run_config(args) -> RunConfig:
     return RunConfig(tolerance=getattr(args, "tolerance", 1e-8),
                      max_iterations=getattr(args, "max_iters", 100_000),
-                     jobs=getattr(args, "jobs", 1),
                      out_dir=os.environ.get(OUT_DIR_ENV))
-
-
-def _solve_pair(instance: NetworkInstance,
-                cfg: SolverConfig) -> tuple[EquilibriumResult, EquilibriumResult]:
-    rnwe = solve_rnwe(instance, cfg)
-    if instance.risk_model is RiskModel.MEAN_VAR:
-        rawe = solve_rawe_meanvar(instance, cfg)
-    else:
-        rawe = solve_rawe_meanstdev(instance, cfg)
-    return rawe, rnwe
 
 
 def _emit(text: str, out: str | None, run: RunConfig) -> None:
@@ -106,7 +87,7 @@ def _generate(args) -> int:
                         r_a=repr(args.r_a), r_n=repr(args.r_n),
                         gamma_kappa=repr(args.gamma_kappa))
         if args.risk_model == "mean-stdev":
-            instance = instances.reinterpret_as_meanstdev(instance)
+            instance = with_risk_model(instance, RiskModel.MEAN_STDEV)
     elif args.family == "braess":
         instance = instances.build_braess(gamma=args.gamma_kappa,
                                           risk_model=RiskModel(args.risk_model))
@@ -146,10 +127,7 @@ def _solve(args) -> int:
     if args.mode in ("rnwe", "both"):
         results.append(("rnwe", solve_rnwe(instance, cfg)))
     if args.mode in ("rawe", "both"):
-        if instance.risk_model is RiskModel.MEAN_VAR:
-            results.append(("rawe", solve_rawe_meanvar(instance, cfg)))
-        else:
-            results.append(("rawe", solve_rawe_meanstdev(instance, cfg)))
+        results.append(("rawe", solve_rawe(instance, cfg)))
     status = 0
     for name, res in results:
         print(f"{name}: converged={res.converged} iterations={res.iterations} "
@@ -181,7 +159,9 @@ def _bound_row(instance: NetworkInstance, report: analysis.BoundReport,
 def _analyze(args) -> int:
     run = _run_config(args)
     instance = serialization.read_instance(args.input)
-    rawe, rnwe = _solve_pair(instance, run.solver())
+    cfg = run.solver()
+    rnwe = solve_rnwe(instance, cfg)
+    rawe = solve_rawe(instance, cfg)
     if not (rawe.converged and rnwe.converged):
         print("error: equilibrium solver did not converge", file=sys.stderr)
         return 1
@@ -189,8 +169,7 @@ def _analyze(args) -> int:
         else [_BOUND_NAMES[args.bound]]
     status = 0
     lines = []
-    for kind in kinds:
-        rep = analysis.check_bound(instance, rawe, rnwe, kind)
+    for rep in analysis.analyze(instance, rawe, rnwe, kinds).values():
         ok = "ok" if rep.satisfied else "VIOLATED"
         lines.append(f"{rep.bound_kind.value}: pra={rep.pra_observed:.9g} "
                      f"bound={rep.bound_value:.9g} slack={rep.slack:.3e} "
@@ -224,7 +203,9 @@ def _verify(args) -> int:
         print(f"  {failure}")
     status = 0 if (report.passed and struct.passed) else 1
     if args.solve:
-        rawe, rnwe = _solve_pair(instance, run.solver())
+        cfg = run.solver()
+        rnwe = solve_rnwe(instance, cfg)
+        rawe = solve_rawe(instance, cfg)
         pra = analysis.compute_pra(instance, rawe, rnwe)
         rel = abs(pra - oracle.expected_pra) / max(1.0, abs(oracle.expected_pra))
         agree = rel <= args.pra_tolerance
@@ -235,9 +216,8 @@ def _verify(args) -> int:
     return status
 
 
-def _sweep_one(task) -> list[list[str]]:
-    what, seed, tolerance = task
-    cfg = SolverConfig(tolerance=tolerance)
+def _sweep_one(what: str, seed: int, cfg: SolverConfig) -> list[list[str]] | None:
+    """CSV rows of one sweep instance, or None when a solve did not converge."""
     if what == "affine":
         instance = synthetic.random_affine_instance(seed)
         kinds = [analysis.BoundKind.TOPOLOGICAL_ETA,
@@ -258,46 +238,44 @@ def _sweep_one(task) -> list[list[str]]:
         kinds = [analysis.BoundKind.STDEV_ONE_ALT]
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(what)
-    rawe, rnwe = _solve_pair(instance, cfg)
-    rows = []
-    for kind in kinds:
-        rep = analysis.check_bound(instance, rawe, rnwe, kind)
-        rows.append(_bound_row(instance, rep, f"{what}-{seed}", None))
-    return rows
+    rnwe = solve_rnwe(instance, cfg)
+    rawe = solve_rawe(instance, cfg)
+    if not (rawe.converged and rnwe.converged):
+        return None
+    return [_bound_row(instance, rep, f"{what}-{seed}", None)
+            for rep in analysis.analyze(instance, rawe, rnwe, kinds).values()]
 
 
 def _sweep(args) -> int:
     run = _run_config(args)
-    tasks = [(args.what, seed, args.tolerance)
-             for seed in range(args.seed, args.seed + args.count)]
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        grouped = [_sweep_one(t) for t in tasks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            grouped = list(pool.map(_sweep_one, tasks))
+    cfg = run.solver()
+    status = 0
+    rows = []
+    for seed in range(args.seed, args.seed + args.count):
+        got = _sweep_one(args.what, seed, cfg)
+        if got is None:
+            print(f"error: {args.what}-{seed} did not converge", file=sys.stderr)
+            status = 1
+        else:
+            rows.extend(got)
     lines = [SWEEP_HEADER, ",".join(SWEEP_COLUMNS)]
-    for rows in grouped:
-        for row in rows:
-            lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.out, run)
+    lines.extend(",".join(row) for row in rows)
+    _emit("\n".join(lines) + "\n", args.out, run)
 
     violations = []
     best_ratio, best_id = -math.inf, ""
-    for rows in grouped:
-        for row in rows:
-            pra, bound = float(row[7]), float(row[8])
-            ratio = pra / bound if math.isfinite(bound) and bound > 0 else 0.0
-            if ratio > best_ratio:
-                best_ratio, best_id = ratio, f"{row[0]}/{row[10]}"
-            if pra > bound + 1e-5:
-                violations.append(f"{row[0]}/{row[10]}: pra={pra!r} > bound={bound!r}")
-    if args.search_conjecture:
+    for row in rows:
+        pra, bound = float(row[7]), float(row[8])
+        ratio = pra / bound if math.isfinite(bound) and bound > 0 else 0.0
+        if ratio > best_ratio:
+            best_ratio, best_id = ratio, f"{row[0]}/{row[10]}"
+        if pra > bound + 1e-5:
+            violations.append(f"{row[0]}/{row[10]}: pra={pra!r} > bound={bound!r}")
+    if rows:
         print(f"tightest instance: {best_id} ratio={best_ratio:.9g}", file=sys.stderr)
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)
-    return 1 if violations else 0
+    return 1 if violations else status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "series-parallel", "braess", "domino"])
     swp.add_argument("--count", type=int, default=20)
     swp.add_argument("--seed", type=int, default=0, help="first seed of the batch")
-    swp.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for row computation")
-    swp.add_argument("--search-conjecture", action="store_true",
-                     help="experimental: report the instance closest to its bound")
     swp.add_argument("--out", help="CSV file (stdout when omitted)")
     add_common(swp)
     swp.set_defaults(func=_sweep)
@@ -387,7 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (serialization.FormatError, FileNotFoundError, ValueError) as exc:
+    except (serialization.FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

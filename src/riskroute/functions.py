@@ -17,6 +17,7 @@ Variants:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ class LatencyFn:
 
     Subclasses are immutable value objects: equality is structural, so a
     round-trip through the text serialization reproduces an equal object.
+    Every parameter must be finite; a non-finite one raises ValueError.
     Negative arguments (tiny float underflows of a nonnegative flow) are
     clamped to zero.
     """
@@ -51,8 +53,8 @@ class Constant(LatencyFn):
     value: float
 
     def __post_init__(self) -> None:
-        if not self.value >= 0.0:
-            raise ValueError(f"constant function must be nonnegative, got {self.value}")
+        if not 0.0 <= self.value < math.inf:
+            raise ValueError(f"constant function must be finite and nonnegative, got {self.value}")
 
     def __call__(self, x: float) -> float:
         return self.value
@@ -70,10 +72,10 @@ class Affine(LatencyFn):
     intercept: float
 
     def __post_init__(self) -> None:
-        if not self.slope >= 0.0:
-            raise ValueError(f"affine slope must be nonnegative, got {self.slope}")
-        if not self.intercept >= 0.0:
-            raise ValueError(f"affine intercept must be nonnegative, got {self.intercept}")
+        if not 0.0 <= self.slope < math.inf:
+            raise ValueError(f"affine slope must be finite and nonnegative, got {self.slope}")
+        if not 0.0 <= self.intercept < math.inf:
+            raise ValueError(f"affine intercept must be finite and nonnegative, got {self.intercept}")
 
     def __call__(self, x: float) -> float:
         return self.slope * max(x, 0.0) + self.intercept
@@ -96,8 +98,8 @@ class Polynomial(LatencyFn):
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             coeffs = (0.0,)
-        if any(c < 0.0 for c in coeffs):
-            raise ValueError(f"polynomial coefficients must be nonnegative, got {coeffs}")
+        if not all(0.0 <= c < math.inf for c in coeffs):
+            raise ValueError(f"polynomial coefficients must be finite and nonnegative, got {coeffs}")
         # trim trailing zeros so the reported degree is meaningful
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
@@ -147,6 +149,8 @@ class PiecewiseLinear(LatencyFn):
         pts = tuple((float(x), float(y)) for x, y in self.points)
         if not pts:
             raise ValueError("piecewise-linear function needs at least one breakpoint")
+        if not all(math.isfinite(v) for pt in pts for v in pt):
+            raise ValueError(f"breakpoints must be finite, got {pts}")
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         if xs[0] < 0.0:

@@ -378,18 +378,6 @@ def contracted_domino_matches_braess() -> bool:
     return got == want
 
 
-def reinterpret_as_meanstdev(instance: NetworkInstance) -> NetworkInstance:
-    """Read the stored variance functions as sigma^2 under the mean-stdev model.
-
-    With the default unit variances this turns each risky edge's variance
-    kappa=1 into a standard deviation kappa=1, which is how the structural
-    instances double as tight mean-stdev examples.
-    """
-    return NetworkInstance(instance.vertices, instance.edges, instance.source,
-                           instance.sink, instance.demand, instance.gamma,
-                           RiskModel.MEAN_STDEV)
-
-
 def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
                       tol: float = 1e-10) -> CheckReport:
     """Verify that the oracle flows really are equilibria of `instance`.

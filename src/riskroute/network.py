@@ -57,8 +57,8 @@ class NetworkInstance:
         vertices: number of vertices; ids are 0 .. vertices-1.
         edges: edge tuple; the index of an edge is its id.
         source, sink: distinct vertex ids with at least one source->sink path.
-        demand: nonnegative aggregate flow to route.
-        gamma: nonnegative risk aversion coefficient.
+        demand: finite nonnegative aggregate flow to route.
+        gamma: finite nonnegative risk aversion coefficient.
         risk_model: how path costs combine means and variances.
     """
 
@@ -81,10 +81,10 @@ class NetworkInstance:
                 f"source/sink must be valid vertex ids, got {self.source}, {self.sink} with n={n}")
         if self.source == self.sink:
             raise GraphStructureError("source and sink must differ")
-        if not self.demand >= 0.0:
-            raise GraphStructureError(f"demand must be nonnegative, got {self.demand}")
-        if not self.gamma >= 0.0:
-            raise GraphStructureError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0.0 <= self.demand < math.inf:
+            raise GraphStructureError(f"demand must be finite and nonnegative, got {self.demand}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise GraphStructureError(f"gamma must be finite and nonnegative, got {self.gamma}")
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
             if not (0 <= e.tail < n and 0 <= e.head < n):

@@ -4,22 +4,20 @@ Risk-neutral equilibria and mean-var risk-averse equilibria have edge
 additive path costs, so both reduce to minimizing a congestion potential
 (sum over edges of the integral of the perceived edge cost).  We minimize
 it with conditional-gradient iterations: every iteration computes one
-all-or-nothing shortest path under the current perceived costs, then moves
-flow according to the configured step rule.  With ExactLineSearch the step
+all-or-nothing shortest path under the current perceived costs, then
 shifts mass from the costliest path of the maintained decomposition onto
 the shortest path with an exact line search of the potential, which
-converges fast enough for tight tolerances; SuccessiveAverages takes the
-classic averaged step toward the all-or-nothing assignment.
+converges fast enough for tight tolerances.
 
-An exact line-search step changes the flow only on the edges where the
-two paths differ, so the next iteration recomputes the costs of those
-edges alone; the flow rebuild every 256 iterations and a successive-
-averages step change every edge and recompute the whole cost vector.  The
-shortest path is one relaxation sweep over the vertices on source->sink
-paths in topological order, computed once per solve; when those vertices
-span a cycle the solve falls back to Dijkstra.  Both give the same path
-and distance, and every sum keeps the order and arithmetic of a full
-recompute, so the iterates do not depend on which route computed them.
+A step changes the flow only on the edges where the two paths differ, so
+the next iteration recomputes the costs of those edges alone; the flow
+rebuild every 256 iterations changes every edge and recomputes the whole
+cost vector.  The shortest path is one relaxation sweep over the vertices
+on source->sink paths in topological order, computed once per solve; when
+those vertices span a cycle the solve falls back to Dijkstra.  Both give
+the same path and distance, and every sum keeps the order and arithmetic
+of a full recompute, so the iterates do not depend on which route
+computed them.
 
 Mean-stdev path costs are not edge additive, so that solver works directly
 on the enumerated path set and equalizes path costs by shifting flow from
@@ -39,7 +37,6 @@ edge-id sequence, so repeated runs are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
 import math
@@ -62,17 +59,11 @@ from .network import (
 _PRUNE_REL = 1e-12
 
 
-class StepRule(enum.Enum):
-    EXACT_LINE_SEARCH = "exact-line-search"
-    SUCCESSIVE_AVERAGES = "successive-averages"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-8
     max_iterations: int = 100_000
     path_cap: int = 4096
-    step_rule: StepRule = StepRule.EXACT_LINE_SEARCH
 
 
 @dataclass(frozen=True)
@@ -99,11 +90,6 @@ def _edge_cost_fns(instance: NetworkInstance, gamma_eff: float) -> list:
         return [e.latency.__call__ for e in instance.edges]
     return [lambda x, lat=e.latency.__call__, var=e.variability.__call__:
             lat(x) + gamma_eff * var(x) for e in instance.edges]
-
-
-def _cost_vector(instance: NetworkInstance, flow: np.ndarray, gamma_eff: float) -> np.ndarray:
-    return np.array([cost(x) for cost, x in
-                     zip(_edge_cost_fns(instance, gamma_eff), flow.tolist())])
 
 
 def _shortest_path(instance: NetworkInstance, costs, order=None) -> tuple[tuple[int, ...], float]:
@@ -215,6 +201,21 @@ def beckmann_potential(instance: NetworkInstance, flow, gamma_eff: float) -> flo
     return total
 
 
+def _edge_gap(instance: NetworkInstance, flow: np.ndarray, cost_of: list,
+              demand: float, order=None) -> tuple[float, float, float]:
+    """(gap, total, dist) of an edge-additive flow at frozen costs.
+
+    `total` is the perceived cost of `flow` under the per-edge costs
+    `cost_of`, `dist` the cheapest source->sink path cost, and `gap` is
+    max(total - demand * dist, 0), the variational-inequality residual of
+    routing `demand`.
+    """
+    c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
+    _, dist = _shortest_path(instance, c, order)
+    total = float(flow @ np.array(c))
+    return max(total - demand * dist, 0.0), total, dist
+
+
 def vi_residual(instance: NetworkInstance, flow, gamma_effective: float) -> float:
     """Absolute variational-inequality gap of `flow` at frozen costs.
 
@@ -223,11 +224,9 @@ def vi_residual(instance: NetworkInstance, flow, gamma_effective: float) -> floa
     shortest-path computation).  Zero exactly at an equilibrium.
     """
     flow = np.asarray(flow, dtype=float)
-    costs = _cost_vector(instance, flow, gamma_effective)
-    total = float(flow @ costs)
-    demand = flow_demand(instance, flow)
-    _, dist = _shortest_path(instance, costs)
-    return max(total - demand * dist, 0.0)
+    gap, _, _ = _edge_gap(instance, flow, _edge_cost_fns(instance, gamma_effective),
+                          flow_demand(instance, flow))
+    return gap
 
 
 def _costliest_path(paths, costs: list[float]) -> tuple[int, ...]:
@@ -362,16 +361,6 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             break
         iterations = k + 1
 
-        if cfg.step_rule is StepRule.SUCCESSIVE_AVERAGES:
-            alpha = 1.0 / (k + 2)
-            flow = (1.0 - alpha) * flow
-            for eid in best:
-                flow[eid] += alpha * demand
-            weights = {p: w * (1.0 - alpha) for p, w in weights.items()}
-            weights[best] = weights.get(best, 0.0) + alpha * demand
-            moved = None
-            continue
-
         worst = _costliest_path(weights, c)
         if worst == best:
             break
@@ -396,10 +385,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             weights[worst] = t_max - t
 
     flow = _flow_from_weights(instance, weights)
-    c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
-    _, dist = _shortest_path(instance, c, order)
-    total = float(flow @ np.array(c))
-    gap = max(total - demand * dist, 0.0)
+    gap, total, dist = _edge_gap(instance, flow, cost_of, demand, order)
     residual = gap / total if total > 0.0 else 0.0
     return EquilibriumResult(flow, _prune_path_flow(weights, demand), dist,
                              residual, iterations, converged)
@@ -417,6 +403,13 @@ def solve_rawe_meanvar(instance: NetworkInstance, cfg: SolverConfig = SolverConf
     if instance.risk_model is not RiskModel.MEAN_VAR:
         raise ValueError("solve_rawe_meanvar requires a mean-var instance")
     return _solve_additive(instance, cfg, instance.gamma, callback)
+
+
+def solve_rawe(instance: NetworkInstance, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
+    """Risk-averse equilibrium under the instance's own risk model."""
+    if instance.risk_model is RiskModel.MEAN_VAR:
+        return solve_rawe_meanvar(instance, cfg)
+    return solve_rawe_meanstdev(instance, cfg)
 
 
 def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
@@ -625,11 +618,9 @@ def result_from_paths(instance: NetworkInstance, path_flow: PathFlow,
     flow = induced_edge_flow(instance, path_flow)
     additive = gamma_effective == 0.0 or instance.risk_model is RiskModel.MEAN_VAR
     if additive:
-        costs = _cost_vector(instance, flow, gamma_effective)
-        _, dist = _shortest_path(instance, costs)
-        total = float(flow @ costs)
-        gap = max(total - path_flow.total() * dist, 0.0)
-        common = dist
+        gap, total, common = _edge_gap(instance, flow,
+                                       _edge_cost_fns(instance, gamma_effective),
+                                       path_flow.total())
     else:
         paths = enumerate_paths(instance, path_cap)
         q = {p: path_cost(instance, p, flow) for p in paths}

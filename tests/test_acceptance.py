@@ -29,9 +29,8 @@ from riskroute.instances import (
     build_recursive,
     closed_form_check,
     recursive_edge_tags,
-    reinterpret_as_meanstdev,
 )
-from riskroute.network import RiskModel, social_cost
+from riskroute.network import RiskModel, social_cost, with_risk_model
 from riskroute.solver import (
     SolverConfig,
     brute_force_equilibrium,
@@ -272,7 +271,7 @@ def test_mean_stdev_alternation_bounds():
 
     spec = RecursiveFamilySpec(level=1, gamma_kappa=1.0)
     instance, oracle = build_recursive(spec)
-    stdev_instance = reinterpret_as_meanstdev(instance)
+    stdev_instance = with_risk_model(instance, RiskModel.MEAN_STDEV)
     rawe, rnwe = _solve_pair(stdev_instance)
     report = check_bound(stdev_instance, rawe, rnwe, BoundKind.STDEV_ONE_ALT)
     tight = abs(report.pra_observed - 3.0) <= 1e-5 and abs(report.slack) <= 1e-5

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import riskroute as rr
+from riskroute import analysis, synthetic
 from riskroute.analysis import smoothness_mu_at_flow
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
 from riskroute.solver import SolverConfig
@@ -198,7 +199,7 @@ def test_near_unit_smoothness_inflates_the_bound():
 
 def test_stdev_bounds_tight_on_reinterpreted_level1():
     inst, _ = build_recursive(RecursiveFamilySpec(level=1))
-    ms = rr.reinterpret_as_meanstdev(inst)
+    ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
     rawe = rr.solve_rawe_meanstdev(ms, CFG)
     rnwe = rr.solve_rnwe(ms, CFG)
     one_alt = rr.check_bound(ms, rawe, rnwe, rr.BoundKind.STDEV_ONE_ALT)
@@ -247,3 +248,75 @@ def test_vertex_bound_gap_values():
 
 def test_vertex_bound_gap_stays_below_two():
     assert rr.vertex_bound_gap_below_two(10_000, (0.1, 1.0, 10.0))
+
+
+def _family_instance(level, variant, model):
+    inst, _ = build_recursive(RecursiveFamilySpec(level=level, variant=variant))
+    return rr.with_risk_model(inst, model)
+
+
+_SWEEP_MAKERS = {
+    "affine": synthetic.random_affine_instance,
+    "poly3": lambda seed: synthetic.random_polynomial_instance(seed, 3),
+    "series-parallel": synthetic.random_series_parallel_instance,
+    "braess": synthetic.random_braess_instance,
+    "domino": synthetic.random_domino_instance,
+}
+
+
+def _solved(inst):
+    return rr.solve_rawe(inst), rr.solve_rnwe(inst)
+
+
+def _assert_analyze_matches_check_bound(inst):
+    rawe, rnwe = _solved(inst)
+    reports = rr.analyze(inst, rawe, rnwe)
+    assert list(reports) == list(rr.BoundKind)
+    for kind in rr.BoundKind:
+        assert reports[kind] == rr.check_bound(inst, rawe, rnwe, kind)
+
+
+@pytest.mark.parametrize("model", list(rr.RiskModel))
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_analyze_matches_check_bound_on_family(level, variant, model):
+    _assert_analyze_matches_check_bound(_family_instance(level, variant, model))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("what", sorted(_SWEEP_MAKERS))
+def test_analyze_matches_check_bound_on_sweep_families(what, seed):
+    _assert_analyze_matches_check_bound(_SWEEP_MAKERS[what](seed))
+
+
+def test_analyze_computes_shared_quantities_once(monkeypatch):
+    inst = _family_instance(3, Variant.STRUCTURAL, rr.RiskModel.MEAN_VAR)
+    rawe, rnwe = _solved(inst)
+    calls = {"compute_pra": 0, "find_alternating_path": 0, "estimate_smoothness_mu": 0}
+
+    def counting(name):
+        original = getattr(analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(analysis, name, counting(name))
+
+    analysis.analyze(inst, rawe, rnwe)
+    # one eta search, and mu over the used edges once: as many estimates as
+    # the smooth bound alone makes
+    assert calls["compute_pra"] == 1
+    assert calls["find_alternating_path"] == 1
+    mu_all = calls["estimate_smoothness_mu"]
+    calls.update(dict.fromkeys(calls, 0))
+    analysis.check_bound(inst, rawe, rnwe, rr.BoundKind.FUNCTIONAL_SMOOTH)
+    assert calls["estimate_smoothness_mu"] == mu_all > 0
+    assert calls["find_alternating_path"] == 0
+
+    calls.update(dict.fromkeys(calls, 0))
+    analysis.analyze(inst, rawe, rnwe, (rr.BoundKind.TOPOLOGICAL_VERTICES,))
+    assert calls == {"compute_pra": 1, "find_alternating_path": 0,
+                     "estimate_smoothness_mu": 0}

@@ -70,13 +70,13 @@ def test_verify_passes_for_canonical_instances():
     assert "solver_pra" in out
 
 
-def test_sweep_is_deterministic_across_jobs(tmp_path):
+def test_sweep_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     code, _, _ = _run(["sweep", "--what", "affine", "--count", "8",
-                       "--jobs", "1", "--out", str(a)])
+                       "--out", str(a)])
     assert code == 0
     code, _, _ = _run(["sweep", "--what", "affine", "--count", "8",
-                       "--jobs", "3", "--out", str(b)])
+                       "--out", str(b)])
     assert code == 0
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().splitlines()
@@ -88,12 +88,69 @@ def test_sweep_is_deterministic_across_jobs(tmp_path):
     assert len(lines) == 2 + 24
 
 
-def test_sweep_search_conjecture_reports_tightest(tmp_path):
+def test_sweep_reports_tightest_instance(tmp_path):
     code, _, err = _run(["sweep", "--what", "braess", "--count", "4",
-                         "--search-conjecture", "--out",
-                         str(tmp_path / "c.csv")])
+                         "--out", str(tmp_path / "c.csv")])
     assert code == 0
     assert "tightest instance:" in err
+
+
+def test_sweep_leaves_out_unconverged_instances(tmp_path):
+    out = tmp_path / "s.csv"
+    code, _, err = _run(["sweep", "--what", "affine", "--count", "3",
+                         "--max-iters", "0", "--out", str(out)])
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: affine-{seed} did not converge" for seed in range(3)]
+    # header and column line only: no row comes from an unconverged solve
+    assert len(out.read_text().splitlines()) == 2
+
+
+BRAESS_FILE = """# riskroute instance v1
+vertices :: 4
+source :: 0
+sink :: 3
+demand :: {demand}
+gamma :: {gamma}
+risk_model :: mean-var
+edge :: 0 :: 1 :: pwl 0.0,0.0 0.5,0.0 1.0,1.0 :: const 0.0
+edge :: 1 :: 3 :: const 1.0 :: {risky}
+edge :: 0 :: 2 :: const 1.0 :: const 1.0
+edge :: 2 :: 3 :: pwl 0.0,0.0 0.5,0.0 1.0,1.0 :: const 0.0
+edge :: 1 :: 2 :: const 1.0 :: const 0.0
+"""
+
+
+def _analyze_text(tmp_path, text):
+    path = tmp_path / "braess.txt"
+    path.write_text(text, encoding="utf-8")
+    return _run(["analyze", "--in", str(path)])
+
+
+def test_braess_file_analyzes(tmp_path):
+    code, out, err = _analyze_text(tmp_path, BRAESS_FILE.format(
+        demand="1.0", gamma="1.0", risky="const 1.0"))
+    assert code == 0, err
+    assert "TopologicalEta" in out
+
+
+@pytest.mark.parametrize("field,value", [
+    ("demand", "inf"), ("demand", "nan"), ("gamma", "inf"),
+    ("risky", "const inf"), ("risky", "affine inf 0.0"),
+    ("risky", "affine 0.0 inf"), ("risky", "poly 1.0 nan"),
+    ("risky", "pwl 0.0,0.0 1.0,inf"), ("risky", "pwl 0.0,0.0 inf,1.0"),
+])
+def test_non_finite_numbers_are_input_errors(tmp_path, field, value):
+    values = {"demand": "1.0", "gamma": "1.0", "risky": "const 1.0", field: value}
+    code, _, err = _analyze_text(tmp_path, BRAESS_FILE.format(**values))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_directory_as_input_is_exit_2(tmp_path):
+    code, _, err = _run(["analyze", "--in", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_out_dir_env_var_resolves_relative_paths(tmp_path, monkeypatch):

@@ -142,7 +142,7 @@ def test_contracting_the_domino_yields_braess():
 
 def test_reinterpret_as_meanstdev():
     inst, _ = build_recursive(RecursiveFamilySpec(level=1))
-    ms = rr.reinterpret_as_meanstdev(inst)
+    ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
     assert ms.risk_model is rr.RiskModel.MEAN_STDEV
     assert ms.edges == inst.edges
     assert ms.gamma == inst.gamma

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import riskroute as rr
 from riskroute import solver
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
-from riskroute.solver import SolverConfig, StepRule
+from riskroute.solver import SolverConfig
 from riskroute.synthetic import random_small_instance
 
 CFG = SolverConfig(tolerance=1e-10)
@@ -117,18 +117,14 @@ def test_exact_line_search_descends_the_potential():
     assert np.all(drops <= 1e-10)
 
 
-def test_successive_averages_agrees_with_exact_steps():
+def test_exact_steps_match_closed_form_split():
     inst = rr.NetworkInstance(
         2,
         (rr.Edge(0, 1, rr.Affine(1.0, 0.1), rr.Constant(0.0)),
          rr.Edge(0, 1, rr.Affine(2.0, 0.0), rr.Constant(0.0))),
         0, 1, 1.0, 0.0, rr.RiskModel.MEAN_VAR)
     exact = rr.solve_rnwe(inst, CFG)
-    msa = rr.solve_rnwe(inst, SolverConfig(tolerance=1e-6, max_iterations=50_000,
-                                           step_rule=StepRule.SUCCESSIVE_AVERAGES))
-    assert msa.converged
     assert np.allclose(exact.flow, [19.0 / 30.0, 11.0 / 30.0], atol=1e-9)
-    assert np.max(np.abs(msa.flow - exact.flow)) <= 1e-3
 
 
 def test_zero_demand_is_trivially_converged():
@@ -238,3 +234,17 @@ def test_family_iteration_counts_are_pinned(level, variant, rawe_iterations,
                                                   variant=variant))
     assert rr.solve_rawe_meanvar(inst).iterations == rawe_iterations
     assert rr.solve_rnwe(inst).iterations == rnwe_iterations
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_solve_rawe_dispatches_on_risk_model(variant):
+    inst, _ = build_recursive(RecursiveFamilySpec(level=2, variant=variant))
+    ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
+    for instance, direct in ((inst, rr.solve_rawe_meanvar(inst)),
+                             (ms, rr.solve_rawe_meanstdev(ms))):
+        got = rr.solve_rawe(instance)
+        assert np.array_equal(got.flow, direct.flow)
+        assert (got.path_flow, got.common_cost, got.vi_residual, got.iterations,
+                got.converged) == (direct.path_flow, direct.common_cost,
+                                   direct.vi_residual, direct.iterations,
+                                   direct.converged)
