@@ -19,7 +19,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analysis, instances, serialization, synthetic
 from .network import NetworkInstance, RiskModel, with_risk_model
@@ -40,41 +39,20 @@ _BOUND_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by the solving subcommands."""
-
-    tolerance: float = 1e-8
-    max_iterations: int = 100_000
-    out_dir: str | None = None
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(tolerance=self.tolerance,
-                            max_iterations=self.max_iterations)
-
-    def resolve(self, path: str) -> str:
-        if self.out_dir and not os.path.isabs(path):
-            return os.path.join(self.out_dir, path)
-        return path
+def _resolve(path: str) -> str:
+    """`path` under $RISKROUTE_OUT_DIR when that is set; an absolute `path` stays."""
+    return os.path.join(os.environ.get(OUT_DIR_ENV, ""), path)
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(tolerance=getattr(args, "tolerance", 1e-8),
-                     max_iterations=getattr(args, "max_iters", 100_000),
-                     out_dir=os.environ.get(OUT_DIR_ENV))
-
-
-def _emit(text: str, out: str | None, run: RunConfig) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        path = run.resolve(out)
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(_resolve(out), "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
 def _generate(args) -> int:
-    run = _run_config(args)
     oracle = None
     metadata: dict[str, str] = {"family": args.family}
     if args.family == "recursive":
@@ -109,20 +87,19 @@ def _generate(args) -> int:
         metadata["seed"] = str(args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.family)
-    _emit(serialization.dumps_instance(instance), args.out, run)
+    _emit(serialization.dumps_instance(instance), args.out)
     if args.oracle_out:
         if oracle is None:
             print("error: --oracle-out is only available for --family recursive",
                   file=sys.stderr)
             return 2
-        _emit(serialization.dumps_oracle(oracle, metadata), args.oracle_out, run)
+        _emit(serialization.dumps_oracle(oracle, metadata), args.oracle_out)
     return 0
 
 
 def _solve(args) -> int:
-    run = _run_config(args)
     instance = serialization.read_instance(args.input)
-    cfg = run.solver()
+    cfg = SolverConfig(args.tolerance, args.max_iters)
     results: list[tuple[str, EquilibriumResult]] = []
     if args.mode in ("rnwe", "both"):
         results.append(("rnwe", solve_rnwe(instance, cfg)))
@@ -136,7 +113,7 @@ def _solve(args) -> int:
             status = 1
         if args.out:
             suffix = f".{name}.txt" if args.mode == "both" else ""
-            serialization.write_result(run.resolve(args.out) + suffix, res)
+            serialization.write_result(_resolve(args.out) + suffix, res)
     return status
 
 
@@ -157,9 +134,8 @@ def _bound_row(instance: NetworkInstance, report: analysis.BoundReport,
 
 
 def _analyze(args) -> int:
-    run = _run_config(args)
     instance = serialization.read_instance(args.input)
-    cfg = run.solver()
+    cfg = SolverConfig(args.tolerance, args.max_iters)
     rnwe = solve_rnwe(instance, cfg)
     rawe = solve_rawe(instance, cfg)
     if not (rawe.converged and rnwe.converged):
@@ -183,12 +159,11 @@ def _analyze(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        _emit(text, args.out, run)
+        _emit(text, args.out)
     return status
 
 
 def _verify(args) -> int:
-    run = _run_config(args)
     spec = instances.RecursiveFamilySpec(
         level=args.level, r_a=args.r_a, r_n=args.r_n,
         gamma_kappa=args.gamma_kappa, variant=instances.Variant(args.variant))
@@ -203,15 +178,18 @@ def _verify(args) -> int:
         print(f"  {failure}")
     status = 0 if (report.passed and struct.passed) else 1
     if args.solve:
-        cfg = run.solver()
+        cfg = SolverConfig(args.tolerance, args.max_iters)
         rnwe = solve_rnwe(instance, cfg)
         rawe = solve_rawe(instance, cfg)
+        if not (rawe.converged and rnwe.converged):
+            print("error: equilibrium solver did not converge", file=sys.stderr)
+            return 1
         pra = analysis.compute_pra(instance, rawe, rnwe)
         rel = abs(pra - oracle.expected_pra) / max(1.0, abs(oracle.expected_pra))
         agree = rel <= args.pra_tolerance
         print(f"solver_pra: observed={pra:.9g} expected={oracle.expected_pra:.9g} "
               f"rel_err={rel:.3e} [{'pass' if agree else 'FAIL'}]")
-        if not agree or not (rawe.converged and rnwe.converged):
+        if not agree:
             status = 1
     return status
 
@@ -247,8 +225,7 @@ def _sweep_one(what: str, seed: int, cfg: SolverConfig) -> list[list[str]] | Non
 
 
 def _sweep(args) -> int:
-    run = _run_config(args)
-    cfg = run.solver()
+    cfg = SolverConfig(args.tolerance, args.max_iters)
     status = 0
     rows = []
     for seed in range(args.seed, args.seed + args.count):
@@ -260,7 +237,7 @@ def _sweep(args) -> int:
             rows.extend(got)
     lines = [SWEEP_HEADER, ",".join(SWEEP_COLUMNS)]
     lines.extend(",".join(row) for row in rows)
-    _emit("\n".join(lines) + "\n", args.out, run)
+    _emit("\n".join(lines) + "\n", args.out)
 
     violations = []
     best_ratio, best_id = -math.inf, ""
@@ -286,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tolerance", type=float, default=1e-8,
+        p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance,
                        help="solver convergence tolerance (relative)")
-        p.add_argument("--max-iters", type=int, default=100_000,
+        p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations,
                        help="iteration cap per solve")
 
     gen = sub.add_parser("generate", help="build and serialize an instance")

@@ -2,9 +2,9 @@
 
 Every edge of a routing network carries two of these: a mean latency
 function and a variance function, both evaluated at the edge flow.  All
-variants are continuous, non-decreasing and nonnegative on [0, inf), and
-all of them support closed-form definite integrals from zero, which the
-equilibrium solver needs to line-search the congestion potential exactly.
+variants are continuous, non-decreasing and nonnegative on [0, inf).  The
+solver's exact line search uses their values and slope-change knots; the
+closed-form integrals from zero serve only `solver.beckmann_potential`.
 
 Variants:
     Constant(value)            value everywhere

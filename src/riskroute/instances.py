@@ -50,6 +50,7 @@ from .network import (
     path_cost,
     social_cost,
     validate_path,
+    with_gamma,
 )
 from .solver import vi_residual
 
@@ -406,7 +407,7 @@ def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
     rnwe_flow = induced_edge_flow(instance, oracle.rnwe)
 
     if instance.risk_model is RiskModel.MEAN_VAR or instance.gamma == 0.0:
-        res = vi_residual(instance, rawe_flow, instance.gamma)
+        res = vi_residual(instance, rawe_flow)
         if res > tol:
             failures.append(f"rawe equilibrium residual {res:.3e} exceeds {tol:.1e}")
     else:
@@ -420,7 +421,7 @@ def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
                     failures.append(
                         f"rawe path {path} costs {gap:.3e} above the cheapest path")
 
-    res = vi_residual(instance, rnwe_flow, 0.0)
+    res = vi_residual(with_gamma(instance, 0.0), rnwe_flow)
     if res > tol:
         failures.append(f"rnwe equilibrium residual {res:.3e} exceeds {tol:.1e}")
 

@@ -16,9 +16,10 @@ Social cost is always measured in means only, regardless of risk model.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,21 +92,56 @@ class NetworkInstance:
                 raise GraphStructureError(f"edge {eid} has endpoints outside 0..{n - 1}")
             out[e.tail].append((eid, e.head))
         object.__setattr__(self, "_out", tuple(tuple(lst) for lst in out))
-        # the sink must be reachable from the source
-        seen = {self.source}
-        queue = deque([self.source])
-        while queue:
-            v = queue.popleft()
-            for _, head in self._out[v]:
-                if head not in seen:
-                    seen.add(head)
-                    queue.append(head)
-        if self.sink not in seen:
+        if self.sink not in _reachable(self.source, self._out):
             raise GraphStructureError("sink is not reachable from source")
 
     def out_edges(self, vertex: int) -> tuple[tuple[int, int], ...]:
         """(edge id, head) pairs leaving `vertex`, in edge-id order."""
         return self._out[vertex]
+
+    @property
+    def topological_order(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...] | None:
+        """The vertices on source->sink paths in topological order, or None.
+
+        Each vertex comes with its out-edges (edge id, head) that stay among
+        those vertices.  None when those vertices span a cycle.  Computed on
+        first use and kept.
+        """
+        order = getattr(self, "_dag_order", False)
+        if order is not False:
+            return order
+        into: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
+        for eid, e in enumerate(self.edges):
+            into[e.head].append((eid, e.tail))
+        keep = _reachable(self.source, self._out) & _reachable(self.sink, into)
+        out = {v: tuple((eid, head) for eid, head in self._out[v] if head in keep)
+               for v in keep}
+        indegree = Counter(head for v in keep for _, head in out[v])
+        ready = [v for v in keep if indegree[v] == 0]
+        order = []
+        while ready:
+            v = ready.pop()
+            order.append((v, out[v]))
+            for _, head in out[v]:
+                indegree[head] -= 1
+                if indegree[head] == 0:
+                    ready.append(head)
+        # not functools.cached_property: its __dict__ write slows attribute loads 3x
+        order = tuple(order) if len(order) == len(keep) else None
+        object.__setattr__(self, "_dag_order", order)
+        return order
+
+
+def _reachable(start: int, arcs) -> set[int]:
+    """Vertices reachable from `start`, where arcs[v] lists (edge id, next vertex)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for _, w in arcs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -292,14 +328,12 @@ def with_risk_model(instance: NetworkInstance, risk_model: RiskModel) -> Network
     (the stored variance functions are then read as sigma^2 and the square
     root is taken at path level).
     """
-    return NetworkInstance(instance.vertices, instance.edges, instance.source,
-                           instance.sink, instance.demand, instance.gamma, risk_model)
+    return dataclasses.replace(instance, risk_model=risk_model)
 
 
 def with_gamma(instance: NetworkInstance, gamma: float) -> NetworkInstance:
     """Copy of `instance` with the risk aversion coefficient replaced."""
-    return NetworkInstance(instance.vertices, instance.edges, instance.source,
-                           instance.sink, instance.demand, gamma, instance.risk_model)
+    return dataclasses.replace(instance, gamma=gamma)
 
 
 def with_edge_functions(instance: NetworkInstance, assignments) -> NetworkInstance:
@@ -312,6 +346,4 @@ def with_edge_functions(instance: NetworkInstance, assignments) -> NetworkInstan
     for eid, (lat, var) in assignments.items():
         old = edges[eid]
         edges[eid] = Edge(old.tail, old.head, lat, var)
-    return NetworkInstance(instance.vertices, tuple(edges), instance.source,
-                           instance.sink, instance.demand, instance.gamma,
-                           instance.risk_model)
+    return dataclasses.replace(instance, edges=tuple(edges))

@@ -169,6 +169,8 @@ def loads_oracle(text: str) -> tuple[OracleFlows, dict[str, str]]:
                 raise FormatError(f"line {lineno}: flow record needs 3 fields")
             flows[key].append((_path_from_text(fields[1]), float(fields[2])))
         elif key in ("rawe_cost", "rnwe_cost", "expected_pra"):
+            if len(fields) != 2:
+                raise FormatError(f"line {lineno}: {key} record needs 2 fields")
             scalars[key] = float(fields[1])
         else:
             raise FormatError(f"line {lineno}: unknown record {key!r}")
@@ -202,6 +204,8 @@ def loads_result(text: str) -> EquilibriumResult:
     paths: list[tuple[tuple[int, ...], float]] = []
     for lineno, fields in _records(text, RESULT_HEADER):
         key = fields[0]
+        if key in ("edge_flow", "path") and len(fields) != 3:
+            raise FormatError(f"line {lineno}: {key} record needs 3 fields")
         if key == "edge_flow":
             flow_entries.append((int(fields[1]), float(fields[2])))
         elif key == "path":

@@ -13,11 +13,11 @@ A step changes the flow only on the edges where the two paths differ, so
 the next iteration recomputes the costs of those edges alone; the flow
 rebuild every 256 iterations changes every edge and recomputes the whole
 cost vector.  The shortest path is one relaxation sweep over the vertices
-on source->sink paths in topological order, computed once per solve; when
-those vertices span a cycle the solve falls back to Dijkstra.  Both give
-the same path and distance, and every sum keeps the order and arithmetic
-of a full recompute, so the iterates do not depend on which route
-computed them.
+on source->sink paths in topological order, computed once per instance
+and shared by all its solves and checks; when those vertices span a cycle
+it is Dijkstra.  Both give the same path and distance, and every sum keeps
+the order and arithmetic of a full recompute, so the iterates do not
+depend on which route computed them.
 
 Mean-stdev path costs are not edge additive, so that solver works directly
 on the enumerated path set and equalizes path costs by shifting flow from
@@ -63,7 +63,6 @@ _PRUNE_REL = 1e-12
 class SolverConfig:
     tolerance: float = 1e-8
     max_iterations: int = 100_000
-    path_cap: int = 4096
 
 
 @dataclass(frozen=True)
@@ -92,15 +91,21 @@ def _edge_cost_fns(instance: NetworkInstance, gamma_eff: float) -> list:
             lat(x) + gamma_eff * var(x) for e in instance.edges]
 
 
-def _shortest_path(instance: NetworkInstance, costs, order=None) -> tuple[tuple[int, ...], float]:
+def _shortest_path(instance: NetworkInstance, costs) -> tuple[tuple[int, ...], float]:
     """Min-cost source->sink path; ties broken by smallest edge-id sequence.
 
-    With `order` from `_topological_order` this is one relaxation sweep;
-    without it (required when the graph has a cycle) it is Dijkstra.  Both
-    return the same path and distance, bit for bit.
+    One relaxation sweep in the instance's topological order, or Dijkstra
+    when the graph has a cycle.  Both return the same path and distance,
+    bit for bit.
     """
-    if order is not None:
-        return _dag_shortest_path(instance, costs, order)
+    order = instance.topological_order
+    if order is None:
+        return _dijkstra(instance, costs)
+    return _dag_shortest_path(instance, costs, order)
+
+
+def _dijkstra(instance: NetworkInstance, costs) -> tuple[tuple[int, ...], float]:
+    """Heap Dijkstra over (distance, edge-id sequence) labels."""
     s, t = instance.source, instance.sink
     heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), s)]
     done: set[int] = set()
@@ -115,48 +120,6 @@ def _shortest_path(instance: NetworkInstance, costs, order=None) -> tuple[tuple[
             if head not in done:
                 heapq.heappush(heap, (dist + float(costs[eid]), path + (eid,), head))
     raise GraphStructureError("sink not reachable from source")
-
-
-def _topological_order(instance: NetworkInstance) -> list[tuple[int, list]] | None:
-    """The vertices on source->sink paths in topological order, or None.
-
-    Each vertex comes with its out-edges (edge id, head) that stay among
-    those vertices.  Returns None when the vertices span a cycle.
-    """
-    ahead = {instance.source}
-    stack = [instance.source]
-    while stack:
-        for _, head in instance.out_edges(stack.pop()):
-            if head not in ahead:
-                ahead.add(head)
-                stack.append(head)
-    into: list[list[int]] = [[] for _ in range(instance.vertices)]
-    for e in instance.edges:
-        into[e.head].append(e.tail)
-    behind = {instance.sink}
-    stack = [instance.sink]
-    while stack:
-        for tail in into[stack.pop()]:
-            if tail not in behind:
-                behind.add(tail)
-                stack.append(tail)
-    keep = ahead & behind
-    out = {v: [(eid, head) for eid, head in instance.out_edges(v) if head in keep]
-           for v in keep}
-    indegree = dict.fromkeys(keep, 0)
-    for v in keep:
-        for _, head in out[v]:
-            indegree[head] += 1
-    ready = [v for v in keep if indegree[v] == 0]
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append((v, out[v]))
-        for _, head in out[v]:
-            indegree[head] -= 1
-            if indegree[head] == 0:
-                ready.append(head)
-    return order if len(order) == len(keep) else None
 
 
 def _dag_shortest_path(instance: NetworkInstance, costs: list[float],
@@ -190,19 +153,29 @@ def _dag_shortest_path(instance: NetworkInstance, costs: list[float],
     return paths[sink], dist[sink]
 
 
-def beckmann_potential(instance: NetworkInstance, flow, gamma_eff: float) -> float:
-    """Congestion potential: sum over edges of the cost integral up to f_e."""
+def _edge_additive(instance: NetworkInstance) -> bool:
+    """Whether perceived path costs are sums of edge costs: mean-var, or gamma 0."""
+    return instance.gamma == 0.0 or instance.risk_model is RiskModel.MEAN_VAR
+
+
+def beckmann_potential(instance: NetworkInstance, flow) -> float:
+    """Congestion potential: sum over edges of the cost integral up to f_e.
+
+    ValueError on a mean-stdev instance with gamma > 0, which has none.
+    """
+    if not _edge_additive(instance):
+        raise ValueError("beckmann_potential needs edge-additive costs")
     total = 0.0
     for eid, e in enumerate(instance.edges):
         f = float(flow[eid])
         total += e.latency.integral(f)
-        if gamma_eff != 0.0:
-            total += gamma_eff * e.variability.integral(f)
+        if instance.gamma != 0.0:
+            total += instance.gamma * e.variability.integral(f)
     return total
 
 
 def _edge_gap(instance: NetworkInstance, flow: np.ndarray, cost_of: list,
-              demand: float, order=None) -> tuple[float, float, float]:
+              demand: float) -> tuple[float, float, float]:
     """(gap, total, dist) of an edge-additive flow at frozen costs.
 
     `total` is the perceived cost of `flow` under the per-edge costs
@@ -211,20 +184,38 @@ def _edge_gap(instance: NetworkInstance, flow: np.ndarray, cost_of: list,
     routing `demand`.
     """
     c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
-    _, dist = _shortest_path(instance, c, order)
+    _, dist = _shortest_path(instance, c)
     total = float(flow @ np.array(c))
     return max(total - demand * dist, 0.0), total, dist
 
 
-def vi_residual(instance: NetworkInstance, flow, gamma_effective: float) -> float:
+def _path_gap(instance: NetworkInstance, paths: list, amounts: np.ndarray, flow,
+              demand: float) -> tuple[float, float, float]:
+    """(gap, total, cheapest) of routing `amounts[i]` on `paths[i]`, any risk model.
+
+    `flow` is the edge flow the amounts induce; with q the path costs at
+    `flow`, total = amounts @ q, cheapest = min(q) and gap = max(total -
+    demand * cheapest, 0).
+    """
+    q = np.array([path_cost(instance, p, flow) for p in paths])
+    cheapest = float(q.min())
+    total = float(amounts @ q)
+    return max(total - demand * cheapest, 0.0), total, cheapest
+
+
+def vi_residual(instance: NetworkInstance, flow) -> float:
     """Absolute variational-inequality gap of `flow` at frozen costs.
 
     Total perceived cost of `flow` minus the cheapest way to route the same
     demand when edge costs stay frozen at their current values (one
-    shortest-path computation).  Zero exactly at an equilibrium.
+    shortest-path computation).  Zero exactly at an equilibrium.  Raises
+    ValueError on a mean-stdev instance with gamma > 0: its costs are not
+    edge additive.
     """
+    if not _edge_additive(instance):
+        raise ValueError("vi_residual needs edge-additive costs: mean-var, or gamma 0")
     flow = np.asarray(flow, dtype=float)
-    gap, _, _ = _edge_gap(instance, flow, _edge_cost_fns(instance, gamma_effective),
+    gap, _, _ = _edge_gap(instance, flow, _edge_cost_fns(instance, instance.gamma),
                           flow_demand(instance, flow))
     return gap
 
@@ -324,9 +315,8 @@ def _prune_path_flow(weights: dict[tuple[int, ...], float], demand: float) -> Pa
 def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: float,
                     callback=None) -> EquilibriumResult:
     demand = instance.demand
-    order = _topological_order(instance)
     cost_of = _edge_cost_fns(instance, gamma_eff)
-    first, dist = _shortest_path(instance, [cost(0.0) for cost in cost_of], order)
+    first, dist = _shortest_path(instance, [cost(0.0) for cost in cost_of])
     if demand == 0.0:
         return EquilibriumResult(zero_flow(instance), PathFlow.of([]), dist, 0.0, 0, True)
 
@@ -349,7 +339,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
         else:
             for eid in moved:
                 c[eid] = cost_of[eid](float(flow[eid]))
-        best, dist = _shortest_path(instance, c, order)
+        best, dist = _shortest_path(instance, c)
         total = float(flow @ np.array(c))
         gap = max(total - demand * dist, 0.0)
         if callback is not None:
@@ -385,7 +375,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             weights[worst] = t_max - t
 
     flow = _flow_from_weights(instance, weights)
-    gap, total, dist = _edge_gap(instance, flow, cost_of, demand, order)
+    gap, total, dist = _edge_gap(instance, flow, cost_of, demand)
     residual = gap / total if total > 0.0 else 0.0
     return EquilibriumResult(flow, _prune_path_flow(weights, demand), dist,
                              residual, iterations, converged)
@@ -422,7 +412,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
     """
     if instance.risk_model is not RiskModel.MEAN_STDEV:
         raise ValueError("solve_rawe_meanstdev requires a mean-stdev instance")
-    paths = enumerate_paths(instance, cfg.path_cap)
+    paths = enumerate_paths(instance)
     demand = instance.demand
     m = len(instance.edges)
     incidence = np.zeros((len(paths), m))
@@ -483,14 +473,11 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
             amounts[best] += amounts[worst]
             amounts[worst] = 0.0
 
-    q = costs_at(amounts)
-    best = int(np.argmin(q))
-    total = float(amounts @ q)
-    gap_total = max(total - demand * float(q[best]), 0.0)
-    residual = gap_total / total if total > 0.0 else 0.0
+    gap, total, cheapest = _path_gap(instance, paths, amounts, incidence.T @ amounts, demand)
+    residual = gap / total if total > 0.0 else 0.0
     pf = PathFlow.of(sorted((paths[i], float(a)) for i, a in enumerate(amounts) if a > used_cut))
     flow = induced_edge_flow(instance, pf)
-    return EquilibriumResult(flow, pf, float(q[best]), residual, iterations, converged)
+    return EquilibriumResult(flow, pf, cheapest, residual, iterations, converged)
 
 
 def _simplex_points(k: int, grid: int, total: float):
@@ -505,24 +492,22 @@ def _simplex_points(k: int, grid: int, total: float):
         yield np.array(parts, dtype=float) * (total / grid)
 
 
-def brute_force_equilibrium(instance: NetworkInstance, grid: int = 12) -> EquilibriumResult:
+def brute_force_equilibrium(instance: NetworkInstance) -> EquilibriumResult:
     """Reference equilibrium by support enumeration over the path set.
 
     Only for instances with at most four simple paths.  For every subset of
     paths it solves the smooth equal-cost system on that support (coarse
-    simplex grid, then a derivative-free polish of the squared cost
-    spread), then keeps the candidate with the smallest equilibrium
-    violation: used-path cost spread plus any amount by which an unused
-    path undercuts the common cost.  Intentionally independent of the
-    iterative solvers so the two can cross-check.
+    simplex grid in steps of demand/12, then a derivative-free polish of
+    the squared cost spread), then keeps the candidate with the smallest
+    equilibrium violation: used-path cost spread plus any amount by which
+    an unused path undercuts the common cost.  Intentionally independent
+    of the iterative solvers so the two can cross-check.
     """
     from scipy.optimize import minimize
 
     paths = enumerate_paths(instance, cap=64)
     if len(paths) > 4:
         raise ValueError(f"brute force supports at most 4 paths, found {len(paths)}")
-    if grid < 1:
-        raise ValueError("grid must be positive")
     demand = instance.demand
     n_paths = len(paths)
     m = len(instance.edges)
@@ -557,7 +542,7 @@ def brute_force_equilibrium(instance: NetworkInstance, grid: int = 12) -> Equili
                 else:
                     # seed from a coarse grid on the support simplex
                     seed, seed_val = None, math.inf
-                    for pt in _simplex_points(size, grid, demand):
+                    for pt in _simplex_points(size, 12, demand):
                         cand = np.zeros(n_paths)
                         cand[list(support)] = pt
                         q_s = costs(cand)[list(support)]
@@ -608,25 +593,25 @@ def brute_force_equilibrium(instance: NetworkInstance, grid: int = 12) -> Equili
                              gap <= 1e-6 * scale)
 
 
-def result_from_paths(instance: NetworkInstance, path_flow: PathFlow,
-                      gamma_effective: float, path_cap: int = 4096) -> EquilibriumResult:
+def result_from_paths(instance: NetworkInstance, path_flow: PathFlow) -> EquilibriumResult:
     """Wrap an explicit path flow (for example a closed-form oracle) as a result.
 
     Computes the induced edge flow, the equilibrium residual and the
-    cheapest path cost so the wrapped flow can feed the analysis helpers.
+    cheapest path cost under the instance's gamma and risk model; wrap a
+    risk-neutral flow with `with_gamma(instance, 0.0)`.
     """
     flow = induced_edge_flow(instance, path_flow)
-    additive = gamma_effective == 0.0 or instance.risk_model is RiskModel.MEAN_VAR
-    if additive:
+    demand = path_flow.total()
+    if _edge_additive(instance):
         gap, total, common = _edge_gap(instance, flow,
-                                       _edge_cost_fns(instance, gamma_effective),
-                                       path_flow.total())
+                                       _edge_cost_fns(instance, instance.gamma), demand)
     else:
-        paths = enumerate_paths(instance, path_cap)
-        q = {p: path_cost(instance, p, flow) for p in paths}
-        common = min(q.values())
-        total = sum(a * q[tuple(p)] for p, a in path_flow)
-        gap = max(total - path_flow.total() * common, 0.0)
+        paths = enumerate_paths(instance)
+        index = {p: i for i, p in enumerate(paths)}
+        amounts = np.zeros(len(paths))
+        for p, a in path_flow:
+            amounts[index[p]] += a
+        gap, total, common = _path_gap(instance, paths, amounts, flow, demand)
     residual = gap / total if total > 0.0 else 0.0
     scale = min(1.0, total if total > 0.0 else 1.0)
     return EquilibriumResult(flow, path_flow, common, residual, 0, gap <= 1e-9 * scale)

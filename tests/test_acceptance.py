@@ -30,7 +30,7 @@ from riskroute.instances import (
     closed_form_check,
     recursive_edge_tags,
 )
-from riskroute.network import RiskModel, social_cost, with_risk_model
+from riskroute.network import RiskModel, social_cost, with_gamma, with_risk_model
 from riskroute.solver import (
     SolverConfig,
     brute_force_equilibrium,
@@ -106,8 +106,8 @@ def test_alternating_path_on_structural_instances():
     failures = []
     for level in (1, 2, 3, 4):
         instance, oracle = build_recursive(RecursiveFamilySpec(level=level))
-        rawe = result_from_paths(instance, oracle.rawe, instance.gamma)
-        rnwe = result_from_paths(instance, oracle.rnwe, 0.0)
+        rawe = result_from_paths(instance, oracle.rawe)
+        rnwe = result_from_paths(with_gamma(instance, 0.0), oracle.rnwe)
         partition = partition_edges(instance, rawe.flow, rnwe.flow)
         risky = frozenset(
             eid
@@ -145,7 +145,7 @@ def test_functional_family_smoothness_and_tightness():
     for level in (1, 2, 3, 4):
         spec = RecursiveFamilySpec(level=level, variant=Variant.FUNCTIONAL)
         instance, oracle = build_recursive(spec)
-        rawe_oracle = result_from_paths(instance, oracle.rawe, instance.gamma)
+        rawe_oracle = result_from_paths(instance, oracle.rawe)
         target_mu = 1.0 - 2.0**-level
         for eid, tag in enumerate(recursive_edge_tags(level)):
             if not tag.startswith("a:"):

@@ -147,8 +147,8 @@ def test_compute_pra_rejects_zero_reference_cost():
 def test_eta_bound_is_tight_on_structural_family(level, gk):
     inst, oracle = build_recursive(
         RecursiveFamilySpec(level=level, gamma_kappa=gk))
-    rawe = rr.result_from_paths(inst, oracle.rawe, inst.gamma)
-    rnwe = rr.result_from_paths(inst, oracle.rnwe, 0.0)
+    rawe = rr.result_from_paths(inst, oracle.rawe)
+    rnwe = rr.result_from_paths(rr.with_gamma(inst, 0.0), oracle.rnwe)
     report = rr.check_bound(inst, rawe, rnwe, rr.BoundKind.TOPOLOGICAL_ETA)
     assert report.satisfied
     assert report.eta == 2 ** level
@@ -159,8 +159,8 @@ def test_eta_bound_is_tight_on_structural_family(level, gk):
 def test_vertex_bound_matches_eta_bound_on_family():
     # 2^(level+1) vertices: ceil((n-1)/2) = 2^level, same bound value
     inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
-    rawe = rr.result_from_paths(inst, oracle.rawe, inst.gamma)
-    rnwe = rr.result_from_paths(inst, oracle.rnwe, 0.0)
+    rawe = rr.result_from_paths(inst, oracle.rawe)
+    rnwe = rr.result_from_paths(rr.with_gamma(inst, 0.0), oracle.rnwe)
     report = rr.check_bound(inst, rawe, rnwe,
                             rr.BoundKind.TOPOLOGICAL_VERTICES)
     assert report.satisfied
@@ -171,8 +171,8 @@ def test_vertex_bound_matches_eta_bound_on_family():
 def test_functional_smooth_bound_value():
     inst, oracle = build_recursive(
         RecursiveFamilySpec(level=2, variant=Variant.FUNCTIONAL))
-    rawe = rr.result_from_paths(inst, oracle.rawe, inst.gamma)
-    rnwe = rr.result_from_paths(inst, oracle.rnwe, 0.0)
+    rawe = rr.result_from_paths(inst, oracle.rawe)
+    rnwe = rr.result_from_paths(rr.with_gamma(inst, 0.0), oracle.rnwe)
     report = rr.check_bound(inst, rawe, rnwe, rr.BoundKind.FUNCTIONAL_SMOOTH)
     assert report.satisfied
     assert report.mu == pytest.approx(0.75, abs=1e-12)

@@ -70,6 +70,14 @@ def test_verify_passes_for_canonical_instances():
     assert "solver_pra" in out
 
 
+def test_verify_reports_unconverged_solve():
+    # the risk-neutral solve of level 2 needs 49 iterations
+    code, out, err = _run(["verify", "--level", "2", "--solve", "--max-iters", "40"])
+    assert code == 1
+    assert "error: equilibrium solver did not converge" in err
+    assert "solver_pra" not in out
+
+
 def test_sweep_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     code, _, _ = _run(["sweep", "--what", "affine", "--count", "8",

@@ -188,6 +188,16 @@ def test_long_chain_enumerates_and_solves_without_recursion():
     assert np.all(res.flow == 1.0)
 
 
+def test_topological_order_leaves_out_dead_ends():
+    # vertex 3 hangs off vertex 1 and cannot reach the sink 2
+    unit = rr.Constant(1.0)
+    inst = rr.NetworkInstance(
+        4, (rr.Edge(0, 1, unit, unit), rr.Edge(1, 2, unit, unit),
+            rr.Edge(1, 3, unit, unit), rr.Edge(0, 2, unit, unit)),
+        0, 2, 1.0, 0.0)
+    assert inst.topological_order == ((0, ((0, 1), (3, 2))), (1, ((1, 2),)), (2, ()))
+
+
 def test_path_flow_total_and_iteration():
     pf = rr.PathFlow.of([((0, 1), 0.25), ((2, 3), 0.75)])
     assert pf.total() == pytest.approx(1.0)

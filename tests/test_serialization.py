@@ -85,6 +85,20 @@ def test_incomplete_records_are_rejected():
         ser.loads_result(ser.RESULT_HEADER + "\nconverged :: maybe\n")
 
 
+@pytest.mark.parametrize("loads, header, record", [
+    (ser.loads_result, ser.RESULT_HEADER, "edge_flow :: 0"),
+    (ser.loads_result, ser.RESULT_HEADER, "path :: 0"),
+    (ser.loads_result, ser.RESULT_HEADER, "edge_flow"),
+    (ser.loads_result, ser.RESULT_HEADER, "path :: 0 :: 1.0 :: 2"),
+    (ser.loads_oracle, ser.ORACLE_HEADER, "rawe_cost"),
+    (ser.loads_oracle, ser.ORACLE_HEADER, "expected_pra :: 1.0 :: 2.0"),
+])
+def test_records_with_wrong_field_counts_are_rejected(loads, header, record):
+    text = header + "\n# comment\n" + record + "\n"
+    with pytest.raises(ser.FormatError, match="line 3"):
+        loads(text)
+
+
 def test_result_flow_ids_must_cover_range():
     inst, _ = build_recursive(RecursiveFamilySpec(level=1))
     res = rr.solve_rnwe(inst)

@@ -111,7 +111,7 @@ def test_exact_line_search_descends_the_potential():
     rr.solve_rawe_meanvar(
         inst, SolverConfig(tolerance=1e-8),
         callback=lambda k, flow, total, gap:
-            values.append(rr.beckmann_potential(inst, flow, inst.gamma)))
+            values.append(rr.beckmann_potential(inst, flow)))
     assert len(values) > 2
     drops = np.diff(np.asarray(values))
     assert np.all(drops <= 1e-10)
@@ -157,16 +157,38 @@ def test_path_flow_decomposition_matches_edge_flow():
 
 def test_result_from_paths_wraps_oracles():
     inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
-    res = rr.result_from_paths(inst, oracle.rawe, inst.gamma)
+    res = rr.result_from_paths(inst, oracle.rawe)
     assert res.converged
     assert res.vi_residual <= 1e-10
     assert res.common_cost == pytest.approx(5.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_result_from_paths_wraps_meanstdev_oracle(variant):
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=2, variant=variant))
+    inst = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
+    res = rr.result_from_paths(inst, oracle.rawe)
+    assert res.converged
+    assert res.vi_residual <= 1e-10
+
+
 def test_vi_residual_detects_disequilibrium():
     inst = _pigou()
     bad = np.array([1.0, 0.0])  # everyone on the constant link
-    assert rr.vi_residual(inst, bad, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert rr.vi_residual(inst, bad) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_edge_additive_checks_reject_meanstdev():
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
+    stdev = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
+    flow = rr.induced_edge_flow(inst, oracle.rawe)
+    with pytest.raises(ValueError):
+        rr.vi_residual(stdev, flow)
+    with pytest.raises(ValueError):
+        rr.beckmann_potential(stdev, flow)
+    # at gamma 0 the mean-stdev costs are the mean latencies, edge additive
+    neutral = rr.with_gamma(stdev, 0.0)
+    assert rr.vi_residual(neutral, flow) == rr.vi_residual(rr.with_gamma(inst, 0.0), flow)
 
 
 @st.composite
@@ -199,9 +221,9 @@ def _dags_with_costs(draw):
 @given(_dags_with_costs())
 def test_topological_sweep_matches_dijkstra(case):
     inst, costs = case
-    order = solver._topological_order(inst)
+    order = inst.topological_order
     assert order is not None
-    assert solver._shortest_path(inst, costs, order) == solver._shortest_path(inst, costs)
+    assert solver._dag_shortest_path(inst, costs, order) == solver._dijkstra(inst, costs)
 
 
 def test_cyclic_graph_falls_back_to_dijkstra():
@@ -214,7 +236,7 @@ def test_cyclic_graph_falls_back_to_dijkstra():
              rr.Edge(1, 2, rr.Affine(1.0, 1.0), rr.Constant(0.0)),
              rr.Edge(2, 1, rr.Affine(1.0, 0.0), rr.Constant(0.0)))
     inst = rr.NetworkInstance(4, edges, 0, 3, 1.0, 0.0, rr.RiskModel.MEAN_VAR)
-    assert solver._topological_order(inst) is None
+    assert inst.topological_order is None
     res = rr.solve_rnwe(inst, CFG)
     bf = rr.brute_force_equilibrium(inst)
     assert res.converged and bf.converged
