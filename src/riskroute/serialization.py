@@ -76,6 +76,18 @@ def function_from_text(text: str) -> LatencyFn:
     raise FormatError(f"unknown function kind {kind!r} in {text!r}")
 
 
+def _number(convert, text: str, where):
+    """convert(text) for convert int or float; FormatError naming `where` otherwise.
+
+    `where` is a line number or a header key.
+    """
+    try:
+        return convert(text)
+    except ValueError:
+        place = f"line {where}" if isinstance(where, int) else where
+        raise FormatError(f"{place}: expected {convert.__name__}, got {text!r}") from None
+
+
 def _records(text: str, header: str):
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
@@ -111,7 +123,7 @@ def loads_instance(text: str) -> NetworkInstance:
         if fields[0] == "edge":
             if len(fields) != 5:
                 raise FormatError(f"line {lineno}: edge record needs 5 fields")
-            edges.append(Edge(int(fields[1]), int(fields[2]),
+            edges.append(Edge(_number(int, fields[1], lineno), _number(int, fields[2], lineno),
                               function_from_text(fields[3]),
                               function_from_text(fields[4])))
         else:
@@ -126,18 +138,18 @@ def loads_instance(text: str) -> NetworkInstance:
         risk_model = RiskModel(header["risk_model"])
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return NetworkInstance(int(header["vertices"]), tuple(edges),
-                           int(header["source"]), int(header["sink"]),
-                           float(header["demand"]), float(header["gamma"]),
-                           risk_model)
+    ints = {key: _number(int, header[key], key) for key in ("vertices", "source", "sink")}
+    return NetworkInstance(ints["vertices"], tuple(edges), ints["source"], ints["sink"],
+                           _number(float, header["demand"], "demand"),
+                           _number(float, header["gamma"], "gamma"), risk_model)
 
 
 def _path_to_text(path) -> str:
     return ",".join(str(eid) for eid in path)
 
 
-def _path_from_text(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+def _path_from_text(text: str, lineno: int) -> tuple[int, ...]:
+    return tuple(_number(int, p, lineno) for p in text.split(","))
 
 
 def dumps_oracle(oracle: OracleFlows, metadata: dict[str, str] | None = None) -> str:
@@ -167,11 +179,12 @@ def loads_oracle(text: str) -> tuple[OracleFlows, dict[str, str]]:
         elif key in ("rawe", "rnwe"):
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: flow record needs 3 fields")
-            flows[key].append((_path_from_text(fields[1]), float(fields[2])))
+            flows[key].append((_path_from_text(fields[1], lineno),
+                               _number(float, fields[2], lineno)))
         elif key in ("rawe_cost", "rnwe_cost", "expected_pra"):
             if len(fields) != 2:
                 raise FormatError(f"line {lineno}: {key} record needs 2 fields")
-            scalars[key] = float(fields[1])
+            scalars[key] = _number(float, fields[1], lineno)
         else:
             raise FormatError(f"line {lineno}: unknown record {key!r}")
     missing = {"rawe_cost", "rnwe_cost", "expected_pra"} - set(scalars)
@@ -207,9 +220,11 @@ def loads_result(text: str) -> EquilibriumResult:
         if key in ("edge_flow", "path") and len(fields) != 3:
             raise FormatError(f"line {lineno}: {key} record needs 3 fields")
         if key == "edge_flow":
-            flow_entries.append((int(fields[1]), float(fields[2])))
+            flow_entries.append((_number(int, fields[1], lineno),
+                                 _number(float, fields[2], lineno)))
         elif key == "path":
-            paths.append((_path_from_text(fields[1]), float(fields[2])))
+            paths.append((_path_from_text(fields[1], lineno),
+                          _number(float, fields[2], lineno)))
         elif len(fields) == 2:
             header[key] = fields[1]
         else:
@@ -225,9 +240,9 @@ def loads_result(text: str) -> EquilibriumResult:
     for eid, value in flow_entries:
         flow[eid] = value
     return EquilibriumResult(flow, PathFlow.of(paths),
-                             float(header["common_cost"]),
-                             float(header["vi_residual"]),
-                             int(header["iterations"]),
+                             _number(float, header["common_cost"], "common_cost"),
+                             _number(float, header["vi_residual"], "vi_residual"),
+                             _number(int, header["iterations"], "iterations"),
                              header["converged"] == "true")
 
 

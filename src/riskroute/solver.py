@@ -21,7 +21,10 @@ depend on which route computed them.
 
 Mean-stdev path costs are not edge additive, so that solver works directly
 on the enumerated path set and equalizes path costs by shifting flow from
-the costliest used path to the cheapest one.
+the costliest used path to the cheapest one.  Each iteration evaluates
+each edge's latency and variance once and sums every path from those
+values; the bisection for the transfer re-evaluates only the edges on
+exactly one of the two paths, the only ones the transfer moves.
 
 Convergence is certified by a variational-inequality residual: the total
 perceived cost of the current flow minus the cheapest possible perceived
@@ -189,15 +192,56 @@ def _edge_gap(instance: NetworkInstance, flow: np.ndarray, cost_of: list,
     return max(total - demand * dist, 0.0), total, dist
 
 
-def _path_gap(instance: NetworkInstance, paths: list, amounts: np.ndarray, flow,
-              demand: float) -> tuple[float, float, float]:
+def _path_costs(instance: NetworkInstance, paths, means: list[float],
+                variances: list[float] | None) -> list[float]:
+    """Perceived cost of each path from per-edge means and variances.
+
+    `means[e]` and `variances[e]` are edge e's latency and variance at one
+    flow; `variances` may be None when gamma is 0.  Each path sums left to
+    right, not with sum(), which is compensated over floats from Python
+    3.12 on, so every cost has the bits `network.path_cost` gives at that
+    flow.
+    """
+    gamma = instance.gamma
+    stdev = instance.risk_model is RiskModel.MEAN_STDEV
+    costs = []
+    for path in paths:
+        mean = 0.0
+        for eid in path:
+            mean += means[eid]
+        if gamma != 0.0:
+            var = 0.0
+            for eid in path:
+                var += variances[eid]
+            mean += gamma * (math.sqrt(var) if stdev else var)
+        costs.append(mean)
+    return costs
+
+
+def _moment_fns(instance: NetworkInstance) -> tuple[list, list | None]:
+    """Per-edge latency and variance callables, bound once; no variances at gamma 0."""
+    lat = [e.latency.__call__ for e in instance.edges]
+    if instance.gamma == 0.0:
+        return lat, None
+    return lat, [e.variability.__call__ for e in instance.edges]
+
+
+def _moments_at(lat: list, var: list | None, flow: list[float]) -> tuple[list, list | None]:
+    """Each edge's mean and variance at the edge flow `flow`, one call per function."""
+    return ([f(x) for f, x in zip(lat, flow)],
+            None if var is None else [f(x) for f, x in zip(var, flow)])
+
+
+def _path_gap(instance: NetworkInstance, paths: list, amounts: np.ndarray,
+              flow: np.ndarray, demand: float) -> tuple[float, float, float]:
     """(gap, total, cheapest) of routing `amounts[i]` on `paths[i]`, any risk model.
 
     `flow` is the edge flow the amounts induce; with q the path costs at
     `flow`, total = amounts @ q, cheapest = min(q) and gap = max(total -
     demand * cheapest, 0).
     """
-    q = np.array([path_cost(instance, p, flow) for p in paths])
+    q = np.array(_path_costs(instance, paths,
+                             *_moments_at(*_moment_fns(instance), flow.tolist())))
     cheapest = float(q.min())
     total = float(amounts @ q)
     return max(total - demand * cheapest, 0.0), total, cheapest
@@ -419,24 +463,22 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
     for i, p in enumerate(paths):
         for eid in p:
             incidence[i, eid] = 1.0
-
-    def costs_at(amounts: np.ndarray) -> np.ndarray:
-        flow = incidence.T @ amounts
-        return np.array([path_cost(instance, p, flow) for p in paths])
-
+    lat, var = _moment_fns(instance)
+    q0 = _path_costs(instance, paths, *_moments_at(lat, var, [0.0] * m))
     if demand == 0.0:
-        q = costs_at(np.zeros(len(paths)))
         return EquilibriumResult(zero_flow(instance), PathFlow.of([]),
-                                 float(q.min()), 0.0, 0, True)
+                                 min(q0), 0.0, 0, True)
 
     amounts = np.zeros(len(paths))
-    amounts[int(np.argmin(costs_at(amounts)))] = demand
+    amounts[int(np.argmin(q0))] = demand
 
     iterations = 0
     converged = False
     used_cut = _PRUNE_REL * demand
     for k in itertools.count():
-        q = costs_at(amounts)
+        flow = (incidence.T @ amounts).tolist()
+        means, variances = _moments_at(lat, var, flow)
+        q = np.array(_path_costs(instance, paths, means, variances))
         best = int(np.argmin(q))
         used = np.flatnonzero(amounts > used_cut)
         worst = int(used[np.argmax(q[used])])
@@ -449,17 +491,27 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
             break
         iterations = k + 1
 
-        move = amounts[worst]
-        direction = incidence[best] - incidence[worst]
+        move = float(amounts[worst])
+        # moving t from the worst path to the best changes the flow only on
+        # the edges of exactly one of them, by +t (best) or -t (worst)
+        pair = worst_path, best_path = paths[worst], paths[best]
+        moved = ([(eid, flow[eid], 1.0) for eid in best_path if eid not in worst_path]
+                 + [(eid, flow[eid], -1.0) for eid in worst_path if eid not in best_path])
 
         def pair_gap(t: float) -> float:
-            flow = incidence.T @ amounts + t * direction
-            return path_cost(instance, paths[worst], flow) - path_cost(instance, paths[best], flow)
+            # overwrites the moved edges' values; the next iteration rebuilds them
+            for eid, f, d in moved:
+                x = f + d * t
+                means[eid] = lat[eid](x)
+                if var is not None:
+                    variances[eid] = var[eid](x)
+            cw, cb = _path_costs(instance, pair, means, variances)
+            return cw - cb
 
         if pair_gap(move) >= 0.0:
             t = move
         else:
-            lo, hi = 0.0, float(move)
+            lo, hi = 0.0, move
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 if pair_gap(mid) > 0.0:

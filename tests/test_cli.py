@@ -155,6 +155,17 @@ def test_non_finite_numbers_are_input_errors(tmp_path, field, value):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("vertices :: 4", "vertices :: two", "error: vertices: expected int, got 'two'"),
+    ("edge :: 1 :: 3", "edge :: a :: 3", "error: line 9: expected int, got 'a'"),
+])
+def test_non_numeric_integer_fields_are_input_errors(tmp_path, old, new, message):
+    text = BRAESS_FILE.format(demand="1.0", gamma="1.0", risky="const 1.0")
+    code, _, err = _analyze_text(tmp_path, text.replace(old, new))
+    assert code == 2
+    assert err.strip() == message
+
+
 def test_directory_as_input_is_exit_2(tmp_path):
     code, _, err = _run(["analyze", "--in", str(tmp_path)])
     assert code == 2

@@ -116,3 +116,36 @@ def test_file_round_trip(tmp_path):
     assert ser.read_instance(ipath) == inst
     back, meta = ser.read_oracle(opath)
     assert back == oracle and meta["family"] == "recursive"
+
+
+@pytest.mark.parametrize("loads, header, record", [
+    (ser.loads_instance, ser.INSTANCE_HEADER, "edge :: a :: 1 :: const 1.0 :: const 0.0"),
+    (ser.loads_instance, ser.INSTANCE_HEADER, "edge :: 0 :: 1.5 :: const 1.0 :: const 0.0"),
+    (ser.loads_result, ser.RESULT_HEADER, "edge_flow :: x :: 1.0"),
+    (ser.loads_result, ser.RESULT_HEADER, "edge_flow :: 0 :: much"),
+    (ser.loads_result, ser.RESULT_HEADER, "path :: 0,b,2 :: 1.0"),
+    (ser.loads_oracle, ser.ORACLE_HEADER, "rawe :: 0,1 :: half"),
+    (ser.loads_oracle, ser.ORACLE_HEADER, "rnwe_cost :: one"),
+])
+def test_non_numeric_record_fields_name_their_line(loads, header, record):
+    text = header + "\n# comment\n" + record + "\n"
+    with pytest.raises(ser.FormatError, match="^line 3: expected"):
+        loads(text)
+
+
+@pytest.mark.parametrize("key", ["vertices", "source", "sink", "demand", "gamma"])
+def test_non_numeric_instance_header_names_its_key(key):
+    inst, _ = build_recursive(RecursiveFamilySpec(level=1))
+    lines = [f"{key} :: two" if line.startswith(f"{key} ::") else line
+             for line in ser.dumps_instance(inst).splitlines()]
+    with pytest.raises(ser.FormatError, match=f"^{key}: expected"):
+        ser.loads_instance("\n".join(lines))
+
+
+@pytest.mark.parametrize("key", ["iterations", "common_cost", "vi_residual"])
+def test_non_numeric_result_header_names_its_key(key):
+    inst, _ = build_recursive(RecursiveFamilySpec(level=1))
+    lines = [f"{key} :: many" if line.startswith(f"{key} ::") else line
+             for line in ser.dumps_result(rr.solve_rnwe(inst)).splitlines()]
+    with pytest.raises(ser.FormatError, match=f"^{key}: expected"):
+        ser.loads_result("\n".join(lines))

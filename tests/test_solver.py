@@ -258,6 +258,66 @@ def test_family_iteration_counts_are_pinned(level, variant, rawe_iterations,
     assert rr.solve_rnwe(inst).iterations == rnwe_iterations
 
 
+@pytest.mark.parametrize("level, variant, iterations", [
+    (3, Variant.FUNCTIONAL, 744),
+    (4, Variant.STRUCTURAL, 470),
+    (5, Variant.STRUCTURAL, 1391),
+])
+def test_meanstdev_iteration_counts_are_pinned(level, variant, iterations):
+    # the path solver's trajectory on the family read under mean-stdev
+    inst, _ = build_recursive(RecursiveFamilySpec(level=level, gamma_kappa=1.0,
+                                                  variant=variant))
+    ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
+    assert rr.solve_rawe_meanstdev(ms).iterations == iterations
+
+
+_param = st.floats(0.0, 10.0)
+
+
+@st.composite
+def _functions(draw):
+    kind = draw(st.sampled_from(["const", "affine", "poly", "pwl"]))
+    if kind == "const":
+        return rr.Constant(draw(_param))
+    if kind == "affine":
+        return rr.Affine(draw(_param), draw(_param))
+    if kind == "poly":
+        return rr.Polynomial(tuple(draw(st.lists(_param, min_size=1, max_size=4))))
+    steps = draw(st.lists(st.tuples(st.floats(0.01, 3.0), _param), min_size=1, max_size=4))
+    x, y, points = draw(st.floats(0.0, 1.0)), 0.0, []
+    for dx, dy in steps:
+        points.append((x, y))
+        x, y = x + dx, y + dy
+    return rr.PiecewiseLinear(tuple(points))
+
+
+@st.composite
+def _instances_with_flows(draw):
+    """Small DAGs with every function kind, either risk model, gamma 0 or
+    positive, and an arbitrary nonnegative edge flow."""
+    n = draw(st.integers(2, 5))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 2), st.integers(1, n - 1))
+                         .filter(lambda a: a[0] < a[1]), max_size=8))
+    arcs.append((0, n - 1))
+    edges = tuple(rr.Edge(a, b, draw(_functions()), draw(_functions())) for a, b in arcs)
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0)))
+    inst = rr.NetworkInstance(n, edges, 0, n - 1, 1.0, gamma,
+                              draw(st.sampled_from(list(rr.RiskModel))))
+    flow = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=len(edges),
+                                  max_size=len(edges))))
+    return inst, flow
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances_with_flows())
+def test_path_costs_match_path_cost_bit_for_bit(case):
+    inst, flow = case
+    paths = rr.enumerate_paths(inst)
+    moments = solver._moments_at(*solver._moment_fns(inst), flow.tolist())
+    assert solver._path_costs(inst, paths, *moments) == [
+        rr.path_cost(inst, p, flow) for p in paths]
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_solve_rawe_dispatches_on_risk_model(variant):
     inst, _ = build_recursive(RecursiveFamilySpec(level=2, variant=variant))
