@@ -37,17 +37,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .functions import Affine, Constant, LatencyFn, PiecewiseLinear
-from .network import (
-    NetworkInstance,
-    RiskModel,
-    induced_edge_flow,
-    mean_path_latency,
-    path_cost,
-    social_cost,
-)
+from .network import NetworkInstance, RiskModel, social_cost
 from .solver import EquilibriumResult
 
 _ZERO_EPS = 1e-15
@@ -185,13 +176,11 @@ def find_alternating_path(instance: NetworkInstance, partition: EdgePartition,
     start = (0, (), instance.source, "")
     heap = [start]
     seen: set[tuple[int, str]] = set()
-    moves_by_state: dict[tuple[int, str], tuple] = {}
     while heap:
         nseg, moves, v, last = heapq.heappop(heap)
         if (v, last) in seen:
             continue
         seen.add((v, last))
-        moves_by_state[(v, last)] = moves
         if v == instance.sink:
             return _assemble_alternating(instance, moves, nseg)
         for direction, eid, nxt in adj[v]:
@@ -393,65 +382,6 @@ def _eta_with_fallback(instance: NetworkInstance, rawe: EquilibriumResult,
         return attempt(1e-4 * max(instance.demand, 1.0))
 
 
-@dataclass(frozen=True)
-class FamilyPropertyReport:
-    passed: bool
-    failures: tuple[str, ...]
-
-
-def verify_structural_properties(level: int, instance: NetworkInstance,
-                                 oracle, tol: float = 1e-9) -> FamilyPropertyReport:
-    """Check the defining cost structure of a recursive worst-case instance.
-
-    At the oracle risk-averse flow every used path must have mean-var cost
-    and mean latency equal to (1 + 2^level * gamma*kappa); at the oracle
-    risk-neutral flow every used path must have mean latency equal to the
-    risk-neutral unit cost; and the social costs must match the closed
-    forms.  gamma*kappa is recovered from the oracle costs themselves.
-    """
-    failures: list[str] = []
-    rawe_flow = induced_edge_flow(instance, oracle.rawe)
-    rnwe_flow = induced_edge_flow(instance, oracle.rnwe)
-    r_a = oracle.rawe.total()
-    r_n = oracle.rnwe.total()
-    if r_a <= 0.0 or r_n <= 0.0:
-        return FamilyPropertyReport(False, ("oracle routes zero demand",))
-    rawe_unit = oracle.rawe_cost / r_a
-    rnwe_unit = oracle.rnwe_cost / r_n
-
-    for path, amount in oracle.rawe:
-        if amount <= 0.0:
-            continue
-        mean = mean_path_latency(instance, path, rawe_flow)
-        cost = path_cost(instance, path, rawe_flow)
-        if abs(mean - rawe_unit) > tol:
-            failures.append(
-                f"risk-averse path {path}: mean latency {mean!r} != {rawe_unit!r}")
-        if abs(cost - rawe_unit) > tol:
-            failures.append(
-                f"risk-averse path {path}: perceived cost {cost!r} != {rawe_unit!r}")
-    for path, amount in oracle.rnwe:
-        if amount <= 0.0:
-            continue
-        mean = mean_path_latency(instance, path, rnwe_flow)
-        if abs(mean - rnwe_unit) > tol:
-            failures.append(
-                f"risk-neutral path {path}: mean latency {mean!r} != {rnwe_unit!r}")
-
-    c_rawe = social_cost(instance, rawe_flow)
-    c_rnwe = social_cost(instance, rnwe_flow)
-    if abs(c_rawe - oracle.rawe_cost) > tol * max(1.0, abs(oracle.rawe_cost)):
-        failures.append(f"risk-averse social cost {c_rawe!r} != {oracle.rawe_cost!r}")
-    if abs(c_rnwe - oracle.rnwe_cost) > tol * max(1.0, abs(oracle.rnwe_cost)):
-        failures.append(f"risk-neutral social cost {c_rnwe!r} != {oracle.rnwe_cost!r}")
-
-    gk = (rawe_unit - 1.0) / 2.0 ** level
-    if gk < -tol:
-        failures.append(f"implied gamma*kappa {gk!r} is negative")
-
-    return FamilyPropertyReport(not failures, tuple(failures))
-
-
 def vertex_bound_gap_ratio(n: int, gamma_kappa: float) -> float:
     """Ratio of the vertex-count bound to the realizable power-of-two bound.
 
@@ -467,13 +397,6 @@ def vertex_bound_gap_ratio(n: int, gamma_kappa: float) -> float:
 
 def vertex_bound_gap_below_two(n_max: int, gamma_kappas) -> bool:
     """True iff the gap ratio is < 2 for all non-power-of-two 3 <= n <= n_max."""
-    n = np.arange(3, n_max + 1)
-    powers = np.array([1 << (int(v).bit_length() - 1) for v in n], dtype=float)
-    mask = powers != n
-    n = n[mask].astype(float)
-    powers = powers[mask]
-    for gk in gamma_kappas:
-        ratio = (1.0 + gk * np.ceil((n - 1) / 2.0)) / (1.0 + gk * powers)
-        if not np.all(ratio < 2.0):
-            return False
-    return True
+    return all(vertex_bound_gap_ratio(n, gk) < 2.0
+               for gk in gamma_kappas
+               for n in range(3, n_max + 1) if n & (n - 1))

@@ -35,8 +35,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .functions import Constant, LatencyFn, PiecewiseLinear
 from .network import (
     Edge,
@@ -44,7 +42,6 @@ from .network import (
     PathFlow,
     RiskModel,
     enumerate_paths,
-    flow_demand,
     induced_edge_flow,
     mean_path_latency,
     path_cost,
@@ -381,13 +378,21 @@ def contracted_domino_matches_braess() -> bool:
 
 def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
                       tol: float = 1e-10) -> CheckReport:
-    """Verify that the oracle flows really are equilibria of `instance`.
+    """Verify that the oracle flows are equilibria of `instance` with the
+    closed-form costs of the recursive family.
 
     Checks, with per-item diagnostics: every oracle path is a simple
-    source->sink path; the risk-averse flow has equilibrium residual at
-    most tol (variational-inequality residual for additive models, used
-    path cost spread for mean-stdev); same for the risk-neutral flow at
-    gamma 0; and both social costs match the closed forms.
+    source->sink path with a nonnegative amount (nothing else is checked
+    when one is not); the risk-averse flow has equilibrium residual at most
+    tol (variational-inequality residual for edge-additive costs, used path
+    cost above the cheapest path for mean-stdev), and so has the
+    risk-neutral flow at gamma 0; every used risk-averse path has mean
+    latency and perceived cost rawe_cost / r_a (1 + 2^i * gk at level i,
+    so at least 1) and every used risk-neutral path mean latency
+    rnwe_cost / r_n; both social costs match the closed forms and
+    expected_pra is their ratio.  Social costs are compared to tol *
+    max(1, |cost|), the per-path values to tol * max(1, rawe_cost / r_a),
+    the scale of the a_i latencies that set their rounding.
     """
     failures: list[str] = []
 
@@ -406,13 +411,15 @@ def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
     rawe_flow = induced_edge_flow(instance, oracle.rawe)
     rnwe_flow = induced_edge_flow(instance, oracle.rnwe)
 
+    # perceived cost of every path at the risk-averse flow, when the costs
+    # are not edge additive and the residual is read off the path costs
+    costs = None
     if instance.risk_model is RiskModel.MEAN_VAR or instance.gamma == 0.0:
         res = vi_residual(instance, rawe_flow)
         if res > tol:
             failures.append(f"rawe equilibrium residual {res:.3e} exceeds {tol:.1e}")
     else:
-        paths = enumerate_paths(instance)
-        costs = {p: path_cost(instance, p, rawe_flow) for p in paths}
+        costs = {p: path_cost(instance, p, rawe_flow) for p in enumerate_paths(instance)}
         cheapest = min(costs.values())
         for path, amount in oracle.rawe:
             if amount > 0.0:
@@ -424,6 +431,33 @@ def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
     res = vi_residual(with_gamma(instance, 0.0), rnwe_flow)
     if res > tol:
         failures.append(f"rnwe equilibrium residual {res:.3e} exceeds {tol:.1e}")
+
+    r_a = oracle.rawe.total()
+    r_n = oracle.rnwe.total()
+    if r_a <= 0.0 or r_n <= 0.0:
+        failures.append("oracle routes zero demand")
+    else:
+        unit = oracle.rawe_cost / r_a
+        rnwe_unit = oracle.rnwe_cost / r_n
+        path_tol = tol * max(1.0, unit)
+        for path, amount in oracle.rawe:
+            if amount <= 0.0:
+                continue
+            mean = mean_path_latency(instance, path, rawe_flow)
+            cost = (path_cost(instance, path, rawe_flow) if costs is None
+                    else costs[tuple(path)])
+            if abs(mean - unit) > path_tol:
+                failures.append(f"rawe path {path}: mean latency {mean!r} != {unit!r}")
+            if abs(cost - unit) > path_tol:
+                failures.append(f"rawe path {path}: perceived cost {cost!r} != {unit!r}")
+        for path, amount in oracle.rnwe:
+            if amount <= 0.0:
+                continue
+            mean = mean_path_latency(instance, path, rnwe_flow)
+            if abs(mean - rnwe_unit) > path_tol:
+                failures.append(f"rnwe path {path}: mean latency {mean!r} != {rnwe_unit!r}")
+        if unit < 1.0 - path_tol:
+            failures.append(f"implied gamma*kappa is negative: unit cost {unit!r} < 1")
 
     c_rawe = social_cost(instance, rawe_flow)
     c_rnwe = social_cost(instance, rnwe_flow)

@@ -123,9 +123,13 @@ def loads_instance(text: str) -> NetworkInstance:
         if fields[0] == "edge":
             if len(fields) != 5:
                 raise FormatError(f"line {lineno}: edge record needs 5 fields")
-            edges.append(Edge(_number(int, fields[1], lineno), _number(int, fields[2], lineno),
-                              function_from_text(fields[3]),
-                              function_from_text(fields[4])))
+            tail, head = _number(int, fields[1], lineno), _number(int, fields[2], lineno)
+            try:
+                latency = function_from_text(fields[3])
+                variability = function_from_text(fields[4])
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
+            edges.append(Edge(tail, head, latency, variability))
         else:
             if len(fields) != 2:
                 raise FormatError(f"line {lineno}: expected 'key :: value'")

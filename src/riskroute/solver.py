@@ -17,7 +17,9 @@ on source->sink paths in topological order, computed once per instance
 and shared by all its solves and checks; when those vertices span a cycle
 it is Dijkstra.  Both give the same path and distance, and every sum keeps
 the order and arithmetic of a full recompute, so the iterates do not
-depend on which route computed them.
+depend on which route computed them.  Float sums are left-to-right loops,
+not sum(), which is compensated from Python 3.12 on, so the iterates do
+not depend on the Python version either.
 
 Mean-stdev path costs are not edge additive, so that solver works directly
 on the enumerated path set and equalizes path costs by shifting flow from
@@ -294,7 +296,10 @@ def _line_search(instance: NetworkInstance, flow: np.ndarray, deltas: dict[int, 
     moves = [(eid, s, float(flow[eid]), cost_of[eid]) for eid, s in deltas.items()]
 
     def dphi(t: float) -> float:
-        return sum([s * cost(f + s * t) for _, s, f, cost in moves])
+        acc = 0.0
+        for _, s, f, cost in moves:
+            acc += s * cost(f + s * t)
+        return acc
 
     knots = {0.0, t_max}
     linear = True
@@ -351,7 +356,9 @@ def _prune_path_flow(weights: dict[tuple[int, ...], float], demand: float) -> Pa
     if demand <= 0.0:
         return PathFlow.of([])
     kept = {p: w for p, w in weights.items() if w > _PRUNE_REL * demand}
-    total = sum(kept.values())
+    total = 0.0
+    for w in kept.values():
+        total += w
     scale = demand / total if total > 0.0 else 0.0
     return PathFlow.of(sorted((p, w * scale) for p, w in kept.items()))
 

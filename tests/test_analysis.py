@@ -224,21 +224,6 @@ def test_coinciding_flows_give_eta_zero():
     assert "coincide" in report.note
 
 
-def test_verify_structural_properties_accepts_canonical():
-    inst, oracle = build_recursive(RecursiveFamilySpec(level=3, gamma_kappa=2.0))
-    report = rr.verify_structural_properties(3, inst, oracle)
-    assert report.passed, report.failures
-
-
-def test_verify_structural_properties_rejects_corruption():
-    inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
-    broken = rr.with_edge_functions(
-        inst, {1: (rr.Constant(2.0), rr.Constant(1.0))})
-    report = rr.verify_structural_properties(2, broken, oracle)
-    assert not report.passed
-    assert report.failures
-
-
 def test_vertex_bound_gap_values():
     assert rr.vertex_bound_gap_ratio(6, 1.0) == pytest.approx(0.8)
     assert rr.vertex_bound_gap_ratio(9, 1.0) == pytest.approx(5.0 / 9.0)

@@ -68,6 +68,9 @@ def test_verify_passes_for_canonical_instances():
     assert code == 0
     assert "closed_form_check: pass" in out
     assert "solver_pra" in out
+    # one closed-form verdict, then the solver's
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "closed_form_check", "solver_pra"]
 
 
 def test_verify_reports_unconverged_solve():
@@ -158,6 +161,8 @@ def test_non_finite_numbers_are_input_errors(tmp_path, field, value):
 @pytest.mark.parametrize("old, new, message", [
     ("vertices :: 4", "vertices :: two", "error: vertices: expected int, got 'two'"),
     ("edge :: 1 :: 3", "edge :: a :: 3", "error: line 9: expected int, got 'a'"),
+    ("edge :: 1 :: 2 :: const 1.0", "edge :: 1 :: 2 :: spline 1",
+     "error: line 12: unknown function kind 'spline' in 'spline 1'"),
 ])
 def test_non_numeric_integer_fields_are_input_errors(tmp_path, old, new, message):
     text = BRAESS_FILE.format(demand="1.0", gamma="1.0", risky="const 1.0")

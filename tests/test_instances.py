@@ -118,6 +118,52 @@ def test_closed_form_check_catches_corrupt_flows():
     assert not report.passed
 
 
+def test_closed_form_check_accepts_canonical_level3():
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=3, gamma_kappa=2.0))
+    report = closed_form_check(inst, oracle)
+    assert report.passed, report.failures
+
+
+def test_closed_form_check_rejects_corrupt_latency():
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
+    broken = rr.with_edge_functions(
+        inst, {1: (rr.Constant(2.0), rr.Constant(1.0))})
+    report = closed_form_check(broken, oracle)
+    assert not report.passed
+    assert report.failures
+
+
+def test_closed_form_check_reports_each_fault_once():
+    # edge 1 lies on the risk-neutral path (0, 1, 12): its doubled latency
+    # shows at that path and once in the risk-neutral social cost
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
+    broken = rr.with_edge_functions(inst, {1: (rr.Constant(2.0), rr.Constant(1.0))})
+    failures = closed_form_check(broken, oracle).failures
+    assert "rnwe path (0, 1, 12): mean latency 2.0 != 1.0" in failures
+    assert [f for f in failures if "social cost" in f] == [
+        "rnwe social cost 1.25 does not match closed form 1.0"]
+
+
+def test_closed_form_check_flags_a_path_off_the_unit_cost():
+    # the path solver's residual sees only the spread of the used path costs,
+    # so shifting every cost by the same amount shows in the per-path checks
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=2, gamma_kappa=1.0))
+    ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
+    assert closed_form_check(ms, oracle).passed
+    bad = dataclasses.replace(oracle, rawe_cost=oracle.rawe_cost + 0.5,
+                              expected_pra=(oracle.rawe_cost + 0.5) / oracle.rnwe_cost)
+    failures = closed_form_check(ms, bad).failures
+    assert any("perceived cost" in f for f in failures)
+    assert any("mean latency" in f for f in failures)
+
+
+def test_closed_form_check_rejects_negative_gamma_kappa():
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=1, gamma_kappa=0.0))
+    bad = dataclasses.replace(oracle, rawe_cost=0.5, expected_pra=0.5)
+    failures = closed_form_check(inst, bad).failures
+    assert any("implied gamma*kappa is negative" in f for f in failures)
+
+
 def test_braess_is_level1_topology():
     braess = rr.build_braess()
     g1, _ = build_recursive(RecursiveFamilySpec(level=1))

@@ -133,6 +133,20 @@ def test_non_numeric_record_fields_name_their_line(loads, header, record):
         loads(text)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("spline 1", "unknown function kind 'spline'"),
+    ("affine 1", "bad function spec 'affine 1'"),
+    ("const -1.0", "bad function spec 'const -1.0'"),
+])
+@pytest.mark.parametrize("column", [3, 4])
+def test_bad_function_spec_names_its_line(spec, message, column):
+    fields = ["edge", "0", "1", "const 1.0", "const 0.0"]
+    fields[column] = spec
+    text = ser.INSTANCE_HEADER + "\n# comment\n" + " :: ".join(fields) + "\n"
+    with pytest.raises(ser.FormatError, match=f"^line 3: {message}"):
+        ser.loads_instance(text)
+
+
 @pytest.mark.parametrize("key", ["vertices", "source", "sink", "demand", "gamma"])
 def test_non_numeric_instance_header_names_its_key(key):
     inst, _ = build_recursive(RecursiveFamilySpec(level=1))

@@ -1,5 +1,8 @@
 """Equilibrium solvers: frozen reference values and cross-method checks."""
 
+import builtins
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +259,32 @@ def test_family_iteration_counts_are_pinned(level, variant, rawe_iterations,
                                                   variant=variant))
     assert rr.solve_rawe_meanvar(inst).iterations == rawe_iterations
     assert rr.solve_rnwe(inst).iterations == rnwe_iterations
+
+
+def _compensated_sum(items, start=0):
+    """sum() as Python 3.12 computes it over floats (Neumaier compensation)."""
+    items = list(items)
+    if not all(type(x) is float for x in items):
+        return builtins.sum(items, start)
+    total, comp = start, 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_iterates_do_not_depend_on_the_python_sum(monkeypatch):
+    # the solver's float sums are plain loops, so the compensated sum() of
+    # Python 3.12 on leaves the trajectory as it is
+    monkeypatch.setattr(solver, "sum", _compensated_sum, raising=False)
+    inst, _ = build_recursive(RecursiveFamilySpec(level=4, gamma_kappa=1.0,
+                                                  variant=Variant.FUNCTIONAL))
+    assert rr.solve_rawe_meanvar(inst).iterations == 3472
+    assert rr.solve_rnwe(inst).iterations == 199
 
 
 @pytest.mark.parametrize("level, variant, iterations", [
