@@ -16,6 +16,7 @@ paths are resolved against $RISKROUTE_OUT_DIR when that variable is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -133,10 +134,15 @@ def _bound_row(instance: NetworkInstance, report: analysis.BoundReport,
             fmt(report.slack), report.bound_kind.value]
 
 
-def _solve_pair(instance: NetworkInstance,
-                cfg: SolverConfig) -> tuple[EquilibriumResult, EquilibriumResult] | None:
-    """(rawe, rnwe) of `instance`, or None when either solve did not converge."""
-    rnwe = solve_rnwe(instance, cfg)
+def _solve_pair(instance: NetworkInstance, cfg: SolverConfig,
+                rn_demand: float | None = None) -> tuple[EquilibriumResult, EquilibriumResult] | None:
+    """(rawe, rnwe) of `instance`, or None when either solve did not converge.
+
+    The risk-neutral solve routes `rn_demand` when given, else the
+    instance's demand.
+    """
+    neutral = instance if rn_demand is None else dataclasses.replace(instance, demand=rn_demand)
+    rnwe = solve_rnwe(neutral, cfg)
     rawe = solve_rawe(instance, cfg)
     if not (rawe.converged and rnwe.converged):
         return None
@@ -183,7 +189,11 @@ def _verify(args) -> int:
         print(f"  {failure}")
     status = 0 if report.passed else 1
     if args.solve:
-        pair = _solve_pair(instance, SolverConfig(args.tolerance, args.max_iters))
+        if spec.r_n == 0.0:
+            print("error: --solve needs --r-n > 0: with no risk-neutral demand "
+                  "the cost ratio is undefined", file=sys.stderr)
+            return 1
+        pair = _solve_pair(instance, SolverConfig(args.tolerance, args.max_iters), spec.r_n)
         if pair is None:
             print("error: equilibrium solver did not converge", file=sys.stderr)
             return 1

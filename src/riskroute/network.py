@@ -159,7 +159,11 @@ class PathFlow:
         return PathFlow(tuple((tuple(int(e) for e in p), float(a)) for p, a in pairs))
 
     def total(self) -> float:
-        return float(sum(a for _, a in self.entries))
+        # left to right: sum() over floats is compensated from Python 3.12 on
+        total = 0.0
+        for _, a in self.entries:
+            total += a
+        return total
 
     def __iter__(self):
         return iter(self.entries)
@@ -255,9 +259,12 @@ def induced_edge_flow(instance: NetworkInstance, path_flow: PathFlow) -> np.ndar
 
 def flow_demand(instance: NetworkInstance, flow) -> float:
     """Net outflow at the source (the demand actually routed by `flow`)."""
-    out = sum(float(flow[eid]) for eid, _ in instance.out_edges(instance.source))
-    into = sum(float(flow[eid]) for eid, e in enumerate(instance.edges)
-               if e.head == instance.source)
+    out = into = 0.0
+    for eid, _ in instance.out_edges(instance.source):
+        out += float(flow[eid])
+    for eid, e in enumerate(instance.edges):
+        if e.head == instance.source:
+            into += float(flow[eid])
     return out - into
 
 

@@ -25,8 +25,17 @@ Mean-stdev path costs are not edge additive, so that solver works directly
 on the enumerated path set and equalizes path costs by shifting flow from
 the costliest used path to the cheapest one.  Each iteration evaluates
 each edge's latency and variance once and sums every path from those
-values; the bisection for the transfer re-evaluates only the edges on
+values; the search for the transfer re-evaluates only the edges on
 exactly one of the two paths, the only ones the transfer moves.
+
+Both solvers step to the root of a non-decreasing function of the step
+length t: the potential's derivative along the step, or the cost of the
+cheapest path minus the costliest's after the transfer.  One routine
+finds it for both.  It walks the points where the moved edges' functions
+change slope and interpolates once on a linear piece; on a curved piece
+(polynomial costs, or square roots of flow-dependent variances) it runs
+Illinois regula falsi, which needs a few calls where a bisection to the
+same precision needs 60 or more.
 
 Convergence is certified by a variational-inequality residual: the total
 perceived cost of the current flow minus the cheapest possible perceived
@@ -49,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functions import Constant
 from .network import (
     GraphStructureError,
     NetworkInstance,
@@ -284,64 +294,120 @@ def _costliest_path(paths, costs: list[float]) -> tuple[int, ...]:
     return worst
 
 
+def _slope_knots(instance: NetworkInstance, moves, t_max: float,
+                 gamma_eff: float) -> tuple[set[float], bool]:
+    """(knots, linear) of a step's perceived-cost difference on [0, t_max].
+
+    `moves` holds (edge id, flow f, direction d): the edge's flow goes from
+    f to f + d * t, d = +1 or -1.  `knots` are the t at which a moved
+    edge's latency, or with gamma_eff > 0 its variance, changes slope.
+    `linear` says that the difference is linear between knots: every such
+    function is piecewise linear (a polynomial of degree 2 or more is not,
+    and adds no knots), and under mean-stdev with gamma_eff > 0 every moved
+    variance is constant, so that the square roots do not move.
+    """
+    knots: set[float] = set()
+    linear = True
+    for eid, f, d in moves:
+        e = instance.edges[eid]
+        lo, hi = (f, f + t_max) if d > 0 else (f - t_max, f)
+        for fn in (e.latency,) if gamma_eff == 0.0 else (e.latency, e.variability):
+            ks = fn.knots_between(max(lo, 0.0), hi)
+            if ks is None:
+                linear = False
+            else:
+                for x in ks:
+                    knots.add((x - f) / d)
+    if linear and gamma_eff != 0.0 and instance.risk_model is RiskModel.MEAN_STDEV:
+        linear = all(isinstance(instance.edges[eid].variability, Constant)
+                     for eid, _, _ in moves)
+    return knots, linear
+
+
+def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
+               v0: float | None = None) -> float:
+    """Where the non-decreasing `fn` turns nonnegative on [0, t_max].
+
+    Returns 0 when fn(0) >= 0 and t_max when fn(t_max) <= 0.  `knots` are
+    the points where fn may change slope; the walk evaluates those inside
+    (0, t_max), then t_max, in ascending order until fn is nonnegative.  On
+    a `linear` piece the root is one interpolation.  On any other piece
+    Illinois regula falsi (a secant step that halves the value kept at a
+    stale end, and the midpoint when the step leaves the bracket) narrows
+    it until fn is exactly 0 or the bracket is a few ulps of t_max wide,
+    the precision a flow of that size keeps.  `v0` is fn(0) when the
+    caller has it.  fn is called at most `cap` times; a walk that spends
+    them all returns the last knot where fn is negative.
+    """
+    calls = 0
+    if v0 is None:
+        v0 = fn(0.0)
+        calls = 1
+    if v0 >= 0.0:
+        return 0.0
+    a, fa = 0.0, v0
+    for b in sorted(k for k in knots if 0.0 < k < t_max) + [t_max]:
+        if calls >= cap:
+            return a
+        fb = fn(b)
+        calls += 1
+        if fb < 0.0:
+            a, fa = b, fb
+            continue
+        if fb == 0.0 and (b == t_max or not linear):
+            return b
+        if linear:
+            return a + (0.0 - fa) * (b - a) / (fb - fa)
+        break
+    else:
+        return t_max
+
+    # Illinois on [a, b], fa < 0 < fb; ga and gb are the end values the
+    # secant uses, halved at an end that stayed put twice in a row
+    ga, gb, kept = fa, fb, 0
+    tol = 2.0 * math.ulp(t_max)
+    while calls < cap and b - a > 2.0 * tol:
+        t = b - gb * (b - a) / (gb - ga)
+        # a step closer than tol to an end moves tol, so that a root next to
+        # the end closes the bracket; a step outside the bracket bisects
+        t = min(max(t, a + tol), b - tol) if a <= t <= b else 0.5 * (a + b)
+        ft = fn(t)
+        calls += 1
+        if ft == 0.0:
+            return t
+        if ft < 0.0:
+            a, fa, ga = t, ft, ft
+            if kept > 0:
+                gb *= 0.5
+            kept = 1
+        else:
+            b, fb, gb = t, ft, ft
+            if kept < 0:
+                ga *= 0.5
+            kept = -1
+    return a if -fa < fb else b
+
+
 def _line_search(instance: NetworkInstance, flow: np.ndarray, deltas: dict[int, float],
                  t_max: float, gamma_eff: float, cost_of: list) -> float:
     """Step length in [0, t_max] minimizing the potential along `deltas`.
 
     The derivative t -> sum_e delta_e * c_e(f_e + delta_e * t) is
-    non-decreasing.  For piecewise-linear costs the root is found exactly
-    from the slope-change knots; polynomial costs fall back to bisection.
-    `cost_of` holds the per-edge costs from `_edge_cost_fns`.
+    non-decreasing; `_step_root` finds its root, exactly from the
+    slope-change knots for piecewise-linear costs and with Illinois for
+    polynomial ones.  `cost_of` holds the per-edge costs from
+    `_edge_cost_fns`.
     """
-    moves = [(eid, s, float(flow[eid]), cost_of[eid]) for eid, s in deltas.items()]
+    moves = [(eid, float(flow[eid]), s) for eid, s in deltas.items()]
 
     def dphi(t: float) -> float:
         acc = 0.0
-        for _, s, f, cost in moves:
-            acc += s * cost(f + s * t)
+        for eid, f, s in moves:
+            acc += s * cost_of[eid](f + s * t)
         return acc
 
-    knots = {0.0, t_max}
-    linear = True
-    for eid, s, f, _ in moves:
-        e = instance.edges[eid]
-        fns = (e.latency,) if gamma_eff == 0.0 else (e.latency, e.variability)
-        lo, hi = (f, f + t_max) if s > 0 else (f - t_max, f)
-        for fn in fns:
-            ks = fn.knots_between(max(lo, 0.0), hi)
-            if ks is None:
-                linear = False
-                break
-            for x in ks:
-                knots.add((x - f) / s)
-        if not linear:
-            break
-
-    if not linear:
-        if dphi(t_max) <= 0.0:
-            return t_max
-        lo, hi = 0.0, t_max
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if dphi(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    ts = sorted(k for k in knots if 0.0 <= k <= t_max)
-    prev_t = ts[0]
-    prev_v = dphi(prev_t)
-    if prev_v >= 0.0:
-        return 0.0
-    for t in ts[1:]:
-        v = dphi(t)
-        if v >= 0.0:
-            if v == prev_v:
-                return t
-            return prev_t + (0.0 - prev_v) * (t - prev_t) / (v - prev_v)
-        prev_t, prev_v = t, v
-    return t_max
+    # at most 100 calls, what a 100-step bisection would spend
+    return _step_root(dphi, t_max, *_slope_knots(instance, moves, t_max, gamma_eff), 100)
 
 
 def _flow_from_weights(instance: NetworkInstance, weights: dict[tuple[int, ...], float]) -> np.ndarray:
@@ -505,27 +571,22 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         moved = ([(eid, flow[eid], 1.0) for eid in best_path if eid not in worst_path]
                  + [(eid, flow[eid], -1.0) for eid in worst_path if eid not in best_path])
 
-        def pair_gap(t: float) -> float:
-            # overwrites the moved edges' values; the next iteration rebuilds them
+        def pair_diff(t: float) -> float:
+            # cost of the best path minus the worst's after moving t, which
+            # rises with t; overwrites the moved edges' values, and the next
+            # iteration rebuilds them
             for eid, f, d in moved:
                 x = f + d * t
                 means[eid] = lat[eid](x)
                 if var is not None:
                     variances[eid] = var[eid](x)
             cw, cb = _path_costs(instance, pair, means, variances)
-            return cw - cb
+            return cb - cw
 
-        if pair_gap(move) >= 0.0:
-            t = move
-        else:
-            lo, hi = 0.0, move
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if pair_gap(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            t = 0.5 * (lo + hi)
+        # pair_diff(0) is -gap bit for bit; at most 60 calls, what a 60-step
+        # bisection would spend
+        t = _step_root(pair_diff, move, *_slope_knots(instance, moved, move, instance.gamma),
+                       60, -gap)
         amounts[worst] -= t
         amounts[best] += t
         if amounts[worst] <= used_cut:

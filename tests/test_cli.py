@@ -81,6 +81,26 @@ def test_verify_reports_unconverged_solve():
     assert "solver_pra" not in out
 
 
+@pytest.mark.parametrize("r_a, r_n", [("2", "1"), ("100", "60")])
+def test_verify_solve_routes_each_demand(r_a, r_n):
+    # the risk-neutral solve routes r_n, as the oracle's risk-neutral flow does
+    code, out, _ = _run(["verify", "--level", "2", "--r-a", r_a, "--r-n", r_n,
+                         "--solve"])
+    assert code == 0, out
+    assert "closed_form_check: pass" in out
+    assert "solver_pra:" in out and "[pass]" in out
+
+
+def test_verify_solve_without_risk_neutral_demand_is_an_error():
+    code, out, err = _run(["verify", "--level", "2", "--r-a", "2", "--r-n", "0",
+                           "--solve"])
+    assert code == 1
+    assert "solver_pra" not in out
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: --solve needs --r-n > 0: with no risk-neutral demand "
+        "the cost ratio is undefined"]
+
+
 def test_sweep_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     code, _, _ = _run(["sweep", "--what", "affine", "--count", "8",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskroute as rr
-from riskroute import solver
+from riskroute import network, solver
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
 from riskroute.solver import SolverConfig
 from riskroute.synthetic import random_small_instance
@@ -287,8 +287,28 @@ def test_iterates_do_not_depend_on_the_python_sum(monkeypatch):
     assert rr.solve_rnwe(inst).iterations == 199
 
 
+def test_oracle_checks_do_not_depend_on_the_python_sum(monkeypatch):
+    # PathFlow.total and flow_demand sum left to right: the risk-averse
+    # oracle of demand 0.3 totals 0.30000000000000004, where a compensated
+    # sum gives 0.3
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=3, r_a=0.3, r_n=0.3))
+    neutral = rr.with_gamma(inst, 0.0)
+
+    def outputs():
+        results = [rr.result_from_paths(inst, oracle.rawe),
+                   rr.result_from_paths(neutral, oracle.rnwe)]
+        return ([(r.flow.tolist(), r.path_flow, r.common_cost, r.vi_residual,
+                  r.converged) for r in results],
+                rr.closed_form_check(inst, oracle),
+                network.flow_demand(inst, results[0].flow))
+
+    builtin = outputs()
+    monkeypatch.setattr(network, "sum", _compensated_sum, raising=False)
+    assert outputs() == builtin
+
+
 @pytest.mark.parametrize("level, variant, iterations", [
-    (3, Variant.FUNCTIONAL, 744),
+    (3, Variant.FUNCTIONAL, 754),
     (4, Variant.STRUCTURAL, 470),
     (5, Variant.STRUCTURAL, 1391),
 ])
@@ -304,6 +324,16 @@ _param = st.floats(0.0, 10.0)
 
 
 @st.composite
+def _piecewise_linear(draw):
+    steps = draw(st.lists(st.tuples(st.floats(0.01, 3.0), _param), min_size=1, max_size=4))
+    x, y, points = draw(st.floats(0.0, 1.0)), 0.0, []
+    for dx, dy in steps:
+        points.append((x, y))
+        x, y = x + dx, y + dy
+    return rr.PiecewiseLinear(tuple(points))
+
+
+@st.composite
 def _functions(draw):
     kind = draw(st.sampled_from(["const", "affine", "poly", "pwl"]))
     if kind == "const":
@@ -312,12 +342,7 @@ def _functions(draw):
         return rr.Affine(draw(_param), draw(_param))
     if kind == "poly":
         return rr.Polynomial(tuple(draw(st.lists(_param, min_size=1, max_size=4))))
-    steps = draw(st.lists(st.tuples(st.floats(0.01, 3.0), _param), min_size=1, max_size=4))
-    x, y, points = draw(st.floats(0.0, 1.0)), 0.0, []
-    for dx, dy in steps:
-        points.append((x, y))
-        x, y = x + dx, y + dy
-    return rr.PiecewiseLinear(tuple(points))
+    return draw(_piecewise_linear())
 
 
 @st.composite
@@ -345,6 +370,121 @@ def test_path_costs_match_path_cost_bit_for_bit(case):
     moments = solver._moments_at(*solver._moment_fns(inst), flow.tolist())
     assert solver._path_costs(inst, paths, *moments) == [
         rr.path_cost(inst, p, flow) for p in paths]
+
+
+_latencies = st.one_of(
+    st.builds(rr.Affine, _param, _param), _piecewise_linear(),
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4).map(
+        lambda coeffs: rr.Polynomial(tuple(coeffs))))
+_variances = st.one_of(_param.map(rr.Constant),
+                       st.builds(rr.Affine, st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
+
+# slope of every step function `_steps` draws is at least this
+_MIN_SLOPE = 0.5
+
+
+@st.composite
+def _steps(draw):
+    """One step of either solver on two disjoint source->sink chains: moving
+    t in [0, t_max] off the worst chain onto the best.  Returns the step
+    function t -> (best cost - worst cost) or the potential's derivative,
+    its knots and linearity as the solver sees them, t_max, and the size of
+    the costs it subtracts."""
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+    model = draw(st.sampled_from(list(rr.RiskModel)))
+    t_max = draw(st.floats(0.01, 2.0))
+    best = [(draw(_latencies), draw(_variances)) for _ in range(draw(st.integers(1, 3)))]
+    worst = [(draw(_latencies), draw(_variances)) for _ in range(draw(st.integers(1, 3)))]
+    best[0] = (rr.Affine(draw(st.floats(_MIN_SLOPE, 2.0)), draw(_param)), best[0][1])
+    # a constant head start on the worst chain makes most steps cross zero inside
+    worst.append((rr.Constant(draw(st.floats(0.0, 6.0))), rr.Constant(0.0)))
+    edges, paths, n = [], [], 2
+    for chain in (best, worst):
+        stops = [0, *range(n, n + len(chain) - 1), 1]
+        n += len(chain) - 1
+        paths.append(tuple(range(len(edges), len(edges) + len(chain))))
+        edges += [rr.Edge(tail, head, lat, var)
+                  for tail, head, (lat, var) in zip(stops, stops[1:], chain)]
+    inst = rr.NetworkInstance(n, tuple(edges), 0, 1, 1.0, gamma, model)
+    moves = ([(eid, draw(st.floats(0.0, 2.0)), 1.0) for eid in paths[0]]
+             + [(eid, t_max + draw(st.floats(0.0, 2.0)), -1.0) for eid in paths[1]])
+
+    if model is rr.RiskModel.MEAN_VAR or gamma == 0.0:
+        cost_of = solver._edge_cost_fns(inst, gamma)
+
+        def costs(t):
+            return [d * cost_of[eid](f + d * t) for eid, f, d in moves]
+
+        def fn(t):
+            acc = 0.0
+            for c in costs(t):
+                acc += c
+            return acc
+
+        def size(t):
+            return math.fsum(abs(c) for c in costs(t))
+    else:
+        moments = solver._moment_fns(inst)
+
+        def pair(t):
+            flow = [f + d * t for _, f, d in moves]
+            return solver._path_costs(inst, paths[::-1], *solver._moments_at(*moments, flow))
+
+        def fn(t):
+            cw, cb = pair(t)
+            return cb - cw
+
+        def size(t):
+            return math.fsum(pair(t))
+    knots, linear = solver._slope_knots(inst, moves, t_max, gamma)
+    return fn, knots, linear, t_max, max(size(0.0), size(t_max))
+
+
+def _bisection_root(fn, t_max):
+    """Reference root: bisection on the sign of fn, run down to adjacent floats."""
+    if fn(0.0) >= 0.0:
+        return 0.0
+    if fn(t_max) <= 0.0:
+        return t_max
+    lo, hi = 0.0, t_max
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(_steps())
+def test_step_root_matches_bisection(step):
+    fn, knots, linear, t_max, size = step
+    got = solver._step_root(fn, t_max, knots, linear, 100)
+    ref = _bisection_root(fn, t_max)
+    # the step function is known to a few rounding errors of the costs it
+    # subtracts, which fixes its root to that over its slope; beyond that
+    # the two agree to a few ulps
+    assert abs(got - ref) <= 4 * math.ulp(t_max) + 16 * 2.0 ** -52 * size / _MIN_SLOPE
+
+
+@settings(max_examples=300, deadline=None)
+@given(_steps(), st.lists(st.floats(0.0, 2.0), max_size=150),
+       st.sampled_from([1, 2, 3, 5, 8, 60, 100]), st.booleans())
+def test_step_root_keeps_its_call_cap(step, extra_knots, cap, linear):
+    fn, knots, _, t_max, _ = step
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+
+    t = solver._step_root(counted, t_max, set(knots) | set(extra_knots), linear, cap)
+    assert len(calls) <= cap
+    # an interpolation next to t_max may round a few ulps past it
+    assert 0.0 <= t <= t_max + 4 * math.ulp(t_max)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
