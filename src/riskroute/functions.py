@@ -3,8 +3,9 @@
 Every edge of a routing network carries two of these: a mean latency
 function and a variance function, both evaluated at the edge flow.  All
 variants are continuous, non-decreasing and nonnegative on [0, inf).  The
-solver's exact line search uses their values and slope-change knots; the
-closed-form integrals from zero serve only `solver.beckmann_potential`.
+solver's exact line search uses their values and slope-change knots, and
+its Newton finish their right derivatives; the closed-form integrals from
+zero serve only `solver.beckmann_potential`.
 
 Variants:
     Constant(value)            value everywhere
@@ -39,6 +40,10 @@ class LatencyFn:
         """Definite integral of the function from 0 to x."""
         raise NotImplementedError
 
+    def derivative(self, x: float) -> float:
+        """Right derivative at max(x, 0)."""
+        raise NotImplementedError
+
     def knots_between(self, lo: float, hi: float) -> list[float] | None:
         """Slope-change points strictly inside (lo, hi).
 
@@ -62,6 +67,9 @@ class Constant(LatencyFn):
     def integral(self, x: float) -> float:
         return self.value * max(x, 0.0)
 
+    def derivative(self, x: float) -> float:
+        return 0.0
+
     def knots_between(self, lo: float, hi: float) -> list[float]:
         return []
 
@@ -83,6 +91,9 @@ class Affine(LatencyFn):
     def integral(self, x: float) -> float:
         x = max(x, 0.0)
         return 0.5 * self.slope * x * x + self.intercept * x
+
+    def derivative(self, x: float) -> float:
+        return self.slope
 
     def knots_between(self, lo: float, hi: float) -> list[float]:
         return []
@@ -122,6 +133,13 @@ class Polynomial(LatencyFn):
         for k in range(len(self.coeffs) - 1, -1, -1):
             acc = acc * x + self.coeffs[k] / (k + 1)
         return acc * x
+
+    def derivative(self, x: float) -> float:
+        x = max(x, 0.0)
+        acc = 0.0
+        for k in range(len(self.coeffs) - 1, 0, -1):
+            acc = acc * x + k * self.coeffs[k]
+        return acc
 
     def knots_between(self, lo: float, hi: float) -> list[float] | None:
         if self.degree <= 1:
@@ -203,6 +221,17 @@ class PiecewiseLinear(LatencyFn):
         (xa, ya) = pts[i - 1]
         yx = self(x)
         return self._cum[i - 1] + (x - xa) * 0.5 * (ya + yx)
+
+    def derivative(self, x: float) -> float:
+        # the piece bisect_right picks is the one to the right of a knot
+        pts = self.points
+        i = bisect_right(self._breaks, max(x, 0.0))
+        if i == 0:
+            return 0.0
+        if i == len(pts):
+            return self._final_slope
+        (xa, ya), (xb, yb) = pts[i - 1], pts[i]
+        return (yb - ya) / (xb - xa)
 
     def knots_between(self, lo: float, hi: float) -> list[float]:
         return [x for x in self._breaks if lo < x < hi]

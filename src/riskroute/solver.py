@@ -22,11 +22,18 @@ not sum(), which is compensated from Python 3.12 on, so the iterates do
 not depend on the Python version either.
 
 Mean-stdev path costs are not edge additive, so that solver works directly
-on the enumerated path set and equalizes path costs by shifting flow from
-the costliest used path to the cheapest one.  Each iteration evaluates
-each edge's latency and variance once and sums every path from those
-values; the search for the transfer re-evaluates only the edges on
-exactly one of the two paths, the only ones the transfer moves.
+on the enumerated path set.  Its pair steps shift flow from the costliest
+used path to the cheapest one.  Each evaluates each edge's latency and
+variance once and sums every path from those values; the search for the
+transfer re-evaluates only the edges on exactly one of the two paths, the
+only ones the transfer moves.  Pair steps find the used paths quickly but
+equalize their costs slowly, so at pair iterations 64, 128, 256, ... a
+Newton finish solves the used paths' equal-cost system from the edges'
+right derivatives, dropping paths whose amounts turn negative.  Its answer
+is kept only when it passes the same convergence test as a pair step; on
+piecewise-linear latencies with constant variances, as in the recursive
+family, one step lands on the equilibrium to rounding.  A finish that
+fails leaves the pair iterate as it was.
 
 Both solvers step to the root of a non-decreasing function of the step
 length t: the potential's derivative along the step, or the cost of the
@@ -55,6 +62,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,17 +151,25 @@ def _dag_shortest_path(instance: NetworkInstance, costs: list[float],
 
     Each vertex keeps the smallest distance, summed along the path as
     Dijkstra sums it, and among equal distances the smallest edge-id
-    sequence, which is the (distance, path) pair Dijkstra pops first.
+    sequence, which is the (distance, path) pair Dijkstra pops first.  Only
+    the last edge of each path is kept; a path is walked back from it on an
+    exact distance tie and for the sink, when every vertex on the walk is
+    final.
     """
     edges = instance.edges
     n = instance.vertices
     dist = [0.0] * n
     via = [-1] * n          # last edge of each vertex's chosen path
-    paths: list[tuple[int, ...]] = [()] * n
-    for v, out in order:
+
+    def path_to(v: int) -> tuple[int, ...]:
+        walk = []
         e = via[v]
-        if e >= 0:
-            paths[v] = paths[edges[e].tail] + (e,)
+        while e >= 0:
+            walk.append(e)
+            e = via[edges[e].tail]
+        return tuple(reversed(walk))
+
+    for v, out in order:
         d = dist[v]
         for eid, head in out:
             nd = d + costs[eid]
@@ -161,11 +177,11 @@ def _dag_shortest_path(instance: NetworkInstance, costs: list[float],
             if e < 0 or nd < dist[head]:
                 dist[head] = nd
                 via[head] = eid
-            elif nd == dist[head] and paths[v] + (eid,) < paths[edges[e].tail] + (e,):
+            elif nd == dist[head] and path_to(v) + (eid,) < path_to(edges[e].tail) + (e,):
                 via[head] = eid
     # every other kept vertex reaches the sink, so it comes last
     sink = instance.sink
-    return paths[sink], dist[sink]
+    return path_to(sink), dist[sink]
 
 
 def _edge_additive(instance: NetworkInstance) -> bool:
@@ -519,13 +535,125 @@ def solve_rawe(instance: NetworkInstance, cfg: SolverConfig = SolverConfig()) ->
     return solve_rawe_meanstdev(instance, cfg)
 
 
+class _PathState(NamedTuple):
+    """The mean-stdev loop's view of path amounts.
+
+    The edge flow, each edge's mean and variance there (None at gamma 0),
+    the path costs q, the cheapest path, the used paths (amount above the
+    cut), the costliest used path, their cost gap and whether it is within
+    the solve's tolerance.
+    """
+
+    flow: list[float]
+    means: list[float]
+    variances: list[float] | None
+    q: np.ndarray
+    best: int
+    used: np.ndarray
+    worst: int
+    gap: float
+    converged: bool
+
+
+# the Newton finish is tried at pair iterations 64, 128, 256, ...: most short
+# solves end before the first attempt
+_FINISH_FROM = 64
+_FINISH_SOLVES = 16
+
+
+def _cost_jacobian(instance: NetworkInstance, incidence: np.ndarray,
+                   support: list[int], s: _PathState) -> np.ndarray | None:
+    """Jacobian of the costs of the paths `support` in their amounts at `s`.
+
+    Entry (p, r) is the sum over the edges shared by p and r of the
+    latency's right derivative, plus, under gamma > 0, gamma / (2 sqrt(V_p))
+    times the same sum of the variances' right derivatives, where V_p is
+    the variance of p.  None when some V_p is 0 while a variance on p has
+    positive slope: the square root has no derivative there.
+    """
+    edges = instance.edges
+    a = incidence[support]
+    jac = (a * np.array([e.latency.derivative(x) for e, x in zip(edges, s.flow)])) @ a.T
+    if s.variances is None:
+        return jac
+    w = (a * np.array([e.variability.derivative(x) for e, x in zip(edges, s.flow)])) @ a.T
+    v = a @ np.array(s.variances)
+    rising = np.diag(w) > 0.0
+    if np.any((v == 0.0) & rising):
+        return None
+    scale = np.zeros(len(support))
+    scale[rising] = instance.gamma / (2.0 * np.sqrt(v[rising]))
+    return jac + scale[:, None] * w
+
+
+def _newton_finish(instance: NetworkInstance, incidence: np.ndarray, state,
+                   s: _PathState, amounts: np.ndarray) -> np.ndarray | None:
+    """Path amounts that pass the loop's convergence test, by Newton's method, or None.
+
+    `state(amounts)` is the loop's evaluation, and `s` its value at
+    `amounts`.  With U the used paths and the cheapest path, h their
+    amounts and J the Jacobian of their costs, one step solves
+
+        [[J, -1], [1^T, 0]] [delta; lam] = [-q_U; demand - sum(h)]
+
+    for equal costs on U after the step.  A path whose new amount is
+    negative is set to 0 and leaves U (its step is -h), and the system is
+    solved again.  The candidate is returned when `state` finds it
+    converged; otherwise the next step starts from it.  None when 16
+    linear solves did not get there, a system is singular or
+    `_cost_jacobian` has no Jacobian.
+    """
+    demand = instance.demand
+    solves = 0
+    while True:
+        support = sorted({*s.used.tolist(), s.best})
+        jac = _cost_jacobian(instance, incidence, support, s)
+        if jac is None:
+            return None
+        h = amounts[support]
+        q = s.q[support]
+        keep = np.ones(len(support), dtype=bool)
+        while True:
+            if solves == _FINISH_SOLVES:
+                return None
+            solves += 1
+            n = int(keep.sum())
+            kkt = np.zeros((n + 1, n + 1))
+            kkt[:n, :n] = jac[np.ix_(keep, keep)]
+            kkt[:n, n] = -1.0
+            kkt[n, :n] = 1.0
+            rhs = np.empty(n + 1)
+            rhs[:n] = jac[np.ix_(keep, ~keep)] @ h[~keep] - q[keep]
+            rhs[n] = demand - h[keep].sum()
+            try:
+                new = h[keep] + np.linalg.solve(kkt, rhs)[:n]
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(new)):
+                return None
+            negative = new < 0.0
+            if not negative.any():
+                break
+            keep[np.flatnonzero(keep)[negative]] = False
+        amounts = np.zeros(len(amounts))
+        amounts[np.array(support)[keep]] = new
+        s = state(amounts)
+        if s.converged:
+            return amounts
+
+
 def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
     """Mean-stdev risk-averse equilibrium over the enumerated path set.
 
     Path costs are not edge additive here, so the solver iterates directly
     on path amounts: each round moves flow from the costliest used path to
     the cheapest path, choosing the transfer that equalizes the pair's
-    costs.  Stops once every used path is within tolerance of the cheapest.
+    costs.  Stops once every used path is within tolerance of the
+    cheapest.  At pair iterations 64, 128, 256, ... a Newton finish
+    (`_newton_finish`) solves the equal-cost system of the used paths and
+    the cheapest one; when its answer passes the same test the solve ends
+    there, otherwise the pair steps go on from where they were.
+    `iterations` counts the pair steps.
     """
     if instance.risk_model is not RiskModel.MEAN_STDEV:
         raise ValueError("solve_rawe_meanstdev requires a mean-stdev instance")
@@ -542,13 +670,9 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         return EquilibriumResult(zero_flow(instance), PathFlow.of([]),
                                  min(q0), 0.0, 0, True)
 
-    amounts = np.zeros(len(paths))
-    amounts[int(np.argmin(q0))] = demand
-
-    iterations = 0
-    converged = False
     used_cut = _PRUNE_REL * demand
-    for k in itertools.count():
+
+    def state(amounts: np.ndarray) -> _PathState:
         flow = (incidence.T @ amounts).tolist()
         means, variances = _moments_at(lat, var, flow)
         q = np.array(_path_costs(instance, paths, means, variances))
@@ -557,13 +681,29 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         worst = int(used[np.argmax(q[used])])
         gap = float(q[worst] - q[best])
         scale = min(1.0, float(q[best])) if q[best] > 0.0 else 1.0
-        if gap <= cfg.tolerance * scale:
+        return _PathState(flow, means, variances, q, best, used, worst, gap,
+                          gap <= cfg.tolerance * scale)
+
+    amounts = np.zeros(len(paths))
+    amounts[int(np.argmin(q0))] = demand
+
+    iterations = 0
+    converged = False
+    for k in itertools.count():
+        s = state(amounts)
+        if s.converged:
             converged = True
             break
         if k >= cfg.max_iterations:
             break
+        if k >= _FINISH_FROM and (k & (k - 1)) == 0:
+            finished = _newton_finish(instance, incidence, state, s, amounts)
+            if finished is not None:
+                amounts, converged = finished, True
+                break
         iterations = k + 1
 
+        flow, means, variances, worst, best = s.flow, s.means, s.variances, s.worst, s.best
         move = float(amounts[worst])
         # moving t from the worst path to the best changes the flow only on
         # the edges of exactly one of them, by +t (best) or -t (worst)
@@ -586,7 +726,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         # pair_diff(0) is -gap bit for bit; at most 60 calls, what a 60-step
         # bisection would spend
         t = _step_root(pair_diff, move, *_slope_knots(instance, moved, move, instance.gamma),
-                       60, -gap)
+                       60, -s.gap)
         amounts[worst] -= t
         amounts[best] += t
         if amounts[worst] <= used_cut:

@@ -135,3 +135,55 @@ def test_integral_increment_is_bracketed_by_monotone_values(fn, x, h):
 @given(fn=_functions())
 def test_integral_starts_at_zero(fn):
     assert fn.integral(0.0) == 0.0
+
+
+@st.composite
+def _spaced_piecewise_linear(draw):
+    """Breakpoints at 0 or from 0.01 on and at least 0.01 apart, so that a
+    quotient fits on each piece."""
+    x = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+    y = draw(_coef)
+    points = [(x, y)]
+    for _ in range(draw(st.integers(0, 4))):
+        x += draw(st.floats(0.01, 3.0))
+        y += draw(_coef)
+        points.append((x, y))
+    return PiecewiseLinear(tuple(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fn=_functions().filter(lambda f: not isinstance(f, PiecewiseLinear)),
+       x=st.floats(1e-3, 10.0, allow_nan=False))
+def test_derivative_matches_difference_quotients(fn, x):
+    h = min(1e-4, 0.5 * x)
+    q = (fn(x + h) - fn(x - h)) / (2.0 * h)
+    assert fn.derivative(x) == pytest.approx(q, rel=1e-5, abs=1e-6)
+    assert fn.derivative(-1.0) == fn.derivative(0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fn=_spaced_piecewise_linear())
+def test_pwl_derivative_is_the_right_derivative(fn):
+    # at every knot and inside every piece, from a quotient that stays on
+    # the piece to the right; 0 left of the first breakpoint
+    breaks = [p[0] for p in fn.points]
+    ends = breaks[1:] + [breaks[-1] + 2.0]
+    probes = [(0.5 * breaks[0], 0.25 * breaks[0])] if breaks[0] > 0.0 else []
+    for a, b in zip(breaks, ends):
+        probes += [(a, 0.25 * (b - a)), (0.5 * (a + b), 0.25 * (b - a))]
+    for at, h in probes:
+        q = (fn(at + h) - fn(at)) / h
+        assert fn.derivative(at) == pytest.approx(q, rel=1e-9, abs=1e-9)
+    assert fn.derivative(-1.0) == fn.derivative(0.0)
+
+
+def test_derivative_hand_values():
+    assert Constant(3.0).derivative(1.0) == 0.0
+    assert Affine(2.0, 1.0).derivative(0.0) == 2.0
+    assert Polynomial((1.0, 2.0, 3.0)).derivative(2.0) == 2.0 + 12.0
+    assert Polynomial((1.0, 2.0, 3.0)).derivative(-1.0) == 2.0
+    pwl = PiecewiseLinear(((1.0, 0.0), (2.0, 2.0), (3.0, 3.0)))
+    # 0 left of the first breakpoint, the piece to the right at a knot, and
+    # the final slope past the last breakpoint
+    assert [pwl.derivative(x) for x in (0.5, 1.0, 1.5, 2.0, 3.0, 9.0)] == \
+        [0.0, 2.0, 2.0, 1.0, 1.0, 1.0]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskroute as rr
-from riskroute import network, solver
+from riskroute import network, solver, synthetic
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
 from riskroute.solver import SolverConfig
 from riskroute.synthetic import random_small_instance
@@ -307,17 +307,84 @@ def test_oracle_checks_do_not_depend_on_the_python_sum(monkeypatch):
     assert outputs() == builtin
 
 
+def _family_meanstdev(level, variant):
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=level, gamma_kappa=1.0,
+                                                       variant=variant))
+    return rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV), oracle
+
+
+@pytest.mark.parametrize("level, variant, iterations", [
+    (3, Variant.FUNCTIONAL, 64),
+    (4, Variant.STRUCTURAL, 64),
+    (5, Variant.STRUCTURAL, 64),
+])
+def test_meanstdev_iteration_counts_are_pinned(level, variant, iterations):
+    # the path solver's trajectory on the family read under mean-stdev: the
+    # first Newton finish, after 64 pair steps, ends each of these solves
+    ms, _ = _family_meanstdev(level, variant)
+    assert rr.solve_rawe_meanstdev(ms).iterations == iterations
+
+
 @pytest.mark.parametrize("level, variant, iterations", [
     (3, Variant.FUNCTIONAL, 754),
     (4, Variant.STRUCTURAL, 470),
     (5, Variant.STRUCTURAL, 1391),
 ])
-def test_meanstdev_iteration_counts_are_pinned(level, variant, iterations):
-    # the path solver's trajectory on the family read under mean-stdev
-    inst, _ = build_recursive(RecursiveFamilySpec(level=level, gamma_kappa=1.0,
-                                                  variant=variant))
-    ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
-    assert rr.solve_rawe_meanstdev(ms).iterations == iterations
+def test_meanstdev_pair_steps_alone_keep_their_trajectory(monkeypatch, level, variant,
+                                                          iterations):
+    # with every Newton finish failing, the solve is the pair loop alone,
+    # step for step
+    monkeypatch.setattr(solver, "_newton_finish", lambda *args: None)
+    ms, _ = _family_meanstdev(level, variant)
+    res = rr.solve_rawe_meanstdev(ms)
+    assert res.converged and res.iterations == iterations
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_meanstdev_family_social_cost_matches_the_oracle(level, variant):
+    ms, oracle = _family_meanstdev(level, variant)
+    res = rr.solve_rawe_meanstdev(ms)
+    expected = network.social_cost(ms, network.induced_edge_flow(ms, oracle.rawe))
+    assert res.converged
+    assert network.social_cost(ms, res.flow) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("generate", [synthetic.random_series_parallel_instance,
+                                      synthetic.random_braess_instance,
+                                      synthetic.random_domino_instance])
+def test_meanstdev_sweep_generators_converge_and_match_brute_force(generate):
+    finished = 0
+    for seed in range(50):
+        inst = generate(seed)
+        res = rr.solve_rawe_meanstdev(inst)
+        assert res.converged, f"seed {seed}"
+        # the result keeps the solver's contract: every used path costs
+        # within tolerance of the common cost
+        costs = [rr.path_cost(inst, p, res.flow) for p, _ in res.path_flow]
+        assert max(costs) - res.common_cost <= 1e-8 * max(1.0, res.common_cost)
+        finished += res.iterations == 64
+        if len(rr.enumerate_paths(inst)) <= 4:
+            bf = rr.brute_force_equilibrium(inst)
+            assert bf.converged, f"seed {seed}"
+            assert np.max(np.abs(bf.flow - res.flow)) <= 1e-4, f"seed {seed}"
+    if generate is synthetic.random_series_parallel_instance:
+        # seeds 24 and 35 take 1,166 and 180 pair steps without the finish
+        assert finished == 2
+
+
+@pytest.mark.parametrize("seed", [24, 35, 62, 101])
+def test_newton_finish_agrees_with_the_pair_steps(monkeypatch, seed):
+    # series-parallel instances with five or more paths, beyond brute force,
+    # where the finish ends the solve: the pair loop alone reaches the same
+    # flow
+    inst = synthetic.random_series_parallel_instance(seed)
+    finished = rr.solve_rawe_meanstdev(inst)
+    monkeypatch.setattr(solver, "_newton_finish", lambda *args: None)
+    paired = rr.solve_rawe_meanstdev(inst)
+    assert finished.converged and paired.converged
+    assert finished.iterations == 64 < paired.iterations
+    assert np.max(np.abs(finished.flow - paired.flow)) <= 1e-6
 
 
 _param = st.floats(0.0, 10.0)
@@ -499,3 +566,4 @@ def test_solve_rawe_dispatches_on_risk_model(variant):
                 got.converged) == (direct.path_flow, direct.common_cost,
                                    direct.vi_residual, direct.iterations,
                                    direct.converged)
+
