@@ -26,14 +26,21 @@ on the enumerated path set.  Its pair steps shift flow from the costliest
 used path to the cheapest one.  Each evaluates each edge's latency and
 variance once and sums every path from those values; the search for the
 transfer re-evaluates only the edges on exactly one of the two paths, the
-only ones the transfer moves.  Pair steps find the used paths quickly but
-equalize their costs slowly, so at pair iterations 64, 128, 256, ... a
-Newton finish solves the used paths' equal-cost system from the edges'
-right derivatives, dropping paths whose amounts turn negative.  Its answer
-is kept only when it passes the same convergence test as a pair step; on
+only ones the transfer moves.
+
+Pair steps, in both solvers, find the used paths quickly but equalize
+their costs slowly.  So a Newton finish solves the equal-cost system of
+the used paths and the cheapest one from the edges' right derivatives,
+dropping paths whose amounts turn negative; both solvers share that step
+(`_kkt_step`).  The mean-stdev loop tries it at pair iterations 64, 128,
+256, ..., on its path amounts; the additive loop at 2048, 4096, ..., on
+its path decomposition.  The paths of a support are often linearly
+dependent, and a singular system is solved by least squares.  An answer is
+kept only when it passes the loop's own convergence test; on
 piecewise-linear latencies with constant variances, as in the recursive
 family, one step lands on the equilibrium to rounding.  A finish that
-fails leaves the pair iterate as it was.
+fails leaves the pair iterate as it was, so the trajectory goes on bit for
+bit.
 
 Both solvers step to the root of a non-decreasing function of the step
 length t: the potential's derivative along the step, or the cost of the
@@ -215,9 +222,8 @@ def _edge_gap(instance: NetworkInstance, flow: np.ndarray, cost_of: list,
     routing `demand`.
     """
     c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
-    _, dist = _shortest_path(instance, c)
-    total = float(flow @ np.array(c))
-    return max(total - demand * dist, 0.0), total, dist
+    _, dist, total, gap = _frozen_gap(instance, flow, c, demand)
+    return gap, total, dist
 
 
 def _path_costs(instance: NetworkInstance, paths, means: list[float],
@@ -445,6 +451,146 @@ def _prune_path_flow(weights: dict[tuple[int, ...], float], demand: float) -> Pa
     return PathFlow.of(sorted((p, w * scale) for p, w in kept.items()))
 
 
+# A Newton finish is tried at pair iterations _FINISH_FROM, twice that, ...
+# of the mean-stdev loop: most short solves end before the first attempt.
+# The additive loop starts at 2048, so that every additive solve that
+# converges within 2048 pair steps keeps its trajectory bit for bit: the
+# sweep batches (nearly all end by iteration 64), the risk-neutral solves of
+# the family read under mean-stdev (at most 881), and the level-5
+# structural counts the benchmark's self-test pins (1236 and 881).  Moving
+# it down to 64 re-pins those counts, which waits for a benchmark change.
+_FINISH_FROM = 64
+_ADDITIVE_FINISH_FROM = 2048
+# linear solves per finish, over all its steps
+_FINISH_SOLVES = 16
+
+
+def _cost_jacobian(instance: NetworkInstance, a: np.ndarray, flow: list[float],
+                   gamma_eff: float, variances: list[float] | None = None) -> np.ndarray | None:
+    """Jacobian of the costs of the paths with incidence rows `a` in their amounts.
+
+    At the edge flow `flow`, entry (p, r) is the sum over the edges shared by
+    p and r of the latency's right derivative plus gamma_eff times the
+    variance's when the costs are edge additive (mean-var, or gamma_eff 0).
+    Under mean-stdev with gamma_eff > 0, the variance term is instead
+    gamma_eff / (2 sqrt(V_p)) times the same sum of the variances' right
+    derivatives, where V_p is the variance of p from the per-edge
+    `variances`; None when some V_p is 0 while a variance on p has positive
+    slope: the square root has no derivative there.
+    """
+    edges = instance.edges
+    slope = np.array([e.latency.derivative(x) for e, x in zip(edges, flow)])
+    if gamma_eff == 0.0:
+        return (a * slope) @ a.T
+    spread = np.array([e.variability.derivative(x) for e, x in zip(edges, flow)])
+    if instance.risk_model is RiskModel.MEAN_VAR:
+        return (a * (slope + gamma_eff * spread)) @ a.T
+    jac = (a * slope) @ a.T
+    w = (a * spread) @ a.T
+    v = a @ np.array(variances)
+    rising = np.diag(w) > 0.0
+    if np.any((v == 0.0) & rising):
+        return None
+    scale = np.zeros(len(a))
+    scale[rising] = gamma_eff / (2.0 * np.sqrt(v[rising]))
+    return jac + scale[:, None] * w
+
+
+def _kkt_step(jac: np.ndarray, h: np.ndarray, q: np.ndarray, demand: float,
+              budget) -> tuple[np.ndarray, np.ndarray] | None:
+    """One Newton step to equal costs on a path support, or None.
+
+    `h` holds the support's amounts, `q` their costs and `jac` the costs'
+    Jacobian.  The step solves
+
+        [[J, -1], [1^T, 0]] [delta; lam] = [-q; demand - sum(h)]
+
+    for equal costs after the step.  A path whose new amount is negative is
+    set to 0 and leaves the support (its step is -h), and the system is
+    solved again.  Returns (keep, new): which paths stay, and their new
+    amounts.  A singular system is solved by least squares.  Each linear
+    solve takes one item of the iterator `budget`; None when it runs out or
+    an amount is not finite.
+    """
+    keep = np.ones(len(h), dtype=bool)
+    while True:
+        if next(budget, None) is None:
+            return None
+        n = int(keep.sum())
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = jac[np.ix_(keep, keep)]
+        kkt[:n, n] = -1.0
+        kkt[n, :n] = 1.0
+        rhs = np.empty(n + 1)
+        rhs[:n] = jac[np.ix_(keep, ~keep)] @ h[~keep] - q[keep]
+        rhs[n] = demand - h[keep].sum()
+        try:
+            step = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        new = h[keep] + step[:n]
+        if not np.all(np.isfinite(new)):
+            return None
+        negative = new < 0.0
+        if not negative.any():
+            return keep, new
+        keep[np.flatnonzero(keep)[negative]] = False
+
+
+def _frozen_gap(instance: NetworkInstance, flow: np.ndarray, c: list[float],
+                demand: float) -> tuple[tuple[int, ...], float, float, float]:
+    """(best, dist, total, gap) of an edge-additive flow at the edge costs `c`.
+
+    `best` is the cheapest source->sink path and `dist` its cost, `total`
+    the perceived cost of `flow`, and `gap` is max(total - demand * dist,
+    0), the variational-inequality residual of routing `demand`.
+    """
+    best, dist = _shortest_path(instance, c)
+    total = float(flow @ np.array(c))
+    return best, dist, total, max(total - demand * dist, 0.0)
+
+
+def _within_tolerance(gap: float, total: float, tolerance: float) -> bool:
+    """The convergence test: gap <= tolerance * min(1, total), 1 when total is 0."""
+    return gap <= tolerance * min(1.0, total if total > 0.0 else 1.0)
+
+
+def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, cost_of: list,
+                     gamma_eff: float, weights: dict[tuple[int, ...], float],
+                     flow: np.ndarray, c: list[float],
+                     best: tuple[int, ...]) -> dict[tuple[int, ...], float] | None:
+    """Path weights that pass the additive loop's convergence test, by Newton's method, or None.
+
+    `weights` is the loop's path decomposition, `flow` the edge flow it
+    induces, `c` the edge costs there and `best` the shortest path at `c`.
+    With U the paths of positive weight and `best`, one `_kkt_step`
+    equalizes their costs; the candidate is tested as the loop tests its
+    iterate, with one shortest path at the candidate's costs, and a rejected
+    one is the next point to linearize at.  None when `_kkt_step` gives no
+    step.  The arguments are left as they are.
+    """
+    demand = instance.demand
+    m = len(instance.edges)
+    budget = iter(range(_FINISH_SOLVES))
+    while True:
+        support = sorted({p for p, w in weights.items() if w > 0.0} | {best})
+        a = np.zeros((len(support), m))
+        for i, path in enumerate(support):
+            a[i, list(path)] = 1.0
+        jac = _cost_jacobian(instance, a, flow.tolist(), gamma_eff)
+        h = np.array([weights.get(p, 0.0) for p in support])
+        step = _kkt_step(jac, h, a @ np.array(c), demand, budget)
+        if step is None:
+            return None
+        keep, new = step
+        weights = dict(zip((p for p, k in zip(support, keep) if k), new.tolist()))
+        flow = _flow_from_weights(instance, weights)
+        c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
+        best, _, total, gap = _frozen_gap(instance, flow, c, demand)
+        if _within_tolerance(gap, total, cfg.tolerance):
+            return weights
+
+
 def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: float,
                     callback=None) -> EquilibriumResult:
     demand = instance.demand
@@ -472,16 +618,21 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
         else:
             for eid in moved:
                 c[eid] = cost_of[eid](float(flow[eid]))
-        best, dist = _shortest_path(instance, c)
-        total = float(flow @ np.array(c))
-        gap = max(total - demand * dist, 0.0)
+        best, _, total, gap = _frozen_gap(instance, flow, c, demand)
         if callback is not None:
             callback(k, flow.copy(), total, gap)
-        if gap <= cfg.tolerance * min(1.0, total if total > 0.0 else 1.0):
+        if _within_tolerance(gap, total, cfg.tolerance):
             converged = True
             break
         if k >= cfg.max_iterations:
             break
+        # the flow was rebuilt from `weights` at this k, a multiple of 256
+        if k >= _ADDITIVE_FINISH_FROM and (k & (k - 1)) == 0:
+            finished = _additive_finish(instance, cfg, cost_of, gamma_eff, weights,
+                                        flow, c, best)
+            if finished is not None:
+                weights, converged = finished, True
+                break
         iterations = k + 1
 
         worst = _costliest_path(weights, c)
@@ -516,13 +667,23 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
 
 def solve_rnwe(instance: NetworkInstance, cfg: SolverConfig = SolverConfig(),
                callback=None) -> EquilibriumResult:
-    """Risk-neutral equilibrium: all travelers minimize mean latency."""
+    """Risk-neutral equilibrium: all travelers minimize mean latency.
+
+    Conditional-gradient pair steps, with a Newton finish
+    (`_additive_finish`) tried at pair iterations 2048, 4096, ...; when its
+    answer passes the loop's convergence test the solve ends there.
+    `iterations` counts the pair steps.
+    """
     return _solve_additive(instance, cfg, 0.0, callback)
 
 
 def solve_rawe_meanvar(instance: NetworkInstance, cfg: SolverConfig = SolverConfig(),
                        callback=None) -> EquilibriumResult:
-    """Mean-var risk-averse equilibrium via the additive edge cost l + gamma*v."""
+    """Mean-var risk-averse equilibrium via the additive edge cost l + gamma*v.
+
+    The same loop as `solve_rnwe`, Newton finish included; `iterations`
+    counts the pair steps.
+    """
     if instance.risk_model is not RiskModel.MEAN_VAR:
         raise ValueError("solve_rawe_meanvar requires a mean-var instance")
     return _solve_additive(instance, cfg, instance.gamma, callback)
@@ -555,86 +716,27 @@ class _PathState(NamedTuple):
     converged: bool
 
 
-# the Newton finish is tried at pair iterations 64, 128, 256, ...: most short
-# solves end before the first attempt
-_FINISH_FROM = 64
-_FINISH_SOLVES = 16
-
-
-def _cost_jacobian(instance: NetworkInstance, incidence: np.ndarray,
-                   support: list[int], s: _PathState) -> np.ndarray | None:
-    """Jacobian of the costs of the paths `support` in their amounts at `s`.
-
-    Entry (p, r) is the sum over the edges shared by p and r of the
-    latency's right derivative, plus, under gamma > 0, gamma / (2 sqrt(V_p))
-    times the same sum of the variances' right derivatives, where V_p is
-    the variance of p.  None when some V_p is 0 while a variance on p has
-    positive slope: the square root has no derivative there.
-    """
-    edges = instance.edges
-    a = incidence[support]
-    jac = (a * np.array([e.latency.derivative(x) for e, x in zip(edges, s.flow)])) @ a.T
-    if s.variances is None:
-        return jac
-    w = (a * np.array([e.variability.derivative(x) for e, x in zip(edges, s.flow)])) @ a.T
-    v = a @ np.array(s.variances)
-    rising = np.diag(w) > 0.0
-    if np.any((v == 0.0) & rising):
-        return None
-    scale = np.zeros(len(support))
-    scale[rising] = instance.gamma / (2.0 * np.sqrt(v[rising]))
-    return jac + scale[:, None] * w
-
-
 def _newton_finish(instance: NetworkInstance, incidence: np.ndarray, state,
                    s: _PathState, amounts: np.ndarray) -> np.ndarray | None:
     """Path amounts that pass the loop's convergence test, by Newton's method, or None.
 
     `state(amounts)` is the loop's evaluation, and `s` its value at
-    `amounts`.  With U the used paths and the cheapest path, h their
-    amounts and J the Jacobian of their costs, one step solves
-
-        [[J, -1], [1^T, 0]] [delta; lam] = [-q_U; demand - sum(h)]
-
-    for equal costs on U after the step.  A path whose new amount is
-    negative is set to 0 and leaves U (its step is -h), and the system is
-    solved again.  The candidate is returned when `state` finds it
-    converged; otherwise the next step starts from it.  None when 16
-    linear solves did not get there, a system is singular or
-    `_cost_jacobian` has no Jacobian.
+    `amounts`.  With U the used paths and the cheapest path, one
+    `_kkt_step` equalizes their costs.  The candidate is returned when
+    `state` finds it converged; otherwise the next step starts from it.
+    None when `_kkt_step` gives no step or `_cost_jacobian` no Jacobian.
     """
-    demand = instance.demand
-    solves = 0
+    budget = iter(range(_FINISH_SOLVES))
     while True:
         support = sorted({*s.used.tolist(), s.best})
-        jac = _cost_jacobian(instance, incidence, support, s)
+        jac = _cost_jacobian(instance, incidence[support], s.flow, instance.gamma,
+                             s.variances)
         if jac is None:
             return None
-        h = amounts[support]
-        q = s.q[support]
-        keep = np.ones(len(support), dtype=bool)
-        while True:
-            if solves == _FINISH_SOLVES:
-                return None
-            solves += 1
-            n = int(keep.sum())
-            kkt = np.zeros((n + 1, n + 1))
-            kkt[:n, :n] = jac[np.ix_(keep, keep)]
-            kkt[:n, n] = -1.0
-            kkt[n, :n] = 1.0
-            rhs = np.empty(n + 1)
-            rhs[:n] = jac[np.ix_(keep, ~keep)] @ h[~keep] - q[keep]
-            rhs[n] = demand - h[keep].sum()
-            try:
-                new = h[keep] + np.linalg.solve(kkt, rhs)[:n]
-            except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(new)):
-                return None
-            negative = new < 0.0
-            if not negative.any():
-                break
-            keep[np.flatnonzero(keep)[negative]] = False
+        step = _kkt_step(jac, amounts[support], s.q[support], instance.demand, budget)
+        if step is None:
+            return None
+        keep, new = step
         amounts = np.zeros(len(amounts))
         amounts[np.array(support)[keep]] = new
         s = state(amounts)
@@ -873,5 +975,5 @@ def result_from_paths(instance: NetworkInstance, path_flow: PathFlow) -> Equilib
             amounts[index[p]] += a
         gap, total, common = _path_gap(instance, paths, amounts, flow, demand)
     residual = gap / total if total > 0.0 else 0.0
-    scale = min(1.0, total if total > 0.0 else 1.0)
-    return EquilibriumResult(flow, path_flow, common, residual, 0, gap <= 1e-9 * scale)
+    return EquilibriumResult(flow, path_flow, common, residual, 0,
+                             _within_tolerance(gap, total, 1e-9))

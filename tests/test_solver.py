@@ -249,12 +249,13 @@ def test_cyclic_graph_falls_back_to_dijkstra():
 
 @pytest.mark.parametrize("level, variant, rawe_iterations, rnwe_iterations", [
     (5, Variant.STRUCTURAL, 1236, 881),
-    (4, Variant.FUNCTIONAL, 3472, 199),
+    (4, Variant.FUNCTIONAL, 2048, 199),
 ])
 def test_family_iteration_counts_are_pinned(level, variant, rawe_iterations,
                                             rnwe_iterations):
     # the solver's trajectory on the recursive family; a change to the step
-    # or the tie-breaking shows here first
+    # or the tie-breaking shows here first.  The level-4 functional
+    # risk-averse solve ends in the first Newton finish, at pair step 2048
     inst, _ = build_recursive(RecursiveFamilySpec(level=level, gamma_kappa=1.0,
                                                   variant=variant))
     assert rr.solve_rawe_meanvar(inst).iterations == rawe_iterations
@@ -279,12 +280,78 @@ def _compensated_sum(items, start=0):
 
 def test_iterates_do_not_depend_on_the_python_sum(monkeypatch):
     # the solver's float sums are plain loops, so the compensated sum() of
-    # Python 3.12 on leaves the trajectory as it is
+    # Python 3.12 on leaves the pair-step trajectory as it is
     monkeypatch.setattr(solver, "sum", _compensated_sum, raising=False)
+    monkeypatch.setattr(solver, "_additive_finish", lambda *args: None)
     inst, _ = build_recursive(RecursiveFamilySpec(level=4, gamma_kappa=1.0,
                                                   variant=Variant.FUNCTIONAL))
     assert rr.solve_rawe_meanvar(inst).iterations == 3472
     assert rr.solve_rnwe(inst).iterations == 199
+
+
+@pytest.mark.parametrize("level, iterations", [(4, 3472), (5, 15110)])
+def test_additive_pair_steps_alone_keep_their_trajectory(monkeypatch, level, iterations):
+    # with every Newton finish failing, the solve is the pair loop alone,
+    # step for step
+    monkeypatch.setattr(solver, "_additive_finish", lambda *args: None)
+    inst, _ = build_recursive(RecursiveFamilySpec(level=level, gamma_kappa=1.0,
+                                                  variant=Variant.FUNCTIONAL))
+    res = rr.solve_rawe_meanvar(inst)
+    assert res.converged and res.iterations == iterations
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_additive_finish_matches_the_oracle(level):
+    # the pair steps alone reach the oracle's social cost to about 1e-10
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=level, gamma_kappa=1.0,
+                                                       variant=Variant.FUNCTIONAL))
+    res = rr.solve_rawe_meanvar(inst)
+    expected = network.social_cost(inst, network.induced_edge_flow(inst, oracle.rawe))
+    assert res.converged and res.iterations == 2048
+    assert network.social_cost(inst, res.flow) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_level6_family_converges_to_its_bound(variant):
+    # the first family level beyond the benchmark; the structural solves end
+    # in the Newton finish, where the pair steps alone take 75,519 steps
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=6, gamma_kappa=1.0,
+                                                       variant=variant))
+    rawe, rnwe = rr.solve_rawe_meanvar(inst), rr.solve_rnwe(inst)
+    assert rawe.converged and rnwe.converged
+    assert oracle.expected_pra == 1.0 + 2.0 ** 6
+    assert rr.compute_pra(inst, rawe, rnwe) == pytest.approx(oracle.expected_pra, rel=1e-8)
+
+
+def test_kkt_step_solves_a_singular_system_by_least_squares():
+    # two parallel pairs in series: the four paths' incidence rows are
+    # dependent (p00 + p11 = p01 + p10), so the Jacobian has rank 3 and the
+    # KKT matrix is singular; slopes 1 and 2 keep the elimination exact
+    edges = tuple(rr.Edge(t, h, rr.Affine(m, b), rr.Constant(0.0))
+                  for t, h, m, b in [(0, 1, 1.0, 0.0), (0, 1, 1.0, 0.5),
+                                     (1, 2, 2.0, 0.0), (1, 2, 2.0, 0.5)])
+    inst = rr.NetworkInstance(3, edges, 0, 2, 1.0, 0.0, rr.RiskModel.MEAN_VAR)
+    paths = rr.enumerate_paths(inst)
+    assert len(paths) == 4
+    a = np.zeros((4, 4))
+    for i, p in enumerate(paths):
+        a[i, list(p)] = 1.0
+    flow = [0.5] * 4
+    jac = solver._cost_jacobian(inst, a, flow, 0.0)
+    kkt = np.block([[jac, -np.ones((4, 1))], [np.ones((1, 4)), np.zeros((1, 1))]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(kkt, np.ones(5))
+    q = np.array([rr.path_cost(inst, p, np.array(flow)) for p in paths])
+    step = solver._kkt_step(jac, np.full(4, 0.25), q, 1.0, iter(range(16)))
+    assert step is not None
+    keep, new = step
+    assert keep.all() and np.all(np.isfinite(new)) and np.all(new >= 0.0)
+    assert new.sum() == pytest.approx(1.0)
+    # the least-squares step lands on equal costs: the linear system is exact
+    amounts = np.zeros(4)
+    amounts[keep] = new
+    costs = [rr.path_cost(inst, p, a.T @ amounts) for p in paths]
+    assert max(costs) - min(costs) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_oracle_checks_do_not_depend_on_the_python_sum(monkeypatch):
