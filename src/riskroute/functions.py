@@ -162,6 +162,9 @@ class PiecewiseLinear(LatencyFn):
     _breaks: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _final_slope: float = field(init=False, repr=False, compare=False)
+    # (xa, ya, yb - ya, xb - xa) of the piece right of each breakpoint but the last
+    _pieces: tuple[tuple[float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple((float(x), float(y)) for x, y in self.points)
@@ -195,18 +198,22 @@ class PiecewiseLinear(LatencyFn):
             (x0, y0), (x1, y1) = pts[-2], pts[-1]
             slope = (y1 - y0) / (x1 - x0)
         object.__setattr__(self, "_final_slope", slope)
+        object.__setattr__(self, "_pieces", tuple((xa, ya, yb - ya, xb - xa)
+                                                  for (xa, ya), (xb, yb) in zip(pts, pts[1:])))
 
     def __call__(self, x: float) -> float:
-        x = max(x, 0.0)
-        pts = self.points
+        # max(x, 0.0) without the call: keeps -0.0 and NaN as max does
+        if x < 0.0:
+            x = 0.0
         i = bisect_right(self._breaks, x)
         if i == 0:
-            return pts[0][1]
-        if i == len(pts):
-            xk, yk = pts[-1]
+            return self.points[0][1]
+        pieces = self._pieces
+        if i > len(pieces):
+            xk, yk = self.points[-1]
             return yk + self._final_slope * (x - xk)
-        (xa, ya), (xb, yb) = pts[i - 1], pts[i]
-        return ya + (yb - ya) * (x - xa) / (xb - xa)
+        xa, ya, rise, run = pieces[i - 1]
+        return ya + rise * (x - xa) / run
 
     def integral(self, x: float) -> float:
         x = max(x, 0.0)

@@ -9,13 +9,19 @@ shifts mass from the costliest path of the maintained decomposition onto
 the shortest path with an exact line search of the potential, which
 converges fast enough for tight tolerances.
 
-A step changes the flow only on the edges where the two paths differ, so
-the next iteration recomputes the costs of those edges alone; the flow
-rebuild every 256 iterations changes every edge and recomputes the whole
-cost vector.  The shortest path is one relaxation sweep over the vertices
-on source->sink paths in topological order, computed once per instance
-and shared by all its solves and checks; when those vertices span a cycle
-it is Dijkstra.  Both give the same path and distance, and every sum keeps
+Each solve builds one table of its edges (`_EdgeTable`): each edge's
+perceived cost, whether that cost is constant (a constant latency and,
+unless gamma is 0, a constant variance) and the flows where it changes
+slope.  A step changes the flow only on the edges where the two paths
+differ, so it recomputes the costs of those edges alone, and never a
+constant one: that is evaluated once per solve.  The flow rebuild every
+256 iterations recomputes every other cost.  The line search takes its
+knots from the table, the derivative at step 0 from the cost vector the
+loop holds, and a constant edge's share of the derivative once per step.
+The shortest path is one relaxation sweep over the vertices on
+source->sink paths in topological order, computed once per instance and
+shared by all its solves and checks; when those vertices span a cycle it
+is Dijkstra.  Both give the same path and distance, and every sum keeps
 the order and arithmetic of a full recompute, so the iterates do not
 depend on which route computed them.  Float sums are left-to-right loops,
 not sum(), which is compensated from Python 3.12 on, so the iterates do
@@ -26,7 +32,8 @@ on the enumerated path set.  Its pair steps shift flow from the costliest
 used path to the cheapest one.  Each evaluates each edge's latency and
 variance once and sums every path from those values; the search for the
 transfer re-evaluates only the edges on exactly one of the two paths, the
-only ones the transfer moves.
+only ones the transfer moves, and takes their knots from per-edge tuples
+built once per solve (`_edge_knots`).
 
 Pair steps, in both solvers, find the used paths quickly but equalize
 their costs slowly.  So a Newton finish solves the equal-cost system of
@@ -113,12 +120,60 @@ class EquilibriumResult:
     converged: bool
 
 
-def _edge_cost_fns(instance: NetworkInstance, gamma_eff: float) -> list:
-    """Per-edge perceived cost x -> l_e(x) + gamma_eff * v_e(x), bound once."""
-    if gamma_eff == 0.0:
-        return [e.latency.__call__ for e in instance.edges]
-    return [lambda x, lat=e.latency.__call__, var=e.variability.__call__:
-            lat(x) + gamma_eff * var(x) for e in instance.edges]
+def _edge_knots(instance: NetworkInstance,
+                gamma_eff: float) -> tuple[list[tuple[float, ...]], list[bool]]:
+    """(knots, curved): where each edge's perceived cost may change slope, per edge.
+
+    `knots[e]` holds, sorted, the breakpoints of edge e's latency and, with
+    gamma_eff != 0, of its variance.  `curved[e]` says that the cost is not
+    linear between them: one of those functions is a polynomial of degree 2
+    or more (its knots are the other function's), or under mean-stdev with
+    gamma_eff != 0 the variance is not constant, so that its square root
+    moves.
+    """
+    stdev = gamma_eff != 0.0 and instance.risk_model is RiskModel.MEAN_STDEV
+    knots, curved = [], []
+    for e in instance.edges:
+        lat = e.latency.knots_between(-math.inf, math.inf)
+        var = [] if gamma_eff == 0.0 else e.variability.knots_between(-math.inf, math.inf)
+        curved.append(lat is None or var is None
+                      or (stdev and not isinstance(e.variability, Constant)))
+        # each list is sorted and distinct
+        lat, var = lat or [], var or []
+        knots.append(tuple(sorted({*lat, *var}) if var else lat))
+    return knots, curved
+
+
+class _EdgeTable(NamedTuple):
+    """Each edge's perceived cost l_e + gamma_eff * v_e, built once per solve.
+
+    `cost[e]` is x -> l_e(x) + gamma_eff * v_e(x), x -> l_e(x) at gamma_eff
+    0; a Constant variance is folded in as l_e(x) + gv with gv =
+    gamma_eff * value, the same bits.  `constant[e]` says that the cost
+    cannot move: a Constant latency, and a Constant variance or gamma_eff 0.
+    `knots` and `curved` are `_edge_knots`.
+    """
+
+    cost: list
+    constant: list[bool]
+    knots: list[tuple[float, ...]]
+    curved: list[bool]
+
+
+def _edge_table(instance: NetworkInstance, gamma_eff: float) -> _EdgeTable:
+    """The `_EdgeTable` of `instance` at gamma_eff: one entry per edge."""
+    cost, constant = [], []
+    for e in instance.edges:
+        lat, var = e.latency.__call__, e.variability
+        if gamma_eff == 0.0:
+            cost.append(lat)
+        elif isinstance(var, Constant):
+            cost.append(lambda x, lat=lat, gv=gamma_eff * var.value: lat(x) + gv)
+        else:
+            cost.append(lambda x, lat=lat, var=var.__call__: lat(x) + gamma_eff * var(x))
+        constant.append(isinstance(e.latency, Constant)
+                        and (gamma_eff == 0.0 or isinstance(var, Constant)))
+    return _EdgeTable(cost, constant, *_edge_knots(instance, gamma_eff))
 
 
 def _shortest_path(instance: NetworkInstance, costs) -> tuple[tuple[int, ...], float]:
@@ -217,9 +272,9 @@ def _edge_gap(instance: NetworkInstance, flow: np.ndarray, cost_of: list,
     """(gap, total, dist) of an edge-additive flow at frozen costs.
 
     `total` is the perceived cost of `flow` under the per-edge costs
-    `cost_of`, `dist` the cheapest source->sink path cost, and `gap` is
-    max(total - demand * dist, 0), the variational-inequality residual of
-    routing `demand`.
+    `cost_of` (an `_EdgeTable`'s), `dist` the cheapest source->sink path
+    cost, and `gap` is max(total - demand * dist, 0), the
+    variational-inequality residual of routing `demand`.
     """
     c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
     _, dist, total, gap = _frozen_gap(instance, flow, c, demand)
@@ -293,7 +348,7 @@ def vi_residual(instance: NetworkInstance, flow) -> float:
     if not _edge_additive(instance):
         raise ValueError("vi_residual needs edge-additive costs: mean-var, or gamma 0")
     flow = np.asarray(flow, dtype=float)
-    gap, _, _ = _edge_gap(instance, flow, _edge_cost_fns(instance, instance.gamma),
+    gap, _, _ = _edge_gap(instance, flow, _edge_table(instance, instance.gamma).cost,
                           flow_demand(instance, flow))
     return gap
 
@@ -316,33 +371,29 @@ def _costliest_path(paths, costs: list[float]) -> tuple[int, ...]:
     return worst
 
 
-def _slope_knots(instance: NetworkInstance, moves, t_max: float,
-                 gamma_eff: float) -> tuple[set[float], bool]:
+def _slope_knots(edge_knots: list, curved: list, moves,
+                 t_max: float) -> tuple[set[float], bool]:
     """(knots, linear) of a step's perceived-cost difference on [0, t_max].
 
     `moves` holds (edge id, flow f, direction d): the edge's flow goes from
-    f to f + d * t, d = +1 or -1.  `knots` are the t at which a moved
-    edge's latency, or with gamma_eff > 0 its variance, changes slope.
-    `linear` says that the difference is linear between knots: every such
-    function is piecewise linear (a polynomial of degree 2 or more is not,
-    and adds no knots), and under mean-stdev with gamma_eff > 0 every moved
-    variance is constant, so that the square roots do not move.
+    f to f + d * t, d = +1 or -1.  `knots` are the t at which a moved edge's
+    cost changes slope, from the per-edge `edge_knots`; `linear` says that
+    the difference is linear between them, no moved edge being `curved`
+    (both from `_edge_knots`).
     """
     knots: set[float] = set()
     linear = True
     for eid, f, d in moves:
-        e = instance.edges[eid]
-        lo, hi = (f, f + t_max) if d > 0 else (f - t_max, f)
-        for fn in (e.latency,) if gamma_eff == 0.0 else (e.latency, e.variability):
-            ks = fn.knots_between(max(lo, 0.0), hi)
-            if ks is None:
-                linear = False
-            else:
-                for x in ks:
+        if curved[eid]:
+            linear = False
+        ks = edge_knots[eid]
+        if ks:
+            lo, hi = (f, f + t_max) if d > 0 else (f - t_max, f)
+            if lo < 0.0:
+                lo = 0.0
+            for x in ks:
+                if lo < x < hi:
                     knots.add((x - f) / d)
-    if linear and gamma_eff != 0.0 and instance.risk_model is RiskModel.MEAN_STDEV:
-        linear = all(isinstance(instance.edges[eid].variability, Constant)
-                     for eid, _, _ in moves)
     return knots, linear
 
 
@@ -410,30 +461,46 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     return a if -fa < fb else b
 
 
-def _line_search(instance: NetworkInstance, flow: np.ndarray, deltas: dict[int, float],
-                 t_max: float, gamma_eff: float, cost_of: list) -> float:
+def _line_search(table: _EdgeTable, flow: list[float], c: list[float],
+                 deltas: dict[int, float], t_max: float) -> float:
     """Step length in [0, t_max] minimizing the potential along `deltas`.
 
     The derivative t -> sum_e delta_e * c_e(f_e + delta_e * t) is
     non-decreasing; `_step_root` finds its root, exactly from the
     slope-change knots for piecewise-linear costs and with Illinois for
-    polynomial ones.  `cost_of` holds the per-edge costs from
-    `_edge_cost_fns`.
+    polynomial ones.  `table` is the solve's `_EdgeTable` and `c` its costs
+    at `flow`.  One pass over `deltas` takes each edge's knots from the
+    table, the derivative at 0 from `c`, and for a constant-cost edge its
+    fixed term delta_e * c[e], which no call of the derivative evaluates
+    again.
     """
-    moves = [(eid, float(flow[eid]), s) for eid, s in deltas.items()]
+    cost_of, constant = table.cost, table.constant
+    moves, moved = [], []
+    v0 = 0.0
+    for eid, s in deltas.items():
+        f = flow[eid]
+        term = s * c[eid]
+        v0 += term
+        if constant[eid]:
+            moves.append((None, f, s, term))
+        else:
+            moves.append((cost_of[eid], f, s, term))
+            moved.append((eid, f, s))
+    knots, linear = _slope_knots(table.knots, table.curved, moved, t_max)
 
     def dphi(t: float) -> float:
         acc = 0.0
-        for eid, f, s in moves:
-            acc += s * cost_of[eid](f + s * t)
+        for cost, f, s, term in moves:
+            acc += term if cost is None else s * cost(f + s * t)
         return acc
 
-    # at most 100 calls, what a 100-step bisection would spend
-    return _step_root(dphi, t_max, *_slope_knots(instance, moves, t_max, gamma_eff), 100)
+    # at most 100 calls, what a 100-step bisection would spend: v0 is the first
+    return _step_root(dphi, t_max, knots, linear, 99, v0)
 
 
-def _flow_from_weights(instance: NetworkInstance, weights: dict[tuple[int, ...], float]) -> np.ndarray:
-    flow = zero_flow(instance)
+def _flow_from_weights(instance: NetworkInstance,
+                       weights: dict[tuple[int, ...], float]) -> list[float]:
+    flow = [0.0] * len(instance.edges)
     for path, w in weights.items():
         for eid in path:
             flow[eid] += w
@@ -537,7 +604,7 @@ def _kkt_step(jac: np.ndarray, h: np.ndarray, q: np.ndarray, demand: float,
         keep[np.flatnonzero(keep)[negative]] = False
 
 
-def _frozen_gap(instance: NetworkInstance, flow: np.ndarray, c: list[float],
+def _frozen_gap(instance: NetworkInstance, flow: list[float] | np.ndarray, c: list[float],
                 demand: float) -> tuple[tuple[int, ...], float, float, float]:
     """(best, dist, total, gap) of an edge-additive flow at the edge costs `c`.
 
@@ -546,7 +613,7 @@ def _frozen_gap(instance: NetworkInstance, flow: np.ndarray, c: list[float],
     0), the variational-inequality residual of routing `demand`.
     """
     best, dist = _shortest_path(instance, c)
-    total = float(flow @ np.array(c))
+    total = float(np.asarray(flow) @ np.array(c))
     return best, dist, total, max(total - demand * dist, 0.0)
 
 
@@ -555,14 +622,15 @@ def _within_tolerance(gap: float, total: float, tolerance: float) -> bool:
     return gap <= tolerance * min(1.0, total if total > 0.0 else 1.0)
 
 
-def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, cost_of: list,
+def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, table: _EdgeTable,
                      gamma_eff: float, weights: dict[tuple[int, ...], float],
-                     flow: np.ndarray, c: list[float],
+                     flow: list[float], c: list[float],
                      best: tuple[int, ...]) -> dict[tuple[int, ...], float] | None:
     """Path weights that pass the additive loop's convergence test, by Newton's method, or None.
 
     `weights` is the loop's path decomposition, `flow` the edge flow it
-    induces, `c` the edge costs there and `best` the shortest path at `c`.
+    induces, `c` the edge costs there (from `table`, the solve's
+    `_EdgeTable`) and `best` the shortest path at `c`.
     With U the paths of positive weight and `best`, one `_kkt_step`
     equalizes their costs; the candidate is tested as the loop tests its
     iterate, with one shortest path at the candidate's costs, and a rejected
@@ -577,7 +645,7 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, cost_of: list
         a = np.zeros((len(support), m))
         for i, path in enumerate(support):
             a[i, list(path)] = 1.0
-        jac = _cost_jacobian(instance, a, flow.tolist(), gamma_eff)
+        jac = _cost_jacobian(instance, a, flow, gamma_eff)
         h = np.array([weights.get(p, 0.0) for p in support])
         step = _kkt_step(jac, h, a @ np.array(c), demand, budget)
         if step is None:
@@ -585,7 +653,7 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, cost_of: list
         keep, new = step
         weights = dict(zip((p for p, k in zip(support, keep) if k), new.tolist()))
         flow = _flow_from_weights(instance, weights)
-        c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
+        c = [cost(x) for cost, x in zip(table.cost, flow)]
         best, _, total, gap = _frozen_gap(instance, flow, c, demand)
         if _within_tolerance(gap, total, cfg.tolerance):
             return weights
@@ -594,33 +662,30 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, cost_of: list
 def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: float,
                     callback=None) -> EquilibriumResult:
     demand = instance.demand
-    cost_of = _edge_cost_fns(instance, gamma_eff)
-    first, dist = _shortest_path(instance, [cost(0.0) for cost in cost_of])
+    table = _edge_table(instance, gamma_eff)
+    cost_of, constant = table.cost, table.constant
+    c = [cost(0.0) for cost in cost_of]
+    first, dist = _shortest_path(instance, c)
     if demand == 0.0:
         return EquilibriumResult(zero_flow(instance), PathFlow.of([]), dist, 0.0, 0, True)
 
     weights: dict[tuple[int, ...], float] = {first: demand}
-    flow = _flow_from_weights(instance, weights)
-
-    # c holds the edge costs at `flow`.  A step changes the flow only on the
-    # edges in `moved`, so only their costs are recomputed; moved=None
-    # recomputes every edge.
-    c: list[float] = []
-    moved = None
+    # c holds the edge costs at `flow`, both lists of Python floats.  A
+    # constant cost keeps its value from flow 0.  A step recomputes the costs
+    # of the varying edges it moves, and the rebuild of `flow` every 256
+    # iterations those of every varying edge.
+    varying = [eid for eid, fixed in enumerate(constant) if not fixed]
+    flow: list[float] = []
     iterations = 0
     converged = False
     for k in itertools.count():
-        if k and k % 256 == 0:
+        if k % 256 == 0:
             flow = _flow_from_weights(instance, weights)
-            moved = None
-        if moved is None:
-            c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
-        else:
-            for eid in moved:
-                c[eid] = cost_of[eid](float(flow[eid]))
+            for eid in varying:
+                c[eid] = cost_of[eid](flow[eid])
         best, _, total, gap = _frozen_gap(instance, flow, c, demand)
         if callback is not None:
-            callback(k, flow.copy(), total, gap)
+            callback(k, np.array(flow), total, gap)
         if _within_tolerance(gap, total, cfg.tolerance):
             converged = True
             break
@@ -628,7 +693,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             break
         # the flow was rebuilt from `weights` at this k, a multiple of 256
         if k >= _ADDITIVE_FINISH_FROM and (k & (k - 1)) == 0:
-            finished = _additive_finish(instance, cfg, cost_of, gamma_eff, weights,
+            finished = _additive_finish(instance, cfg, table, gamma_eff, weights,
                                         flow, c, best)
             if finished is not None:
                 weights, converged = finished, True
@@ -645,20 +710,21 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             deltas[eid] = deltas.get(eid, 0.0) - 1.0
         deltas = {eid: s for eid, s in deltas.items() if s != 0.0}
         t_max = weights[worst]
-        t = _line_search(instance, flow, deltas, t_max, gamma_eff, cost_of) if deltas else t_max
+        t = _line_search(table, flow, c, deltas, t_max) if deltas else t_max
         remainder = t_max - t
         if remainder <= _PRUNE_REL * demand:
             t = t_max
         for eid, s in deltas.items():
-            flow[eid] = max(flow[eid] + s * t, 0.0)
-        moved = deltas
+            x = flow[eid] = max(flow[eid] + s * t, 0.0)
+            if not constant[eid]:
+                c[eid] = cost_of[eid](x)
         weights[best] = weights.get(best, 0.0) + t
         if t >= t_max:
             del weights[worst]
         else:
             weights[worst] = t_max - t
 
-    flow = _flow_from_weights(instance, weights)
+    flow = np.array(_flow_from_weights(instance, weights))
     gap, total, dist = _edge_gap(instance, flow, cost_of, demand)
     residual = gap / total if total > 0.0 else 0.0
     return EquilibriumResult(flow, _prune_path_flow(weights, demand), dist,
@@ -767,6 +833,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         for eid in p:
             incidence[i, eid] = 1.0
     lat, var = _moment_fns(instance)
+    edge_knots, curved = _edge_knots(instance, instance.gamma)
     q0 = _path_costs(instance, paths, *_moments_at(lat, var, [0.0] * m))
     if demand == 0.0:
         return EquilibriumResult(zero_flow(instance), PathFlow.of([]),
@@ -827,7 +894,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
 
         # pair_diff(0) is -gap bit for bit; at most 60 calls, what a 60-step
         # bisection would spend
-        t = _step_root(pair_diff, move, *_slope_knots(instance, moved, move, instance.gamma),
+        t = _step_root(pair_diff, move, *_slope_knots(edge_knots, curved, moved, move),
                        60, -s.gap)
         amounts[worst] -= t
         amounts[best] += t
@@ -966,7 +1033,7 @@ def result_from_paths(instance: NetworkInstance, path_flow: PathFlow) -> Equilib
     demand = path_flow.total()
     if _edge_additive(instance):
         gap, total, common = _edge_gap(instance, flow,
-                                       _edge_cost_fns(instance, instance.gamma), demand)
+                                       _edge_table(instance, instance.gamma).cost, demand)
     else:
         paths = enumerate_paths(instance)
         index = {p: i for i, p in enumerate(paths)}

@@ -2,6 +2,8 @@
 
 import builtins
 import math
+import struct
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -260,6 +262,21 @@ def test_family_iteration_counts_are_pinned(level, variant, rawe_iterations,
                                                   variant=variant))
     assert rr.solve_rawe_meanvar(inst).iterations == rawe_iterations
     assert rr.solve_rnwe(inst).iterations == rnwe_iterations
+
+
+@pytest.mark.parametrize("make, rnwe_iterations, rawe_iterations", [
+    (synthetic.random_affine_instance, [1, 1, 1, 30, 30], [1, 1, 24, 34, 25]),
+    (lambda seed: synthetic.random_polynomial_instance(seed, 3),
+     [20, 1, 57, 1, 20], [19, 1, 1, 19, 0]),
+], ids=["affine", "poly3"])
+def test_sweep_iteration_counts_are_pinned(make, rnwe_iterations, rawe_iterations):
+    # branches the recursive family never takes: the affine instances weigh
+    # in `Affine` variances, which the edge table does not fold, and the
+    # cubic ones step on curved pieces, where Illinois starts from the
+    # derivative at 0 the loop already holds
+    got = [(rr.solve_rnwe(make(seed)).iterations, rr.solve_rawe_meanvar(make(seed)).iterations)
+           for seed in range(5)]
+    assert got == list(zip(rnwe_iterations, rawe_iterations))
 
 
 def _compensated_sum(items, start=0):
@@ -544,7 +561,7 @@ def _steps(draw):
              + [(eid, t_max + draw(st.floats(0.0, 2.0)), -1.0) for eid in paths[1]])
 
     if model is rr.RiskModel.MEAN_VAR or gamma == 0.0:
-        cost_of = solver._edge_cost_fns(inst, gamma)
+        cost_of = solver._edge_table(inst, gamma).cost
 
         def costs(t):
             return [d * cost_of[eid](f + d * t) for eid, f, d in moves]
@@ -570,7 +587,7 @@ def _steps(draw):
 
         def size(t):
             return math.fsum(pair(t))
-    knots, linear = solver._slope_knots(inst, moves, t_max, gamma)
+    knots, linear = solver._slope_knots(*solver._edge_knots(inst, gamma), moves, t_max)
     return fn, knots, linear, t_max, max(size(0.0), size(t_max))
 
 
@@ -634,3 +651,106 @@ def test_solve_rawe_dispatches_on_risk_model(variant):
                                    direct.vi_residual, direct.iterations,
                                    direct.converged)
 
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _cost_reference(lat, var, gamma):
+    """The edge cost as the solver defined it before the edge table."""
+    if gamma == 0.0:
+        return lat
+    return lambda x: lat(x) + gamma * var(x)
+
+
+def _pwl_reference(fn, x):
+    """`PiecewiseLinear.__call__` before its pieces were precomputed."""
+    x = max(x, 0.0)
+    pts = fn.points
+    i = bisect_right([p[0] for p in pts], x)
+    if i == 0:
+        return pts[0][1]
+    if i == len(pts):
+        xk, yk = pts[-1]
+        (x0, y0), (x1, y1) = pts[-2:] if len(pts) > 1 else ((0.0, 0.0), (1.0, 0.0))
+        return yk + (y1 - y0) / (x1 - x0) * (x - xk)
+    (xa, ya), (xb, yb) = pts[i - 1], pts[i]
+    return ya + (yb - ya) * (x - xa) / (xb - xa)
+
+
+# flows at which the table must match the definition besides random ones:
+# a signed zero and tiny negative underflows, which every function clamps
+_EDGE_FLOWS = [0.0, -0.0, -5e-324, -1e-300, -1e-12]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_functions(), _functions(), st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+       st.sampled_from(list(rr.RiskModel)), st.lists(st.floats(0.0, 20.0), max_size=6),
+       st.floats(0.0, 20.0), st.floats(0.0, 20.0))
+def test_edge_table_is_the_cost_definition_bit_for_bit(lat, var, gamma, model, xs, lo, width):
+    inst = rr.NetworkInstance(2, (rr.Edge(0, 1, lat, var),), 0, 1, 1.0, gamma, model)
+    table = solver._edge_table(inst, gamma)
+    cost, constant, knots, curved = (column[0] for column in table)
+    reference = _cost_reference(lat, var, gamma)
+    breaks = [x for fn in (lat, var) if isinstance(fn, rr.PiecewiseLinear)
+              for x, _ in fn.points]
+    values = {_bits(cost(x)) for x in [*xs, *breaks, *_EDGE_FLOWS]}
+    for x in [*xs, *breaks, *_EDGE_FLOWS]:
+        assert _bits(cost(x)) == _bits(reference(x)), x
+    # flagged constant by kind: a Constant latency, and a Constant variance
+    # unless gamma is 0; such a cost does not move.  A flat function of
+    # another kind (slope 0) is evaluated as any other, with the same bits
+    assert constant == (isinstance(lat, rr.Constant)
+                        and (gamma == 0.0 or isinstance(var, rr.Constant)))
+    if constant:
+        assert len(values) == 1
+    # the table's knots inside (lo, hi) are those the functions report
+    hi = lo + width
+    fns = (lat,) if gamma == 0.0 else (lat, var)
+    found = [fn.knots_between(lo, hi) for fn in fns]
+    assert [x for x in knots if lo < x < hi] == sorted(
+        {x for ks in found if ks is not None for x in ks})
+    stdev = gamma != 0.0 and model is rr.RiskModel.MEAN_STDEV
+    assert curved == any(fn.knots_between(0.0, math.inf) is None for fn in fns) or (
+        stdev and not isinstance(var, rr.Constant))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_piecewise_linear(), st.lists(st.floats(-1.0, 20.0), max_size=8))
+def test_piecewise_linear_call_matches_its_reference(fn, xs):
+    points = [x for x, _ in fn.points]
+    for x in [*xs, *points, *_EDGE_FLOWS, math.nan, math.inf]:
+        assert _bits(fn(x)) == _bits(_pwl_reference(fn, x)), x
+
+
+def _slope_knots_reference(inst, moves, t_max, gamma_eff):
+    """`solver._slope_knots` before the per-edge knot tuples: every step
+    asked each moved function for its knots."""
+    knots = set()
+    linear = True
+    for eid, f, d in moves:
+        e = inst.edges[eid]
+        lo, hi = (f, f + t_max) if d > 0 else (f - t_max, f)
+        for fn in (e.latency,) if gamma_eff == 0.0 else (e.latency, e.variability):
+            ks = fn.knots_between(max(lo, 0.0), hi)
+            if ks is None:
+                linear = False
+            else:
+                for x in ks:
+                    knots.add((x - f) / d)
+    if linear and gamma_eff != 0.0 and inst.risk_model is rr.RiskModel.MEAN_STDEV:
+        linear = all(isinstance(inst.edges[eid].variability, rr.Constant)
+                     for eid, _, _ in moves)
+    return knots, linear
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances_with_flows(), st.floats(0.01, 5.0), st.data())
+def test_slope_knots_from_the_table_match_the_functions(case, t_max, data):
+    inst, flow = case
+    moves = [(eid, float(flow[eid]), data.draw(st.sampled_from([1.0, -1.0])))
+             for eid in range(len(inst.edges)) if data.draw(st.booleans())]
+    for gamma_eff in {0.0, inst.gamma}:
+        got = solver._slope_knots(*solver._edge_knots(inst, gamma_eff), moves, t_max)
+        assert got == _slope_knots_reference(inst, moves, t_max, gamma_eff)
