@@ -9,7 +9,8 @@ Subcommands:
     sweep      run seeded batches and emit a CSV of bound checks
 
 Exit codes: 0 on success, 1 when a verification or bound check fails or a
-solver does not converge, 2 on usage or input errors.  Relative output
+solver does not converge, 2 on usage or input errors, an instance with more
+paths than the mean-stdev solver enumerates (4,096) included.  Relative output
 paths are resolved against $RISKROUTE_OUT_DIR when that variable is set.
 """
 
@@ -22,7 +23,7 @@ import os
 import sys
 
 from . import analysis, instances, serialization, synthetic
-from .network import NetworkInstance, RiskModel, with_risk_model
+from .network import NetworkInstance, PathCapExceeded, RiskModel, with_risk_model
 from .solver import EquilibriumResult, SolverConfig, solve_rawe, solve_rnwe
 
 OUT_DIR_ENV = "RISKROUTE_OUT_DIR"
@@ -102,10 +103,11 @@ def _solve(args) -> int:
     instance = serialization.read_instance(args.input)
     cfg = SolverConfig(args.tolerance, args.max_iters)
     results: list[tuple[str, EquilibriumResult]] = []
-    if args.mode in ("rnwe", "both"):
-        results.append(("rnwe", solve_rnwe(instance, cfg)))
+    # risk-averse first, as in `_solve_pair`; the report lists rnwe first
     if args.mode in ("rawe", "both"):
         results.append(("rawe", solve_rawe(instance, cfg)))
+    if args.mode in ("rnwe", "both"):
+        results.insert(0, ("rnwe", solve_rnwe(instance, cfg)))
     status = 0
     for name, res in results:
         print(f"{name}: converged={res.converged} iterations={res.iterations} "
@@ -139,11 +141,13 @@ def _solve_pair(instance: NetworkInstance, cfg: SolverConfig,
     """(rawe, rnwe) of `instance`, or None when either solve did not converge.
 
     The risk-neutral solve routes `rn_demand` when given, else the
-    instance's demand.
+    instance's demand.  The risk-averse solve runs first, so that an
+    instance over the mean-stdev path cap fails at once, not after the
+    risk-neutral solve.
     """
+    rawe = solve_rawe(instance, cfg)
     neutral = instance if rn_demand is None else dataclasses.replace(instance, demand=rn_demand)
     rnwe = solve_rnwe(neutral, cfg)
-    rawe = solve_rawe(instance, cfg)
     if not (rawe.converged and rnwe.converged):
         return None
     return rawe, rnwe
@@ -352,7 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (serialization.FormatError, OSError, ValueError) as exc:
+    except (serialization.FormatError, OSError, ValueError, PathCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

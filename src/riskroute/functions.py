@@ -47,8 +47,9 @@ class LatencyFn:
     def knots_between(self, lo: float, hi: float) -> list[float] | None:
         """Slope-change points strictly inside (lo, hi).
 
-        Returns None when the function is not piecewise linear, in which
-        case callers must fall back to iterative line search.
+        Returns None when the function is not piecewise linear: the
+        solvers' step (`solver._step_root`) then runs Illinois regula falsi
+        on the curved piece instead of interpolating.
         """
         raise NotImplementedError
 

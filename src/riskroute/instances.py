@@ -414,7 +414,7 @@ def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
     # perceived cost of every path at the risk-averse flow, when the costs
     # are not edge additive and the residual is read off the path costs
     costs = None
-    if instance.risk_model is RiskModel.MEAN_VAR or instance.gamma == 0.0:
+    if instance.edge_additive:
         res = vi_residual(instance, rawe_flow)
         if res > tol:
             failures.append(f"rawe equilibrium residual {res:.3e} exceeds {tol:.1e}")

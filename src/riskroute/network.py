@@ -100,6 +100,16 @@ class NetworkInstance:
         return self._out[vertex]
 
     @property
+    def edge_additive(self) -> bool:
+        """Whether perceived path costs are sums of edge costs: mean-var, or gamma 0.
+
+        Such costs have a congestion potential, and their equilibria are
+        found and checked edge by edge; mean-stdev costs with gamma > 0 are
+        not, and are handled path by path.
+        """
+        return self.gamma == 0.0 or self.risk_model is RiskModel.MEAN_VAR
+
+    @property
     def topological_order(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...] | None:
         """The vertices on source->sink paths in topological order, or None.
 
@@ -314,7 +324,7 @@ def enumerate_paths(instance: NetworkInstance, cap: int = 4096) -> list[tuple[in
             if head == instance.sink:
                 if len(paths) >= cap:
                     raise PathCapExceeded(
-                        f"more than {cap} simple paths; raise the cap to enumerate")
+                        f"more than {cap} simple source->sink paths (the enumeration cap)")
                 paths.append(tuple(prefix) + (eid,))
                 continue
             prefix.append(eid)

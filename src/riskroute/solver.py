@@ -27,13 +27,16 @@ depend on which route computed them.  Float sums are left-to-right loops,
 not sum(), which is compensated from Python 3.12 on, so the iterates do
 not depend on the Python version either.
 
-Mean-stdev path costs are not edge additive, so that solver works directly
-on the enumerated path set.  Its pair steps shift flow from the costliest
-used path to the cheapest one.  Each evaluates each edge's latency and
-variance once and sums every path from those values; the search for the
-transfer re-evaluates only the edges on exactly one of the two paths, the
-only ones the transfer moves, and takes their knots from per-edge tuples
-built once per solve (`_edge_knots`).
+Mean-stdev path costs with gamma > 0 are not edge additive, so that solver
+works directly on the enumerated path set.  At gamma 0 they are the mean
+latencies, and `solve_rawe_meanstdev` runs the additive loop as
+`solve_rnwe` does (`NetworkInstance.edge_additive` decides), so the two
+equilibria of a gamma-0 instance are the same bits.  The path loop's pair
+steps shift flow from the costliest used path to the cheapest one.  Each
+evaluates each edge's latency and variance once and sums every path from
+those values; the search for the transfer re-evaluates only the edges on
+exactly one of the two paths, the only ones the transfer moves, and takes
+their knots from per-edge tuples built once per solve (`_edge_knots`).
 
 Pair steps, in both solvers, find the used paths quickly but equalize
 their costs slowly.  So a Newton finish solves the equal-cost system of
@@ -60,11 +63,14 @@ same precision needs 60 or more.
 
 Convergence is certified by a variational-inequality residual: the total
 perceived cost of the current flow minus the cheapest possible perceived
-cost of the same demand at frozen costs.  A solve reports converged once
-the absolute residual drops below tolerance * min(1, total cost), which
-bounds both the absolute and the relative residual by the tolerance; the
-reported `vi_residual` is the relative form.  Running out of iterations
-sets converged=False, it does not raise.
+cost of the same demand at frozen costs.  The additive loop reports
+converged once that residual drops below tolerance * min(1, total cost),
+which bounds both the absolute and the relative residual by the
+tolerance; the path loop once the costliest used path is within tolerance
+* min(1, its cost) of the cheapest path, which bounds the residual as
+well.  Both use one test (`_within_tolerance`), and the reported
+`vi_residual` is the relative form.  Running out of iterations sets
+converged=False, it does not raise.
 
 All shortest-path ties are broken toward the lexicographically smallest
 edge-id sequence, so repeated runs are bit-for-bit reproducible.
@@ -106,10 +112,14 @@ class SolverConfig:
 class EquilibriumResult:
     """Solver output.
 
-    `flow` is the authoritative edge flow.  `path_flow` is a decomposition
-    of it; whenever converged=True every listed path with positive amount
-    has perceived cost within tolerance of `common_cost` (relative).
-    `vi_residual` stores the relative variational-inequality gap of `flow`.
+    `flow` is the authoritative edge flow and `path_flow` a decomposition
+    of it.  `common_cost` is the cheapest path's perceived cost at `flow`,
+    and `vi_residual` the relative variational-inequality gap of `flow`.
+    What converged=True guarantees is vi_residual <= the solve's tolerance.
+    The mean-stdev path loop also bounds each listed path, whose cost is at
+    most `common_cost` + tolerance * min(1, `common_cost`); the additive
+    loop bounds only the flow-weighted total, so a path carrying little
+    flow may cost more than that.
     """
 
     flow: np.ndarray
@@ -246,17 +256,12 @@ def _dag_shortest_path(instance: NetworkInstance, costs: list[float],
     return path_to(sink), dist[sink]
 
 
-def _edge_additive(instance: NetworkInstance) -> bool:
-    """Whether perceived path costs are sums of edge costs: mean-var, or gamma 0."""
-    return instance.gamma == 0.0 or instance.risk_model is RiskModel.MEAN_VAR
-
-
 def beckmann_potential(instance: NetworkInstance, flow) -> float:
     """Congestion potential: sum over edges of the cost integral up to f_e.
 
     ValueError on a mean-stdev instance with gamma > 0, which has none.
     """
-    if not _edge_additive(instance):
+    if not instance.edge_additive:
         raise ValueError("beckmann_potential needs edge-additive costs")
     total = 0.0
     for eid, e in enumerate(instance.edges):
@@ -282,11 +287,11 @@ def _edge_gap(instance: NetworkInstance, flow: np.ndarray, cost_of: list,
 
 
 def _path_costs(instance: NetworkInstance, paths, means: list[float],
-                variances: list[float] | None) -> list[float]:
+                variances: list[float]) -> list[float]:
     """Perceived cost of each path from per-edge means and variances.
 
     `means[e]` and `variances[e]` are edge e's latency and variance at one
-    flow; `variances` may be None when gamma is 0.  Each path sums left to
+    flow; at gamma 0 the variances are not read.  Each path sums left to
     right, not with sum(), which is compensated over floats from Python
     3.12 on, so every cost has the bits `network.path_cost` gives at that
     flow.
@@ -307,18 +312,18 @@ def _path_costs(instance: NetworkInstance, paths, means: list[float],
     return costs
 
 
-def _moment_fns(instance: NetworkInstance) -> tuple[list, list | None]:
-    """Per-edge latency and variance callables, bound once; no variances at gamma 0."""
-    lat = [e.latency.__call__ for e in instance.edges]
-    if instance.gamma == 0.0:
-        return lat, None
-    return lat, [e.variability.__call__ for e in instance.edges]
+def _moment_fns(instance: NetworkInstance) -> tuple[list, list]:
+    """Per-edge latency and variance callables, bound once.
+
+    The path loop runs at gamma > 0 only, so it always reads both.
+    """
+    return ([e.latency.__call__ for e in instance.edges],
+            [e.variability.__call__ for e in instance.edges])
 
 
-def _moments_at(lat: list, var: list | None, flow: list[float]) -> tuple[list, list | None]:
+def _moments_at(lat: list, var: list, flow: list[float]) -> tuple[list, list]:
     """Each edge's mean and variance at the edge flow `flow`, one call per function."""
-    return ([f(x) for f, x in zip(lat, flow)],
-            None if var is None else [f(x) for f, x in zip(var, flow)])
+    return [f(x) for f, x in zip(lat, flow)], [f(x) for f, x in zip(var, flow)]
 
 
 def _path_gap(instance: NetworkInstance, paths: list, amounts: np.ndarray,
@@ -345,7 +350,7 @@ def vi_residual(instance: NetworkInstance, flow) -> float:
     ValueError on a mean-stdev instance with gamma > 0: its costs are not
     edge additive.
     """
-    if not _edge_additive(instance):
+    if not instance.edge_additive:
         raise ValueError("vi_residual needs edge-additive costs: mean-var, or gamma 0")
     flow = np.asarray(flow, dtype=float)
     gap, _, _ = _edge_gap(instance, flow, _edge_table(instance, instance.gamma).cost,
@@ -617,9 +622,13 @@ def _frozen_gap(instance: NetworkInstance, flow: list[float] | np.ndarray, c: li
     return best, dist, total, max(total - demand * dist, 0.0)
 
 
-def _within_tolerance(gap: float, total: float, tolerance: float) -> bool:
-    """The convergence test: gap <= tolerance * min(1, total), 1 when total is 0."""
-    return gap <= tolerance * min(1.0, total if total > 0.0 else 1.0)
+def _within_tolerance(gap: float, scale: float, tolerance: float) -> bool:
+    """The convergence test: gap <= tolerance * min(1, scale), 1 when scale <= 0.
+
+    The additive loop's `scale` is the total perceived cost, the path
+    loop's the cheapest path's cost.
+    """
+    return gap <= tolerance * min(1.0, scale if scale > 0.0 else 1.0)
 
 
 def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, table: _EdgeTable,
@@ -763,17 +772,17 @@ def solve_rawe(instance: NetworkInstance, cfg: SolverConfig = SolverConfig()) ->
 
 
 class _PathState(NamedTuple):
-    """The mean-stdev loop's view of path amounts.
+    """The mean-stdev loop's view of path amounts, at gamma > 0 only.
 
-    The edge flow, each edge's mean and variance there (None at gamma 0),
-    the path costs q, the cheapest path, the used paths (amount above the
-    cut), the costliest used path, their cost gap and whether it is within
-    the solve's tolerance.
+    The edge flow, each edge's mean and variance there, the path costs q,
+    the cheapest path, the used paths (amount above the cut), the
+    costliest used path, their cost gap and whether it is within the
+    solve's tolerance (`_within_tolerance`, scaled by the cheapest cost).
     """
 
     flow: list[float]
     means: list[float]
-    variances: list[float] | None
+    variances: list[float]
     q: np.ndarray
     best: int
     used: np.ndarray
@@ -813,8 +822,10 @@ def _newton_finish(instance: NetworkInstance, incidence: np.ndarray, state,
 def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
     """Mean-stdev risk-averse equilibrium over the enumerated path set.
 
-    Path costs are not edge additive here, so the solver iterates directly
-    on path amounts: each round moves flow from the costliest used path to
+    At gamma 0 the costs are edge additive (`NetworkInstance.edge_additive`)
+    and this is `solve_rnwe`'s additive loop, the same bits.  Otherwise path
+    costs are not edge additive, so the solver iterates directly on path
+    amounts: each round moves flow from the costliest used path to
     the cheapest path, choosing the transfer that equalizes the pair's
     costs.  Stops once every used path is within tolerance of the
     cheapest.  At pair iterations 64, 128, 256, ... a Newton finish
@@ -825,6 +836,8 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
     """
     if instance.risk_model is not RiskModel.MEAN_STDEV:
         raise ValueError("solve_rawe_meanstdev requires a mean-stdev instance")
+    if instance.edge_additive:
+        return _solve_additive(instance, cfg, 0.0)
     paths = enumerate_paths(instance)
     demand = instance.demand
     m = len(instance.edges)
@@ -849,9 +862,8 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         used = np.flatnonzero(amounts > used_cut)
         worst = int(used[np.argmax(q[used])])
         gap = float(q[worst] - q[best])
-        scale = min(1.0, float(q[best])) if q[best] > 0.0 else 1.0
         return _PathState(flow, means, variances, q, best, used, worst, gap,
-                          gap <= cfg.tolerance * scale)
+                          _within_tolerance(gap, float(q[best]), cfg.tolerance))
 
     amounts = np.zeros(len(paths))
     amounts[int(np.argmin(q0))] = demand
@@ -887,8 +899,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
             for eid, f, d in moved:
                 x = f + d * t
                 means[eid] = lat[eid](x)
-                if var is not None:
-                    variances[eid] = var[eid](x)
+                variances[eid] = var[eid](x)
             cw, cb = _path_costs(instance, pair, means, variances)
             return cb - cw
 
@@ -1031,7 +1042,7 @@ def result_from_paths(instance: NetworkInstance, path_flow: PathFlow) -> Equilib
     """
     flow = induced_edge_flow(instance, path_flow)
     demand = path_flow.total()
-    if _edge_additive(instance):
+    if instance.edge_additive:
         gap, total, common = _edge_gap(instance, flow,
                                        _edge_table(instance, instance.gamma).cost, demand)
     else:

@@ -305,3 +305,23 @@ def test_analyze_computes_shared_quantities_once(monkeypatch):
     analysis.analyze(inst, rawe, rnwe, (rr.BoundKind.TOPOLOGICAL_VERTICES,))
     assert calls == {"compute_pra": 1, "find_alternating_path": 0,
                      "estimate_smoothness_mu": 0}
+
+
+def _fields(res):
+    return (res.flow.tobytes(), res.path_flow, res.common_cost, res.vi_residual,
+            res.iterations, res.converged)
+
+
+@pytest.mark.parametrize("what", ["series-parallel", "braess", "domino", "affine"])
+def test_gamma_zero_equilibria_coincide_and_meet_every_bound(what):
+    # At gamma 0 the risk-averse equilibrium is the risk-neutral one, so the
+    # PRA is exactly 1 and meets each bound 1 + eta * gamma * kappa = 1 with
+    # equality: the two solves must be the same bits, or solver noise flips
+    # the verdict.  The first three families are mean-stdev, affine is mean-var.
+    for seed in range(200):
+        inst = rr.with_gamma(_SWEEP_MAKERS[what](seed), 0.0)
+        rawe, rnwe = _solved(inst)
+        assert _fields(rawe) == _fields(rnwe), seed
+        assert analysis.compute_pra(inst, rawe, rnwe) == 1.0, seed
+        for rep in rr.analyze(inst, rawe, rnwe).values():
+            assert rep.satisfied or "inapplicable" in rep.note, (seed, rep)

@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+import riskroute as rr
 from riskroute import serialization as ser
 from riskroute.cli import main
 
@@ -202,3 +203,35 @@ def test_out_dir_env_var_resolves_relative_paths(tmp_path, monkeypatch):
     code, _, _ = _run(["generate", "--family", "braess", "--out", "rel.txt"])
     assert code == 0
     assert (tmp_path / "rel.txt").exists()
+
+
+def test_gamma_zero_meanstdev_instance_meets_every_bound(tmp_path):
+    # at gamma 0 both equilibria are one solve, so PRA 1 meets the bounds
+    # 1 + eta * gamma * kappa = 1 exactly instead of missing them by noise
+    path = tmp_path / "domino.txt"
+    code, _, _ = _run(["generate", "--family", "domino", "--seed", "1",
+                       "--risk-model", "mean-stdev", "--out", str(path)])
+    assert code == 0
+    ser.write_instance(path, rr.with_gamma(ser.read_instance(path), 0.0))
+    code, out, err = _run(["analyze", "--in", str(path)])
+    assert code == 0, out + err
+    assert "VIOLATED" not in out
+
+
+def _parallel_pairs_in_series(pairs):
+    edges = tuple(rr.Edge(v, v + 1, rr.Affine(1.0, 1.0), rr.Constant(1.0))
+                  for v in range(pairs) for _ in range(2))
+    return rr.NetworkInstance(pairs + 1, edges, 0, pairs, 1.0, 1.0,
+                              rr.RiskModel.MEAN_STDEV)
+
+
+@pytest.mark.parametrize("argv", [["solve", "--mode", "rawe"], ["solve"], ["analyze"]])
+def test_instance_over_the_path_cap_is_an_input_error(tmp_path, argv):
+    # 13 pairs give 8,192 paths, more than the mean-stdev solver enumerates
+    path = tmp_path / "pairs.txt"
+    ser.write_instance(path, _parallel_pairs_in_series(13))
+    code, out, err = _run([*argv, "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: more than 4096 simple source->sink paths (the enumeration cap)"]

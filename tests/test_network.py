@@ -78,6 +78,14 @@ def test_gamma_zero_cost_is_mean_latency():
     assert rr.path_cost(inst, (0, 1), flow) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_edge_additive_is_mean_var_or_gamma_zero():
+    stdev = _series_meanstdev()
+    assert not stdev.edge_additive
+    assert rr.with_gamma(stdev, 0.0).edge_additive
+    for gamma in (0.0, 2.0):
+        assert rr.with_risk_model(rr.with_gamma(stdev, gamma), rr.RiskModel.MEAN_VAR).edge_additive
+
+
 def test_social_cost_uses_means_only():
     inst = rr.build_braess()
     flow = np.array([1.0, 0.0, 0.0, 1.0, 1.0])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskroute as rr
 from riskroute import serialization as ser
@@ -163,3 +165,52 @@ def test_non_numeric_result_header_names_its_key(key):
              for line in ser.dumps_result(rr.solve_rnwe(inst)).splitlines()]
     with pytest.raises(ser.FormatError, match=f"^{key}: expected"):
         ser.loads_result("\n".join(lines))
+
+
+# any finite nonnegative float, subnormals and huge values included: the
+# text keeps repr(), which reads back to the same bits
+_value = st.floats(0.0, 1e300)
+
+
+@st.composite
+def _piecewise_linear(draw):
+    xs = sorted(draw(st.lists(_value, min_size=1, max_size=5, unique=True)))
+    ys = sorted(draw(st.lists(_value, min_size=len(xs), max_size=len(xs))))
+    return rr.PiecewiseLinear(tuple(zip(xs, ys)))
+
+
+_functions = st.one_of(
+    st.builds(rr.Constant, _value),
+    st.builds(rr.Affine, _value, _value),
+    st.lists(_value, max_size=5).map(lambda cs: rr.Polynomial(tuple(cs))),
+    _piecewise_linear())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_functions)
+def test_every_function_spec_round_trips(fn):
+    text = ser.function_to_text(fn)
+    assert ser.function_from_text(text) == fn
+    assert ser.function_to_text(ser.function_from_text(text)) == text
+
+
+@st.composite
+def _instances(draw):
+    """Small DAGs with a source->sink edge, any function kinds, either risk
+    model, and gamma 0 or positive."""
+    n = draw(st.integers(2, 5))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda a: a[0] < a[1]), max_size=6))
+    arcs.append((0, n - 1))
+    edges = tuple(rr.Edge(a, b, draw(_functions), draw(_functions)) for a, b in arcs)
+    return rr.NetworkInstance(n, edges, 0, n - 1, draw(_value),
+                              draw(st.one_of(st.just(0.0), _value)),
+                              draw(st.sampled_from(list(rr.RiskModel))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instances())
+def test_every_instance_round_trips(inst):
+    text = ser.dumps_instance(inst)
+    assert ser.loads_instance(text) == inst
+    assert ser.dumps_instance(ser.loads_instance(text)) == text

@@ -279,6 +279,31 @@ def test_sweep_iteration_counts_are_pinned(make, rnwe_iterations, rawe_iteration
     assert got == list(zip(rnwe_iterations, rawe_iterations))
 
 
+_SWEEP_MAKERS = {
+    "affine": synthetic.random_affine_instance,
+    "poly3": lambda seed: synthetic.random_polynomial_instance(seed, 3),
+    "series-parallel": synthetic.random_series_parallel_instance,
+    "braess": synthetic.random_braess_instance,
+    "domino": synthetic.random_domino_instance,
+}
+
+
+@pytest.mark.parametrize("what", sorted(_SWEEP_MAKERS))
+def test_converged_bounds_the_vi_residual(what):
+    # what `EquilibriumResult` promises: converged=True from either loop
+    # means vi_residual <= tolerance, and the mean-stdev path loop also keeps
+    # every listed path within tolerance * min(1, common_cost) of common_cost
+    tol = SolverConfig().tolerance
+    for seed in range(10):
+        inst = _SWEEP_MAKERS[what](seed)
+        rawe = rr.solve_rawe(inst)
+        for res in (rr.solve_rnwe(inst), rawe):
+            assert res.converged and res.vi_residual <= tol, seed
+        if not inst.edge_additive:
+            cap = rawe.common_cost + tol * min(1.0, rawe.common_cost)
+            assert all(rr.path_cost(inst, p, rawe.flow) <= cap for p, _ in rawe.path_flow), seed
+
+
 def _compensated_sum(items, start=0):
     """sum() as Python 3.12 computes it over floats (Neumaier compensation)."""
     items = list(items)
