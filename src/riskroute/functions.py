@@ -87,7 +87,10 @@ class Affine(LatencyFn):
             raise ValueError(f"affine intercept must be finite and nonnegative, got {self.intercept}")
 
     def __call__(self, x: float) -> float:
-        return self.slope * max(x, 0.0) + self.intercept
+        # max(x, 0.0) without the call: keeps -0.0 and NaN as max does
+        if x < 0.0:
+            x = 0.0
+        return self.slope * x + self.intercept
 
     def integral(self, x: float) -> float:
         x = max(x, 0.0)
@@ -122,7 +125,9 @@ class Polynomial(LatencyFn):
         return len(self.coeffs) - 1
 
     def __call__(self, x: float) -> float:
-        x = max(x, 0.0)
+        # max(x, 0.0) without the call: keeps -0.0 and NaN as max does
+        if x < 0.0:
+            x = 0.0
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import LatencyFn
+from .functions import Constant, LatencyFn
 
 
 class GraphStructureError(ValueError):
@@ -101,13 +101,17 @@ class NetworkInstance:
 
     @property
     def edge_additive(self) -> bool:
-        """Whether perceived path costs are sums of edge costs: mean-var, or gamma 0.
+        """Whether perceived path costs are sums of edge costs.
 
-        Such costs have a congestion potential, and their equilibria are
-        found and checked edge by edge; mean-stdev costs with gamma > 0 are
-        not, and are handled path by path.
+        They are under mean-var, at gamma 0, and when every edge's
+        variability is Constant(0.0): a mean-stdev path cost is then its
+        mean latency, whatever gamma.  Such costs have a congestion
+        potential, and their equilibria are found and checked edge by edge;
+        other mean-stdev costs are not, and are handled path by path.
         """
-        return self.gamma == 0.0 or self.risk_model is RiskModel.MEAN_VAR
+        return (self.gamma == 0.0 or self.risk_model is RiskModel.MEAN_VAR
+                or all(isinstance(e.variability, Constant) and e.variability.value == 0.0
+                       for e in self.edges))
 
     @property
     def topological_order(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...] | None:
@@ -115,7 +119,8 @@ class NetworkInstance:
 
         Each vertex comes with its out-edges (edge id, head) that stay among
         those vertices.  None when those vertices span a cycle.  Computed on
-        first use and kept.
+        first use and kept.  The solvers' shortest-path sweep reads it as
+        in-edge lists, `topological_in_edges`.
         """
         order = getattr(self, "_dag_order", False)
         if order is not False:
@@ -140,6 +145,35 @@ class NetworkInstance:
         order = tuple(order) if len(order) == len(keep) else None
         object.__setattr__(self, "_dag_order", order)
         return order
+
+    @property
+    def topological_in_edges(self) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...] | None:
+        """The in-edges of the vertices of `topological_order`, by position.
+
+        Vertices are named by their position in `topological_order`: the
+        source is 0 and the sink comes last.  One (position, edge id, tail,
+        rest) per vertex but the source, in topological order: its in-edges
+        from those vertices are (edge id, tail) followed by the (edge id,
+        tail) pairs in `rest`, in the order a sweep of `topological_order`
+        meets them: by the tail's position, then in the tail's out-edge
+        order.  None when `topological_order` is None.  Computed on first
+        use and kept.
+        """
+        pull = getattr(self, "_dag_in", False)
+        if pull is not False:
+            return pull
+        order = self.topological_order
+        if order is None:
+            pull = None
+        else:
+            position = {v: i for i, (v, _) in enumerate(order)}
+            into: list[list[tuple[int, int]]] = [[] for _ in order]
+            for tail, (_, out) in enumerate(order):
+                for eid, head in out:
+                    into[position[head]].append((eid, tail))
+            pull = tuple((v, *into[v][0], tuple(into[v][1:])) for v in range(1, len(order)))
+        object.__setattr__(self, "_dag_in", pull)
+        return pull
 
 
 def _reachable(start: int, arcs) -> set[int]:

@@ -15,23 +15,31 @@ unless gamma is 0, a constant variance) and the flows where it changes
 slope.  A step changes the flow only on the edges where the two paths
 differ, so it recomputes the costs of those edges alone, and never a
 constant one: that is evaluated once per solve.  The flow rebuild every
-256 iterations recomputes every other cost.  The line search takes its
-knots from the table, the derivative at step 0 from the cost vector the
-loop holds, and a constant edge's share of the derivative once per step.
-The shortest path is one relaxation sweep over the vertices on
-source->sink paths in topological order, computed once per instance and
-shared by all its solves and checks; when those vertices span a cycle it
-is Dijkstra.  Both give the same path and distance, and every sum keeps
-the order and arithmetic of a full recompute, so the iterates do not
-depend on which route computed them.  Float sums are left-to-right loops,
-not sum(), which is compensated from Python 3.12 on, so the iterates do
-not depend on the Python version either.
+256 iterations recomputes every other cost.  One pass over the moved edges
+sets up a step: the line search's terms, in the order the derivative sums
+them, the derivative at step 0 from the cost vector the loop holds (a
+constant edge's share is taken once per step) and the knots from the
+table.  The gap's dot product reads numpy mirrors of the flow and cost
+lists, which the rebuild copies and each step updates in place, edge by
+moved edge: the same call on the same values as arrays built afresh.
+
+The shortest path is one pull sweep over the vertices on source->sink
+paths in topological order: each vertex takes the cheapest of its
+in-edges, met in the order a relaxation sweep would relax them.  The
+in-edge lists are built once per instance and shared by all its solves
+and checks (`NetworkInstance.topological_in_edges`); when those vertices
+span a cycle it is Dijkstra.  Both give the same path and distance, and
+every sum keeps the order and arithmetic of a full recompute, so the
+iterates do not depend on which route computed them.  Float sums are
+left-to-right loops, not sum(), which is compensated from Python 3.12 on,
+so the iterates do not depend on the Python version either.
 
 Mean-stdev path costs with gamma > 0 are not edge additive, so that solver
-works directly on the enumerated path set.  At gamma 0 they are the mean
-latencies, and `solve_rawe_meanstdev` runs the additive loop as
-`solve_rnwe` does (`NetworkInstance.edge_additive` decides), so the two
-equilibria of a gamma-0 instance are the same bits.  The path loop's pair
+works directly on the enumerated path set.  At gamma 0, or when every
+variance is Constant(0.0), they are the mean latencies, and
+`solve_rawe_meanstdev` runs the additive loop as `solve_rnwe` does
+(`NetworkInstance.edge_additive` decides), so the two equilibria of such
+an instance are the same bits.  The path loop's pair
 steps shift flow from the costliest used path to the cheapest one.  Each
 evaluates each edge's latency and variance once and sums every path from
 those values; the search for the transfer re-evaluates only the edges on
@@ -73,7 +81,10 @@ well.  Both use one test (`_within_tolerance`), and the reported
 converged=False, it does not raise.
 
 All shortest-path ties are broken toward the lexicographically smallest
-edge-id sequence, so repeated runs are bit-for-bit reproducible.
+edge-id sequence, so repeated runs are bit-for-bit reproducible.  Two
+tied paths into a vertex differ first where they part, so the sweep
+compares the two edges there; tied parallel edges part at once and
+compare by id.
 """
 
 from __future__ import annotations
@@ -189,14 +200,14 @@ def _edge_table(instance: NetworkInstance, gamma_eff: float) -> _EdgeTable:
 def _shortest_path(instance: NetworkInstance, costs) -> tuple[tuple[int, ...], float]:
     """Min-cost source->sink path; ties broken by smallest edge-id sequence.
 
-    One relaxation sweep in the instance's topological order, or Dijkstra
-    when the graph has a cycle.  Both return the same path and distance,
-    bit for bit.
+    One sweep over the instance's topological in-edge lists, each vertex
+    taking the cheapest of its in-edges, or Dijkstra when the graph has a
+    cycle.  Both return the same path and distance, bit for bit.
     """
-    order = instance.topological_order
-    if order is None:
+    pull = instance.topological_in_edges
+    if pull is None:
         return _dijkstra(instance, costs)
-    return _dag_shortest_path(instance, costs, order)
+    return _dag_shortest_path(costs, pull)
 
 
 def _dijkstra(instance: NetworkInstance, costs) -> tuple[tuple[int, ...], float]:
@@ -217,49 +228,55 @@ def _dijkstra(instance: NetworkInstance, costs) -> tuple[tuple[int, ...], float]
     raise GraphStructureError("sink not reachable from source")
 
 
-def _dag_shortest_path(instance: NetworkInstance, costs: list[float],
-                       order) -> tuple[tuple[int, ...], float]:
+def _dag_shortest_path(costs: list[float], pull) -> tuple[tuple[int, ...], float]:
     """Dijkstra's result on a DAG from one sweep in topological order.
 
-    Each vertex keeps the smallest distance, summed along the path as
+    `pull` is `NetworkInstance.topological_in_edges`.  Each vertex takes
+    the smallest distance over its in-edges, summed along the path as
     Dijkstra sums it, and among equal distances the smallest edge-id
     sequence, which is the (distance, path) pair Dijkstra pops first.  Only
-    the last edge of each path is kept; a path is walked back from it on an
-    exact distance tie and for the sink, when every vertex on the walk is
-    final.
+    the last edge of each vertex's path and its tail are kept.  The paths
+    of two tied in-edges share the path to the vertex where they meet and
+    differ first in the edges leaving it, so a tie compares those two;
+    they are found by walking back from the later of the two tails in
+    topological order until the walks meet.  Two parallel edges meet at
+    once, and compare by id.
     """
-    edges = instance.edges
-    n = instance.vertices
+    n = len(pull) + 1
     dist = [0.0] * n
     via = [-1] * n          # last edge of each vertex's chosen path
-
-    def path_to(v: int) -> tuple[int, ...]:
-        walk = []
-        e = via[v]
-        while e >= 0:
-            walk.append(e)
-            e = via[edges[e].tail]
-        return tuple(reversed(walk))
-
-    for v, out in order:
-        d = dist[v]
-        for eid, head in out:
-            nd = d + costs[eid]
-            e = via[head]
-            if e < 0 or nd < dist[head]:
-                dist[head] = nd
-                via[head] = eid
-            elif nd == dist[head] and path_to(v) + (eid,) < path_to(edges[e].tail) + (e,):
-                via[head] = eid
-    # every other kept vertex reaches the sink, so it comes last
-    sink = instance.sink
-    return path_to(sink), dist[sink]
+    prev = [0] * n          # its tail
+    for v, e, u, rest in pull:
+        d = dist[u] + costs[e]
+        for eid, tail in rest:
+            nd = dist[tail] + costs[eid]
+            if nd < d:
+                d, e, u = nd, eid, tail
+            elif nd == d:
+                a, b, ea, eb = tail, u, eid, e
+                while a != b:
+                    if a > b:
+                        ea, a = via[a], prev[a]
+                    else:
+                        eb, b = via[b], prev[b]
+                if ea < eb:
+                    e, u = eid, tail
+        dist[v] = d
+        via[v] = e
+        prev[v] = u
+    # the sink comes last
+    walk = []
+    v = n - 1
+    while v:
+        walk.append(via[v])
+        v = prev[v]
+    return tuple(reversed(walk)), dist[n - 1]
 
 
 def beckmann_potential(instance: NetworkInstance, flow) -> float:
     """Congestion potential: sum over edges of the cost integral up to f_e.
 
-    ValueError on a mean-stdev instance with gamma > 0, which has none.
+    ValueError when the costs are not edge additive, which have none.
     """
     if not instance.edge_additive:
         raise ValueError("beckmann_potential needs edge-additive costs")
@@ -347,33 +364,16 @@ def vi_residual(instance: NetworkInstance, flow) -> float:
     Total perceived cost of `flow` minus the cheapest way to route the same
     demand when edge costs stay frozen at their current values (one
     shortest-path computation).  Zero exactly at an equilibrium.  Raises
-    ValueError on a mean-stdev instance with gamma > 0: its costs are not
-    edge additive.
+    ValueError when the costs are not edge additive
+    (`NetworkInstance.edge_additive`).
     """
     if not instance.edge_additive:
-        raise ValueError("vi_residual needs edge-additive costs: mean-var, or gamma 0")
+        raise ValueError("vi_residual needs edge-additive costs: mean-var, gamma 0, "
+                         "or zero variances")
     flow = np.asarray(flow, dtype=float)
     gap, _, _ = _edge_gap(instance, flow, _edge_table(instance, instance.gamma).cost,
                           flow_demand(instance, flow))
     return gap
-
-
-def _costliest_path(paths, costs: list[float]) -> tuple[int, ...]:
-    """max(paths, key=lambda p: (cost of p, p)), without a call per path.
-
-    Each path cost is summed left to right, uncompensated: the same bits as
-    sum() over the numpy scalars of a cost array, whereas sum() over Python
-    floats is compensated from Python 3.12 on.
-    """
-    worst: tuple[int, ...] = ()
-    worst_cost = -math.inf
-    for path in paths:
-        q = 0.0
-        for eid in path:
-            q += costs[eid]
-        if q > worst_cost or (q == worst_cost and path > worst):
-            worst, worst_cost = path, q
-    return worst
 
 
 def _slope_knots(edge_knots: list, curved: list, moves,
@@ -466,33 +466,18 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     return a if -fa < fb else b
 
 
-def _line_search(table: _EdgeTable, flow: list[float], c: list[float],
-                 deltas: dict[int, float], t_max: float) -> float:
-    """Step length in [0, t_max] minimizing the potential along `deltas`.
+def _line_search(moves: list, v0: float, knots, linear: bool, t_max: float) -> float:
+    """Step length in [0, t_max] minimizing the potential along a pair step.
 
-    The derivative t -> sum_e delta_e * c_e(f_e + delta_e * t) is
-    non-decreasing; `_step_root` finds its root, exactly from the
-    slope-change knots for piecewise-linear costs and with Illinois for
-    polynomial ones.  `table` is the solve's `_EdgeTable` and `c` its costs
-    at `flow`.  One pass over `deltas` takes each edge's knots from the
-    table, the derivative at 0 from `c`, and for a constant-cost edge its
-    fixed term delta_e * c[e], which no call of the derivative evaluates
-    again.
+    The derivative t -> sum_e delta_e * c_e(f_e + delta_e * t) over the
+    moved edges e is non-decreasing; `_step_root` finds its root, exactly
+    from the slope-change `knots` for piecewise-linear costs (`linear`) and
+    with Illinois for polynomial ones.  `moves` holds one (cost, f_e,
+    delta_e, term) per moved edge, in the order the derivative sums them:
+    its cost function, or None for a constant-cost edge, whose fixed term
+    delta_e * c_e(f_e) no call of the derivative evaluates again.  `v0` is
+    the derivative at 0, the sum of the terms.
     """
-    cost_of, constant = table.cost, table.constant
-    moves, moved = [], []
-    v0 = 0.0
-    for eid, s in deltas.items():
-        f = flow[eid]
-        term = s * c[eid]
-        v0 += term
-        if constant[eid]:
-            moves.append((None, f, s, term))
-        else:
-            moves.append((cost_of[eid], f, s, term))
-            moved.append((eid, f, s))
-    knots, linear = _slope_knots(table.knots, table.curved, moved, t_max)
-
     def dphi(t: float) -> float:
         acc = 0.0
         for cost, f, s, term in moves:
@@ -672,7 +657,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
                     callback=None) -> EquilibriumResult:
     demand = instance.demand
     table = _edge_table(instance, gamma_eff)
-    cost_of, constant = table.cost, table.constant
+    cost_of, constant, edge_knots, curved = table
     c = [cost(0.0) for cost in cost_of]
     first, dist = _shortest_path(instance, c)
     if demand == 0.0:
@@ -682,7 +667,9 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
     # c holds the edge costs at `flow`, both lists of Python floats.  A
     # constant cost keeps its value from flow 0.  A step recomputes the costs
     # of the varying edges it moves, and the rebuild of `flow` every 256
-    # iterations those of every varying edge.
+    # iterations those of every varying edge.  flow_a and c_a mirror them as
+    # arrays for the gap's dot product: the rebuild copies them, and a step
+    # writes each edge it moves into both.
     varying = [eid for eid, fixed in enumerate(constant) if not fixed]
     flow: list[float] = []
     iterations = 0
@@ -692,7 +679,11 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             flow = _flow_from_weights(instance, weights)
             for eid in varying:
                 c[eid] = cost_of[eid](flow[eid])
-        best, _, total, gap = _frozen_gap(instance, flow, c, demand)
+            flow_a, c_a = np.array(flow), np.array(c)
+        # `_frozen_gap` on the mirrors
+        best, dist = _shortest_path(instance, c)
+        total = float(flow_a @ c_a)
+        gap = max(total - demand * dist, 0.0)
         if callback is not None:
             callback(k, np.array(flow), total, gap)
         if _within_tolerance(gap, total, cfg.tolerance):
@@ -709,24 +700,53 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
                 break
         iterations = k + 1
 
-        worst = _costliest_path(weights, c)
+        # the costliest path of the decomposition, the largest (cost, path);
+        # each cost summed left to right, not with sum()
+        worst: tuple[int, ...] = ()
+        worst_cost = -math.inf
+        for path in weights:
+            q = 0.0
+            for eid in path:
+                q += c[eid]
+            if q > worst_cost or (q == worst_cost and path > worst):
+                worst, worst_cost = path, q
         if worst == best:
             break
-        deltas: dict[int, float] = {}
-        for eid in best:
-            deltas[eid] = deltas.get(eid, 0.0) + 1.0
+        # moving t from worst to best moves the edges on exactly one of them,
+        # best's first: each simple path is its own edge set, so two
+        # different ones leave some
+        deltas = dict.fromkeys(best, 1.0)
         for eid in worst:
-            deltas[eid] = deltas.get(eid, 0.0) - 1.0
-        deltas = {eid: s for eid, s in deltas.items() if s != 0.0}
+            if eid in deltas:
+                del deltas[eid]
+            else:
+                deltas[eid] = -1.0
+        # one pass sets up the step: the derivative's terms in the order it
+        # sums them, its value at 0, and the moved varying edges for knots
+        moves, moved = [], []
+        v0 = 0.0
+        for eid, s in deltas.items():
+            f = flow[eid]
+            term = s * c[eid]
+            v0 += term
+            if constant[eid]:
+                moves.append((None, f, s, term))
+            else:
+                moves.append((cost_of[eid], f, s, term))
+                moved.append((eid, f, s))
         t_max = weights[worst]
-        t = _line_search(table, flow, c, deltas, t_max) if deltas else t_max
+        t = _line_search(moves, v0, *_slope_knots(edge_knots, curved, moved, t_max), t_max)
         remainder = t_max - t
         if remainder <= _PRUNE_REL * demand:
             t = t_max
-        for eid, s in deltas.items():
-            x = flow[eid] = max(flow[eid] + s * t, 0.0)
-            if not constant[eid]:
-                c[eid] = cost_of[eid](x)
+        for eid, (cost, f, s, _) in zip(deltas, moves):
+            # max(x, 0.0) without the call: keeps -0.0 and NaN as max does
+            x = f + s * t
+            if x < 0.0:
+                x = 0.0
+            flow[eid] = flow_a[eid] = x
+            if cost is not None:
+                c[eid] = c_a[eid] = cost(x)
         weights[best] = weights.get(best, 0.0) + t
         if t >= t_max:
             del weights[worst]
@@ -822,8 +842,9 @@ def _newton_finish(instance: NetworkInstance, incidence: np.ndarray, state,
 def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
     """Mean-stdev risk-averse equilibrium over the enumerated path set.
 
-    At gamma 0 the costs are edge additive (`NetworkInstance.edge_additive`)
-    and this is `solve_rnwe`'s additive loop, the same bits.  Otherwise path
+    At gamma 0, or with every variance Constant(0.0), the costs are edge
+    additive (`NetworkInstance.edge_additive`) and this is `solve_rnwe`'s
+    additive loop, the same bits.  Otherwise path
     costs are not edge additive, so the solver iterates directly on path
     amounts: each round moves flow from the costliest used path to
     the cheapest path, choosing the transfer that equalizes the pair's

@@ -325,3 +325,22 @@ def test_gamma_zero_equilibria_coincide_and_meet_every_bound(what):
         assert analysis.compute_pra(inst, rawe, rnwe) == 1.0, seed
         for rep in rr.analyze(inst, rawe, rnwe).values():
             assert rep.satisfied or "inapplicable" in rep.note, (seed, rep)
+
+
+@pytest.mark.parametrize("what", ["series-parallel", "braess", "domino"])
+def test_zero_variance_equilibria_coincide_and_meet_every_bound(what):
+    # A mean-stdev instance whose variances are all Constant(0.0) has kappa
+    # 0 and edge-additive costs at any gamma: both equilibria come from the
+    # additive loop, the same bits, so the PRA is exactly 1 and meets every
+    # bound.  With the risk-averse side on the path loop, 50 of these 600
+    # instances had an applicable bound violated by solver noise.
+    for seed in range(200):
+        inst = _SWEEP_MAKERS[what](seed)
+        inst = rr.with_edge_functions(inst, {eid: (e.latency, rr.Constant(0.0))
+                                             for eid, e in enumerate(inst.edges)})
+        assert inst.gamma > 0.0 and inst.risk_model is rr.RiskModel.MEAN_STDEV
+        rawe, rnwe = _solved(inst)
+        assert _fields(rawe) == _fields(rnwe), seed
+        assert analysis.compute_pra(inst, rawe, rnwe) == 1.0, seed
+        for rep in rr.analyze(inst, rawe, rnwe).values():
+            assert rep.satisfied or "inapplicable" in rep.note, (seed, rep)

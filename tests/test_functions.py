@@ -1,6 +1,7 @@
 """Latency function evaluation, exact integrals and breakpoint reporting."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import assume, given, settings
@@ -192,3 +193,26 @@ def test_derivative_hand_values():
     # the final slope past the last breakpoint
     assert [pwl.derivative(x) for x in (0.5, 1.0, 1.5, 2.0, 3.0, 9.0)] == \
         [0.0, 2.0, 2.0, 1.0, 1.0, 1.0]
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slope=_coef, intercept=_coef, coeffs=st.lists(_coef, min_size=1, max_size=4),
+       xs=st.lists(st.floats(-10.0, 10.0), max_size=6))
+def test_affine_and_polynomial_clamp_as_max_does(slope, intercept, coeffs, xs):
+    # the clamp is an if, not a call of max(x, 0.0); both keep -0.0 and NaN
+    affine, poly = Affine(slope, intercept), Polynomial(tuple(coeffs))
+
+    def poly_reference(x):
+        x = max(x, 0.0)
+        acc = 0.0
+        for c in reversed(poly.coeffs):
+            acc = acc * x + c
+        return acc
+
+    for x in [*xs, -0.0, 0.0, -1e-300, -5e-324, math.nan, -math.inf, math.inf]:
+        assert _bits(affine(x)) == _bits(slope * max(x, 0.0) + intercept), x
+        assert _bits(poly(x)) == _bits(poly_reference(x)), x

@@ -86,6 +86,20 @@ def test_edge_additive_is_mean_var_or_gamma_zero():
         assert rr.with_risk_model(rr.with_gamma(stdev, gamma), rr.RiskModel.MEAN_VAR).edge_additive
 
 
+def test_edge_additive_when_every_variance_is_constant_zero():
+    # a mean-stdev path cost with zero variance is its mean latency at any
+    # gamma; only Constant(0.0) counts, not a function that happens to be 0
+    stdev = _series_meanstdev()
+    assert stdev.gamma > 0.0
+    zero = {eid: (e.latency, rr.Constant(0.0)) for eid, e in enumerate(stdev.edges)}
+    assert rr.with_edge_functions(stdev, zero).edge_additive
+    one_left = dict(zero)
+    del one_left[1]
+    assert not rr.with_edge_functions(stdev, one_left).edge_additive
+    flat = {eid: (lat, rr.Affine(0.0, 0.0)) for eid, (lat, _) in zero.items()}
+    assert not rr.with_edge_functions(stdev, flat).edge_additive
+
+
 def test_social_cost_uses_means_only():
     inst = rr.build_braess()
     flow = np.array([1.0, 0.0, 0.0, 1.0, 1.0])

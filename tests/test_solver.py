@@ -228,7 +228,55 @@ def test_topological_sweep_matches_dijkstra(case):
     inst, costs = case
     order = inst.topological_order
     assert order is not None
-    assert solver._dag_shortest_path(inst, costs, order) == solver._dijkstra(inst, costs)
+    assert solver._dag_shortest_path(costs, inst.topological_in_edges) == solver._dijkstra(inst, costs)
+
+
+def test_parallel_edges_tie_toward_the_smaller_id():
+    # 0 -> 1 by parallel edges 3 and 1, 1 -> 2 by parallel edges 4 and 0,
+    # and 0 -> 2 directly by edge 2; every cost pattern in {0, 1}, so that
+    # parallel edges tie with each other and with the direct edge
+    zero = rr.Constant(0.0)
+    arcs = [(1, 2), (0, 1), (0, 2), (0, 1), (1, 2)]
+    inst = rr.NetworkInstance(3, tuple(rr.Edge(a, b, zero, zero) for a, b in arcs),
+                              0, 2, 1.0, 0.0, rr.RiskModel.MEAN_VAR)
+    pull = inst.topological_in_edges
+    assert pull == ((1, 1, 0, ((3, 0),)), (2, 2, 0, ((0, 1), (4, 1))))
+    for bits in range(2 ** len(arcs)):
+        costs = [float(bits >> i & 1) for i in range(len(arcs))]
+        assert solver._dag_shortest_path(costs, pull) == solver._dijkstra(inst, costs)
+    assert solver._shortest_path(inst, [1.0, 1.0, 2.0, 1.0, 1.0]) == ((1, 0), 2.0)
+    # a sweep that meets the larger id of a tied parallel pair first keeps
+    # the smaller one
+    larger_first = ((1, 3, 0, ((1, 0),)), (2, 4, 1, ((0, 1), (2, 0))))
+    assert solver._dag_shortest_path([1.0, 1.0, 2.0, 1.0, 1.0], larger_first) == ((1, 0), 2.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_recursive(RecursiveFamilySpec(level=4, gamma_kappa=1.0,
+                                                variant=Variant.FUNCTIONAL))[0],
+    *[lambda seed=seed: synthetic.random_affine_instance(seed) for seed in range(5)],
+    *[lambda seed=seed: synthetic.random_polynomial_instance(seed, 3) for seed in range(5)],
+])
+def test_gap_mirrors_stay_in_step_with_the_flow(make):
+    # the loop's total comes from array mirrors of its flow and costs that a
+    # step updates in place and a rebuild every 256 steps copies; each total
+    # must be the dot product recomputed from scratch, and each gap the one
+    # `_edge_gap` finds.  The level-4 functional risk-averse solve runs 2048
+    # pair steps into its Newton finish
+    inst = make()
+    for solve, gamma in ((rr.solve_rnwe, 0.0), (rr.solve_rawe_meanvar, inst.gamma)):
+        seen = []
+
+        def check(k, flow, total, gap):
+            costs = [e.latency(x) + gamma * e.variability(x) if gamma else e.latency(x)
+                     for e, x in zip(inst.edges, flow.tolist())]
+            assert total == float(flow @ np.array(costs)), k
+            table = solver._edge_table(inst, gamma)
+            assert gap == solver._edge_gap(inst, flow, table.cost, inst.demand)[0], k
+            seen.append(k)
+
+        res = solve(inst, callback=check)
+        assert seen == list(range(res.iterations + 1))
 
 
 def test_cyclic_graph_falls_back_to_dijkstra():
