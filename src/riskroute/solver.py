@@ -69,7 +69,13 @@ finds it for both.  It walks the points where the moved edges' functions
 change slope and interpolates once on a linear piece; on a curved piece
 (polynomial costs, or square roots of flow-dependent variances) it runs
 Illinois regula falsi, which needs a few calls where a bisection to the
-same precision needs 60 or more.
+same precision needs 60 or more.  A linear step with ten points or more
+to walk searches for the walk's last two points instead: secant and
+regula falsi steps through exact values pick the next point, and about
+three calls find them where the walk makes one per point up to the root.
+A certificate from the float sum's rounding error shows that the walk
+would have stopped there too, so the interpolation has the walk's bits;
+on the rare step where the certificate fails, the walk runs.
 
 Convergence is certified by a variational-inequality residual: the total
 perceived cost of the current flow minus the cheapest possible perceived
@@ -94,6 +100,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -404,8 +411,55 @@ def _slope_knots(edge_knots: list, curved: list, moves,
     return knots, linear
 
 
+# a linear step searches for its bracket when it has at least this many
+# points to walk; on the recursive family's shorter steps the search's own
+# bookkeeping cost about what its saved calls did
+_SEARCH_FROM = 10
+
+
+def _search_bracket(fn, ts: list[float], v0: float, slack: float, values: dict):
+    """The ordered walk's bracket among the points `ts`, found by a search.
+
+    `ts` are the walk's points, ascending, and fn(0) = v0 < 0.  The search
+    evaluates ts[0], then picks each next point, the first at or past the
+    root of a line through two exact values: the secant through the last
+    two negative ones while no nonnegative value is known, regula falsi
+    between the nearest negative and nonnegative ones after.  It stops at
+    adjacent points, fn(a) = fa < 0 <= fn(b) = fb, or when every point
+    reads negative, having evaluated each point at most once; `values`
+    maps each to fn there.  The last negative value, fa, certifies that no
+    earlier point reads >= 0 when it is below -`slack` (`_step_root` says
+    why), or when a is 0.  Returns (a, fa, b, fb) then, a = b = ts[-1] and
+    fa = fb when every point reads negative, and otherwise None.
+    """
+    m = len(ts)
+    lo, tlo, flo = -1, 0.0, v0
+    hi, thi, fhi = m, ts[-1], 0.0
+    tprev, fprev = 0.0, v0
+    j = 0
+    while True:
+        t = ts[j]
+        f = values[t] = fn(t)
+        if f < 0.0:
+            tprev, fprev, lo, tlo, flo = tlo, flo, j, t, f
+        else:
+            hi, thi, fhi = j, t, f
+        # adjacent, or hi == m and lo == m - 1: every point negative
+        if hi == lo + 1:
+            if lo >= 0 and flo >= -slack:
+                return None
+            return (tlo, flo, thi, fhi) if hi < m else (tlo, flo, tlo, flo)
+        if hi == m:
+            # only negative values so far: where their secant meets zero
+            r = tlo - flo * (tlo - tprev) / (flo - fprev) if flo > fprev else thi
+        else:
+            r = tlo - flo * (thi - tlo) / (fhi - flo)
+        j = bisect_left(ts, r, lo + 1, hi - 1)
+
+
 def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
-               v0: float | None = None) -> float:
+               v0: float | None = None, size: float | None = None,
+               terms: int = 0) -> float:
     """Where the non-decreasing `fn` turns nonnegative on [0, t_max].
 
     Returns 0 when fn(0) >= 0 and t_max when fn(t_max) <= 0.  `knots` are
@@ -418,6 +472,38 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     the precision a flow of that size keeps.  `v0` is fn(0) when the
     caller has it.  fn is called at most `cap` times; a walk that spends
     them all returns the last knot where fn is negative.
+
+    A linear step whose caller gives `size`, S, and `terms`, n, searches
+    for the walk's last two points (`_search_bracket`) when it has at least
+    `_SEARCH_FROM` points to walk and no more than the calls left.  fn must
+    then be a left-to-right float sum of n terms s * c(f + s * t), s = +1
+    or -1 and c one of the package's costs, or the difference of two such
+    sums plus constants (a path pair's costs), and S the sum of the terms'
+    magnitudes at t = 0.  A value fn(a) < -G, G = K * (n + 2) * 2^-52 * S
+    with K = 8, certifies that fn reads negative at every point before a,
+    so the walk would have passed them all:
+
+    - each computed term is non-decreasing in t, since f + s * t, a
+      piece's y + rise * (x - x0) / run and the sums inside a cost all
+      round monotonically, except where a piecewise-linear cost's piece
+      ends: its formula may end about two ulps of c above the next piece's
+      first value, which is exact;
+    - a left-to-right float sum of n terms is within (n - 1) * 2^-53 times
+      the sum of their magnitudes of the exact sum (to first order);
+    - the costs are nonnegative, so with P(t) and N(t) the magnitudes of
+      the positive and negative terms, fn is P - N, N does not rise with t
+      from N(0) <= S, and where fn(a) < 0, P(a) < N(a): the magnitudes at a
+      and at any earlier point sum to less than 2S.
+
+    So for k < a, fn(k) - fn(a) is at most the two sums' errors,
+    2 * (n - 1) * 2^-52 * S, plus the pieces' overshoots, 4 * 2^-52 * S:
+    2 * (n + 1) * 2^-52 * S.  K = 8 in place of 2 covers the second-order
+    terms, the rounding of S itself and the few roundings a path cost adds
+    (its standard deviation term and the difference of the two paths).  A
+    certified bracket is the walk's, with the walk's values, so the
+    interpolation gives the walk's t, bit for bit.  Without a certificate
+    the walk runs from the start, reading the values the search knows:
+    it evaluates no point twice, and so stays within the cap.
     """
     calls = 0
     if v0 is None:
@@ -425,8 +511,21 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
         calls = 1
     if v0 >= 0.0:
         return 0.0
+    ts = sorted(k for k in knots if 0.0 < k < t_max)
+    ts.append(t_max)
     a, fa = 0.0, v0
-    for b in sorted(k for k in knots if 0.0 < k < t_max) + [t_max]:
+    if len(ts) >= _SEARCH_FROM and linear and size is not None and len(ts) <= cap - calls:
+        values = {}
+        found = _search_bracket(fn, ts, v0, 8.0 * (terms + 2) * 2.0 ** -52 * size, values)
+        if found is not None:
+            a, fa, b, fb = found
+            if fb < 0.0 or (fb == 0.0 and b == t_max):
+                return b
+            return a + (0.0 - fa) * (b - a) / (fb - fa)
+        # the walk reads the values the search knows and calls fn at the
+        # others: at most len(ts) calls in all, so the cap is not reached
+        fn = lambda t, fn=fn, known=values: known[t] if t in known else fn(t)  # noqa: E731
+    for b in ts:
         if calls >= cap:
             return a
         fb = fn(b)
@@ -468,7 +567,8 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     return a if -fa < fb else b
 
 
-def _line_search(moves: list, v0: float, knots, linear: bool, t_max: float) -> float:
+def _line_search(moves: list, v0: float, size: float, knots, linear: bool,
+                 t_max: float) -> float:
     """Step length in [0, t_max] minimizing the potential along a pair step.
 
     The derivative t -> sum_e delta_e * c_e(f_e + delta_e * t) over the
@@ -478,7 +578,9 @@ def _line_search(moves: list, v0: float, knots, linear: bool, t_max: float) -> f
     delta_e, term) per moved edge, in the order the derivative sums them:
     its cost function, or None for a constant-cost edge, whose fixed term
     delta_e * c_e(f_e) no call of the derivative evaluates again.  `v0` is
-    the derivative at 0, the sum of the terms.
+    the derivative at 0, the sum of the terms, and `size` the sum of their
+    magnitudes, with which a linear step searches for its bracket among
+    the knots instead of walking them all (`_step_root`).
     """
     def dphi(t: float) -> float:
         acc = 0.0
@@ -487,7 +589,7 @@ def _line_search(moves: list, v0: float, knots, linear: bool, t_max: float) -> f
         return acc
 
     # at most 100 calls, what a 100-step bisection would spend: v0 is the first
-    return _step_root(dphi, t_max, knots, linear, 99, v0)
+    return _step_root(dphi, t_max, knots, linear, 99, v0, size, len(moves))
 
 
 def _flow_from_weights(instance: NetworkInstance,
@@ -728,20 +830,23 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             else:
                 deltas[eid] = -1.0
         # one pass sets up the step: the derivative's terms in the order it
-        # sums them, its value at 0, and the moved varying edges for knots
+        # sums them, its value at 0 and their magnitudes' sum (the costs are
+        # nonnegative), and the moved varying edges for knots
         moves, moved = [], []
-        v0 = 0.0
+        v0 = size = 0.0
         for eid, s in deltas.items():
             f = flow[eid]
             term = s * c[eid]
             v0 += term
+            size += c[eid]
             if constant[eid]:
                 moves.append((None, f, s, term))
             else:
                 moves.append((cost_of[eid], f, s, term))
                 moved.append((eid, f, s))
         t_max = weights[worst]
-        t = _line_search(moves, v0, *_slope_knots(edge_knots, curved, moved, t_max), t_max)
+        t = _line_search(moves, v0, size, *_slope_knots(edge_knots, curved, moved, t_max),
+                         t_max)
         remainder = t_max - t
         if remainder <= _PRUNE_REL * demand:
             t = t_max
@@ -939,9 +1044,11 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
             return cb - cw
 
         # pair_diff(0) is -gap bit for bit; at most 60 calls, what a 60-step
-        # bisection would spend
+        # bisection would spend; the two paths' costs and edges size the
+        # bracket search's certificate
         t = _step_root(pair_diff, move, *_slope_knots(edge_knots, curved, moved, move),
-                       60, -s.gap)
+                       60, -s.gap, float(s.q[best] + s.q[worst]),
+                       len(worst_path) + len(best_path))
         amounts[worst] -= t
         amounts[best] += t
         if amounts[worst] <= used_cut:

@@ -4,6 +4,7 @@ import builtins
 import math
 import struct
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -723,6 +724,241 @@ def test_step_root_keeps_its_call_cap(step, extra_knots, cap, linear):
     assert len(calls) <= cap
     # an interpolation next to t_max may round a few ulps past it
     assert 0.0 <= t <= t_max + 4 * math.ulp(t_max)
+
+
+def _walked_root(fn, t_max, knots, cap, v0):
+    """Reference for a linear step: the ordered walk alone, every knot in
+    (0, t_max), then t_max, evaluated in ascending order until fn reads
+    nonnegative, and one interpolation there."""
+    if v0 >= 0.0:
+        return 0.0
+    a, fa, calls = 0.0, v0, 0
+    for b in sorted(k for k in knots if 0.0 < k < t_max) + [t_max]:
+        if calls >= cap:
+            return a
+        fb = fn(b)
+        calls += 1
+        if fb < 0.0:
+            a, fa = b, fb
+        elif fb == 0.0 and b == t_max:
+            return b
+        else:
+            return a + (0.0 - fa) * (b - a) / (fb - fa)
+    return t_max
+
+
+def _near(x):
+    """x >= 0, or a nonnegative float next to it."""
+    return st.sampled_from([x, max(math.nextafter(x, -math.inf), 0.0),
+                            math.nextafter(x, math.inf)])
+
+
+@st.composite
+def _linear_steps(draw):
+    """A linear step of either solver, as `_steps` draws it, shaped for the
+    bracket search's hard cases.  Latencies are piecewise-linear, from a
+    few shapes that several edges share so that their knots coincide, or
+    affine; variances Constant, or Affine where the cost stays linear
+    (mean-var).  Flows sit on a breakpoint, a float beside one, or
+    anywhere.  A third of the draws put the root on a knot: one
+    piecewise-linear edge from flow 0 against a constant equal to, or a
+    float beside, its value at a breakpoint, which may be t_max itself.
+    Returns (fn, v0, knots, t_max, size, terms) as the solver passes them."""
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+    model = draw(st.sampled_from(list(rr.RiskModel)))
+    stdev = gamma != 0.0 and model is rr.RiskModel.MEAN_STDEV
+    shapes = draw(st.lists(_piecewise_linear(), min_size=1, max_size=3))
+    latency = st.one_of(st.sampled_from(shapes), st.builds(rr.Affine, _param, _param))
+    variance = st.builds(rr.Constant, _param)
+    if not stdev:
+        variance = st.one_of(variance, st.builds(rr.Affine, _param, _param))
+    if draw(st.integers(0, 2)) == 0:
+        fn = draw(st.sampled_from(shapes))
+        x, y = draw(st.sampled_from(fn.points))
+        best = [(fn, rr.Constant(0.0))]
+        worst = [(rr.Constant(draw(_near(y))), rr.Constant(0.0))]
+        t_max = draw(st.one_of(_near(x), st.floats(0.01, 4.0))) if x > 0.0 else 1.0
+        flows = [0.0, t_max]
+    else:
+        best = [(draw(latency), draw(variance)) for _ in range(draw(st.integers(1, 6)))]
+        worst = [(draw(latency), draw(variance)) for _ in range(draw(st.integers(1, 6)))]
+        t_max = draw(st.floats(0.01, 4.0))
+        flows, lead = [], 0.0
+        for d, chain in ((1.0, best), (-1.0, worst)):
+            for lat, var in chain:
+                breaks = [x for x, _ in lat.points] if isinstance(lat, rr.PiecewiseLinear) else []
+                # a worst edge carries at least t_max
+                breaks = [x for x in breaks if d > 0 or x >= t_max]
+                f = draw(st.one_of(st.floats(0.0, 4.0), *(_near(x) for x in breaks)))
+                flows.append(max(f, 0.0) if d > 0 else max(f, t_max))
+                lead += d * (lat(flows[-1]) + gamma * var(flows[-1]))
+        # a constant head start on the worst chain, about the best chain's
+        # lead and a margin: most steps cross zero inside, a large margin none
+        worst.append((rr.Constant(max(lead, 0.0) + draw(st.floats(0.0, 20.0))),
+                      rr.Constant(0.0)))
+        flows.append(t_max)
+    edges, paths, n = [], [], 2
+    for chain in (best, worst):
+        stops = [0, *range(n, n + len(chain) - 1), 1]
+        n += len(chain) - 1
+        paths.append(tuple(range(len(edges), len(edges) + len(chain))))
+        edges += [rr.Edge(tail, head, lat, var)
+                  for tail, head, (lat, var) in zip(stops, stops[1:], chain)]
+    inst = rr.NetworkInstance(n, tuple(edges), 0, 1, 1.0, gamma, model)
+    moves = ([(eid, flows[eid], 1.0) for eid in paths[0]]
+             + [(eid, flows[eid], -1.0) for eid in paths[1]])
+    knots, linear = solver._slope_knots(*solver._edge_knots(inst, gamma), moves, t_max)
+    assert linear
+    if stdev:
+        # the path loop's pair step: best path's cost minus the worst's
+        moments = solver._moment_fns(inst)
+
+        def pair(t):
+            flow = [f + d * t for _, f, d in moves]
+            return solver._path_costs(inst, paths[::-1], *solver._moments_at(*moments, flow))
+
+        def fn(t):
+            cw, cb = pair(t)
+            return cb - cw
+
+        cw, cb = pair(0.0)
+        return fn, cb - cw, knots, t_max, cb + cw, len(moves)
+
+    # the additive loop's potential derivative, summed left to right
+    cost_of = solver._edge_table(inst, gamma).cost
+
+    def fn(t):
+        acc = 0.0
+        for eid, f, d in moves:
+            acc += d * cost_of[eid](f + d * t)
+        return acc
+
+    size = 0.0
+    for eid, f, _ in moves:
+        size += cost_of[eid](f)
+    return fn, fn(0.0), knots, t_max, size, len(moves)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_linear_steps(), st.integers(0, 40).flatmap(
+    lambda n: st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)),
+       st.one_of(st.just(99), st.sampled_from([2, 5, 8, 20])), st.sampled_from([2, 10]))
+def test_bracket_search_returns_the_walks_step_bit_for_bit(step, extra_knots, cap, search_from):
+    # the search certifies the walk's bracket or hands back to the walk, so
+    # the step is the walk's to the bit, whichever steps search.  Extra
+    # knots, where fn does not change slope, make long walks, and more
+    # points than the cap leave the walk alone; each point is evaluated at
+    # most once
+    fn, v0, knots, t_max, size, terms = step
+    knots = set(knots) | set(extra_knots)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+
+    with mock.patch.object(solver, "_SEARCH_FROM", search_from):
+        got = solver._step_root(counted, t_max, knots, True, cap, v0, size, terms)
+    assert _bits(got) == _bits(_walked_root(fn, t_max, knots, cap, v0))
+    assert len(calls) <= cap and len(set(calls)) == len(calls)
+
+
+def test_bracket_search_spends_few_calls_and_falls_back_near_a_zero(monkeypatch):
+    # 40 knots of one piecewise-linear edge, x^2 at the integers, from flow
+    # 0 against a constant.  The search finds the root's piece in 6 calls
+    # where the walk calls fn at every knot up to it, 27 of them.  A
+    # constant one ulp above the cost at 30 leaves fn one ulp below 0 there,
+    # too close to 0 to certify, and the walk takes over: it reads the 6
+    # values the search knows and calls fn at its other 26 points, to the
+    # same bits
+    searches = []
+    search_bracket = solver._search_bracket
+
+    def recorded(*args):
+        found = search_bracket(*args)
+        searches.append(found)
+        return found
+
+    monkeypatch.setattr(solver, "_search_bracket", recorded)
+    points = tuple((float(x), float(x * x)) for x in range(41))
+    best = rr.Edge(0, 1, rr.PiecewiseLinear(points), rr.Constant(0.0))
+    for head_start, walked, searched, found in (
+            (700.5, 27, 6, (26.0, -24.5, 27.0, 28.5)),
+            (math.nextafter(900.0, math.inf), 31, 32, None)):
+        worst = rr.Edge(0, 1, rr.Constant(head_start), rr.Constant(0.0))
+        inst = rr.NetworkInstance(2, (best, worst), 0, 1, 1.0, 0.0, rr.RiskModel.MEAN_VAR)
+        cost_of = solver._edge_table(inst, 0.0).cost
+        moves = [(0, 0.0, 1.0), (1, 40.0, -1.0)]
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return cost_of[0](t) - cost_of[1](40.0 - t)
+
+        knots, linear = solver._slope_knots(*solver._edge_knots(inst, 0.0), moves, 40.0)
+        v0 = -head_start
+        reference = _walked_root(fn, 40.0, knots, 99, v0)
+        assert len(calls) == walked
+        del calls[:]
+        got = solver._step_root(fn, 40.0, knots, linear, 99, v0, head_start, 2)
+        assert _bits(got) == _bits(reference)
+        assert len(calls) == searched and len(set(calls)) == searched
+        assert searches.pop() == found
+
+
+def _result_fields(res):
+    return (res.flow.tobytes(), res.path_flow, res.common_cost, res.vi_residual,
+            res.iterations, res.converged)
+
+
+def _searched_and_walked(monkeypatch, solves):
+    """Each solve's result fields with the bracket search and with the walk
+    alone, and the counts of searched steps and of those the walk took
+    over because the certificate failed."""
+    counts = {"searched": 0, "fallbacks": 0}
+    search_bracket = solver._search_bracket
+
+    def counted(*args):
+        found = search_bracket(*args)
+        counts["searched"] += 1
+        counts["fallbacks"] += found is None
+        return found
+
+    monkeypatch.setattr(solver, "_search_bracket", counted)
+    searched = [_result_fields(solve()) for solve in solves]
+    monkeypatch.setattr(solver, "_SEARCH_FROM", math.inf)
+    walked = [_result_fields(solve()) for solve in solves]
+    return searched, walked, counts
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_bracket_search_keeps_every_family_solve_bit_for_bit(monkeypatch, variant):
+    # both loops on the recursive family: the risk-neutral and mean-var
+    # additive solves and the mean-stdev path solve.  Long steps search, and
+    # the certificate fails only on a few, next to a zero at a knot
+    solves = []
+    for level in range(1, 7):
+        inst, _ = build_recursive(RecursiveFamilySpec(level=level, gamma_kappa=1.0,
+                                                      variant=variant))
+        ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
+        solves += [lambda inst=inst: rr.solve_rnwe(inst),
+                   lambda inst=inst: rr.solve_rawe_meanvar(inst),
+                   lambda ms=ms: rr.solve_rawe_meanstdev(ms)]
+    searched, walked, counts = _searched_and_walked(monkeypatch, solves)
+    assert searched == walked
+    assert counts["searched"] > 1000
+    assert counts["fallbacks"] <= 0.01 * counts["searched"]
+
+
+def test_bracket_search_keeps_every_sweep_solve_bit_for_bit(monkeypatch):
+    solves = []
+    for make in _SWEEP_MAKERS.values():
+        for seed in range(20):
+            inst = make(seed)
+            solves += [lambda inst=inst: rr.solve_rnwe(inst),
+                       lambda inst=inst: rr.solve_rawe(inst)]
+    searched, walked, _ = _searched_and_walked(monkeypatch, solves)
+    assert searched == walked
 
 
 @pytest.mark.parametrize("variant", list(Variant))
