@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a verification or bound check fails or a
 solver does not converge, 2 on usage or input errors, an instance with more
-paths than the mean-stdev solver enumerates (4,096) included.  Relative output
+paths than the mean-stdev solver enumerates (4,096) and a tolerance that is
+not finite and >= 0 included.  Relative output
 paths are resolved against $RISKROUTE_OUT_DIR when that variable is set.
 """
 
@@ -40,6 +41,30 @@ _BOUND_NAMES = {
     "stdev1": analysis.BoundKind.STDEV_ONE_ALT,
 }
 
+_B = analysis.BoundKind
+# sweep --what: each family's seeded generator and the bounds its rows check
+_SWEEP_FAMILIES = {
+    "affine": (synthetic.random_affine_instance,
+               (_B.TOPOLOGICAL_ETA, _B.TOPOLOGICAL_VERTICES, _B.FUNCTIONAL_SMOOTH)),
+    **{f"poly{d}": (lambda seed, d=d: synthetic.random_polynomial_instance(seed, d),
+                    (_B.TOPOLOGICAL_ETA, _B.FUNCTIONAL_SMOOTH)) for d in (2, 3, 4)},
+    "series-parallel": (synthetic.random_series_parallel_instance, (_B.STDEV_ZERO_ALT,)),
+    "braess": (synthetic.random_braess_instance, (_B.STDEV_ONE_ALT,)),
+    "domino": (synthetic.random_domino_instance, (_B.STDEV_ONE_ALT,)),
+}
+
+# generate --family, the recursive family aside: the instance from the
+# parsed flags and the risk model
+_GENERATORS = {
+    "braess": lambda a, model: instances.build_braess(gamma=a.gamma_kappa, risk_model=model),
+    "domino": lambda a, model: synthetic.random_domino_instance(a.seed, risk_model=model),
+    "random-affine": lambda a, model: synthetic.random_affine_instance(a.seed, risk_model=model),
+    "random-poly": lambda a, model: synthetic.random_polynomial_instance(
+        a.seed, a.degree, risk_model=model),
+    "series-parallel": lambda a, model: synthetic.random_series_parallel_instance(
+        a.seed, risk_model=model),
+}
+
 
 def _resolve(path: str) -> str:
     """`path` under $RISKROUTE_OUT_DIR when that is set; an absolute `path` stays."""
@@ -54,54 +79,36 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _family_spec(args) -> instances.RecursiveFamilySpec:
+    return instances.RecursiveFamilySpec(
+        level=args.level, r_a=args.r_a, r_n=args.r_n,
+        gamma_kappa=args.gamma_kappa, variant=instances.Variant(args.variant))
+
+
 def _generate(args) -> int:
+    model = RiskModel(args.risk_model)
     oracle = None
-    metadata: dict[str, str] = {"family": args.family}
     if args.family == "recursive":
-        spec = instances.RecursiveFamilySpec(
-            level=args.level, r_a=args.r_a, r_n=args.r_n,
-            gamma_kappa=args.gamma_kappa,
-            variant=instances.Variant(args.variant))
-        instance, oracle = instances.build_recursive(spec)
-        metadata.update(level=str(args.level), variant=args.variant,
-                        r_a=repr(args.r_a), r_n=repr(args.r_n),
-                        gamma_kappa=repr(args.gamma_kappa))
-        if args.risk_model == "mean-stdev":
-            instance = with_risk_model(instance, RiskModel.MEAN_STDEV)
-    elif args.family == "braess":
-        instance = instances.build_braess(gamma=args.gamma_kappa,
-                                          risk_model=RiskModel(args.risk_model))
-    elif args.family == "domino":
-        instance = synthetic.random_domino_instance(
-            args.seed, risk_model=RiskModel(args.risk_model))
-        metadata["seed"] = str(args.seed)
-    elif args.family == "random-affine":
-        instance = synthetic.random_affine_instance(
-            args.seed, risk_model=RiskModel(args.risk_model))
-        metadata["seed"] = str(args.seed)
-    elif args.family == "random-poly":
-        instance = synthetic.random_polynomial_instance(
-            args.seed, args.degree, risk_model=RiskModel(args.risk_model))
-        metadata.update(seed=str(args.seed), degree=str(args.degree))
-    elif args.family == "series-parallel":
-        instance = synthetic.random_series_parallel_instance(
-            args.seed, risk_model=RiskModel(args.risk_model))
-        metadata["seed"] = str(args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.family)
+        instance, oracle = instances.build_recursive(_family_spec(args))
+        instance = with_risk_model(instance, model)
+    else:
+        instance = _GENERATORS[args.family](args, model)
     _emit(serialization.dumps_instance(instance), args.out)
     if args.oracle_out:
         if oracle is None:
             print("error: --oracle-out is only available for --family recursive",
                   file=sys.stderr)
             return 2
+        metadata = {"family": args.family, "level": str(args.level), "variant": args.variant,
+                    "r_a": repr(args.r_a), "r_n": repr(args.r_n),
+                    "gamma_kappa": repr(args.gamma_kappa)}
         _emit(serialization.dumps_oracle(oracle, metadata), args.oracle_out)
     return 0
 
 
 def _solve(args) -> int:
-    instance = serialization.read_instance(args.input)
     cfg = SolverConfig(args.tolerance, args.max_iters)
+    instance = serialization.read_instance(args.input)
     results: list[tuple[str, EquilibriumResult]] = []
     # risk-averse first, as in `_solve_pair`; the report lists rnwe first
     if args.mode in ("rawe", "both"):
@@ -154,8 +161,9 @@ def _solve_pair(instance: NetworkInstance, cfg: SolverConfig,
 
 
 def _analyze(args) -> int:
+    cfg = SolverConfig(args.tolerance, args.max_iters)
     instance = serialization.read_instance(args.input)
-    pair = _solve_pair(instance, SolverConfig(args.tolerance, args.max_iters))
+    pair = _solve_pair(instance, cfg)
     if pair is None:
         print("error: equilibrium solver did not converge", file=sys.stderr)
         return 1
@@ -183,9 +191,11 @@ def _analyze(args) -> int:
 
 
 def _verify(args) -> int:
-    spec = instances.RecursiveFamilySpec(
-        level=args.level, r_a=args.r_a, r_n=args.r_n,
-        gamma_kappa=args.gamma_kappa, variant=instances.Variant(args.variant))
+    cfg = SolverConfig(args.tolerance, args.max_iters)
+    if not 0.0 <= args.pra_tolerance < math.inf:
+        raise ValueError(f"--pra-tolerance must be finite and nonnegative, "
+                         f"got {args.pra_tolerance}")
+    spec = _family_spec(args)
     instance, oracle = instances.build_recursive(spec)
     report = instances.closed_form_check(instance, oracle)
     print(f"closed_form_check: {'pass' if report.passed else 'FAIL'}")
@@ -197,7 +207,7 @@ def _verify(args) -> int:
             print("error: --solve needs --r-n > 0: with no risk-neutral demand "
                   "the cost ratio is undefined", file=sys.stderr)
             return 1
-        pair = _solve_pair(instance, SolverConfig(args.tolerance, args.max_iters), spec.r_n)
+        pair = _solve_pair(instance, cfg, spec.r_n)
         if pair is None:
             print("error: equilibrium solver did not converge", file=sys.stderr)
             return 1
@@ -214,26 +224,8 @@ def _verify(args) -> int:
 
 def _sweep_one(what: str, seed: int, cfg: SolverConfig) -> list[list[str]] | None:
     """CSV rows of one sweep instance, or None when a solve did not converge."""
-    if what == "affine":
-        instance = synthetic.random_affine_instance(seed)
-        kinds = [analysis.BoundKind.TOPOLOGICAL_ETA,
-                 analysis.BoundKind.TOPOLOGICAL_VERTICES,
-                 analysis.BoundKind.FUNCTIONAL_SMOOTH]
-    elif what in ("poly2", "poly3", "poly4"):
-        instance = synthetic.random_polynomial_instance(seed, int(what[-1]))
-        kinds = [analysis.BoundKind.TOPOLOGICAL_ETA,
-                 analysis.BoundKind.FUNCTIONAL_SMOOTH]
-    elif what == "series-parallel":
-        instance = synthetic.random_series_parallel_instance(seed)
-        kinds = [analysis.BoundKind.STDEV_ZERO_ALT]
-    elif what == "braess":
-        instance = synthetic.random_braess_instance(seed)
-        kinds = [analysis.BoundKind.STDEV_ONE_ALT]
-    elif what == "domino":
-        instance = synthetic.random_domino_instance(seed)
-        kinds = [analysis.BoundKind.STDEV_ONE_ALT]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(what)
+    make, kinds = _SWEEP_FAMILIES[what]
+    instance = make(seed)
     pair = _solve_pair(instance, cfg)
     if pair is None:
         return None
@@ -286,20 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations,
                        help="iteration cap per solve")
 
+    def add_family(p, **level):
+        p.add_argument("--level", type=int, **level,
+                       help="recursion depth of the recursive family")
+        p.add_argument("--variant", choices=["structural", "functional"],
+                       default="structural")
+        p.add_argument("--gamma-kappa", type=float, default=1.0,
+                       help="target gamma*kappa of the built instance")
+        p.add_argument("--r-a", type=float, default=1.0,
+                       help="risk-averse demand of the recursive family")
+        p.add_argument("--r-n", type=float, default=1.0,
+                       help="risk-neutral demand of the recursive family")
+
     gen = sub.add_parser("generate", help="build and serialize an instance")
-    gen.add_argument("--family", required=True,
-                     choices=["recursive", "braess", "domino", "random-affine",
-                              "random-poly", "series-parallel"])
-    gen.add_argument("--level", type=int, default=1,
-                     help="recursion depth of the recursive family")
-    gen.add_argument("--variant", choices=["structural", "functional"],
-                     default="structural")
-    gen.add_argument("--gamma-kappa", type=float, default=1.0,
-                     help="target gamma*kappa of the built instance")
-    gen.add_argument("--r-a", type=float, default=1.0,
-                     help="risk-averse demand of the recursive family")
-    gen.add_argument("--r-n", type=float, default=1.0,
-                     help="risk-neutral demand of the recursive family")
+    gen.add_argument("--family", required=True, choices=["recursive", *_GENERATORS])
+    add_family(gen, default=1)
     gen.add_argument("--risk-model", choices=["mean-var", "mean-stdev"],
                      default="mean-var")
     gen.add_argument("--degree", type=int, default=2,
@@ -326,12 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify",
                          help="closed-form checks for the recursive family")
-    ver.add_argument("--level", type=int, required=True)
-    ver.add_argument("--variant", choices=["structural", "functional"],
-                     default="structural")
-    ver.add_argument("--gamma-kappa", type=float, default=1.0)
-    ver.add_argument("--r-a", type=float, default=1.0)
-    ver.add_argument("--r-n", type=float, default=1.0)
+    add_family(ver, required=True)
     ver.add_argument("--solve", action="store_true",
                      help="also solve numerically and compare the cost ratio")
     ver.add_argument("--pra-tolerance", type=float, default=1e-5,
@@ -340,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_verify)
 
     swp = sub.add_parser("sweep", help="seeded batch of bound checks as CSV")
-    swp.add_argument("--what", required=True,
-                     choices=["affine", "poly2", "poly3", "poly4",
-                              "series-parallel", "braess", "domino"])
+    swp.add_argument("--what", required=True, choices=list(_SWEEP_FAMILIES))
     swp.add_argument("--count", type=int, default=20)
     swp.add_argument("--seed", type=int, default=0, help="first seed of the batch")
     swp.add_argument("--out", help="CSV file (stdout when omitted)")

@@ -114,64 +114,43 @@ class NetworkInstance:
                        for e in self.edges))
 
     @property
-    def topological_order(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...] | None:
-        """The vertices on source->sink paths in topological order, or None.
-
-        Each vertex comes with its out-edges (edge id, head) that stay among
-        those vertices.  None when those vertices span a cycle.  Computed on
-        first use and kept.  The solvers' shortest-path sweep reads it as
-        in-edge lists, `topological_in_edges`.
-        """
-        order = getattr(self, "_dag_order", False)
-        if order is not False:
-            return order
-        into: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
-        for eid, e in enumerate(self.edges):
-            into[e.head].append((eid, e.tail))
-        keep = _reachable(self.source, self._out) & _reachable(self.sink, into)
-        out = {v: tuple((eid, head) for eid, head in self._out[v] if head in keep)
-               for v in keep}
-        indegree = Counter(head for v in keep for _, head in out[v])
-        ready = [v for v in keep if indegree[v] == 0]
-        order = []
-        while ready:
-            v = ready.pop()
-            order.append((v, out[v]))
-            for _, head in out[v]:
-                indegree[head] -= 1
-                if indegree[head] == 0:
-                    ready.append(head)
-        # not functools.cached_property: its __dict__ write slows attribute loads 3x
-        order = tuple(order) if len(order) == len(keep) else None
-        object.__setattr__(self, "_dag_order", order)
-        return order
-
-    @property
     def topological_in_edges(self) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...] | None:
-        """The in-edges of the vertices of `topological_order`, by position.
+        """In-edge lists of the vertices on source->sink paths, or None.
 
-        Vertices are named by their position in `topological_order`: the
-        source is 0 and the sink comes last.  One (position, edge id, tail,
-        rest) per vertex but the source, in topological order: its in-edges
+        Those vertices are named by their position in a topological order:
+        the source is 0 and the sink comes last.  One (position, edge id,
+        tail, rest) per vertex but the source, in that order: its in-edges
         from those vertices are (edge id, tail) followed by the (edge id,
-        tail) pairs in `rest`, in the order a sweep of `topological_order`
-        meets them: by the tail's position, then in the tail's out-edge
-        order.  None when `topological_order` is None.  Computed on first
-        use and kept.
+        tail) pairs in `rest`, in the order a sweep of the order meets them:
+        by the tail's position, then in the tail's out-edge order.  None
+        when those vertices span a cycle.  Computed on first use and kept.
         """
         pull = getattr(self, "_dag_in", False)
         if pull is not False:
             return pull
-        order = self.topological_order
-        if order is None:
-            pull = None
-        else:
-            position = {v: i for i, (v, _) in enumerate(order)}
-            into: list[list[tuple[int, int]]] = [[] for _ in order]
-            for tail, (_, out) in enumerate(order):
-                for eid, head in out:
-                    into[position[head]].append((eid, tail))
-            pull = tuple((v, *into[v][0], tuple(into[v][1:])) for v in range(1, len(order)))
+        into: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
+        for eid, e in enumerate(self.edges):
+            into[e.head].append((eid, e.tail))
+        keep = _reachable(self.source, self._out) & _reachable(self.sink, into)
+        indegree = Counter(head for v in keep for _, head in self._out[v] if head in keep)
+        # Kahn's sweep; a vertex's in-edges are met, tail by tail, in order
+        pulled: dict[int, list[tuple[int, int]]] = {v: [] for v in keep}
+        order: list[int] = []
+        ready = [v for v in keep if indegree[v] == 0]
+        while ready:
+            v = ready.pop()
+            for eid, head in self._out[v]:
+                if head in keep:
+                    pulled[head].append((eid, len(order)))
+                    indegree[head] -= 1
+                    if indegree[head] == 0:
+                        ready.append(head)
+            order.append(v)
+        pull = None
+        if len(order) == len(keep):
+            pull = tuple((i, *pulled[v][0], tuple(pulled[v][1:]))
+                         for i, v in enumerate(order) if i)
+        # not functools.cached_property: its __dict__ write slows attribute loads 3x
         object.__setattr__(self, "_dag_in", pull)
         return pull
 

@@ -124,8 +124,16 @@ _PRUNE_REL = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Convergence tolerance (relative, finite, >= 0) and iteration cap (>= 0)."""
+
     tolerance: float = 1e-8
     max_iterations: int = 100_000
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -458,8 +466,7 @@ def _search_bracket(fn, ts: list[float], v0: float, slack: float, values: dict):
 
 
 def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
-               v0: float | None = None, size: float | None = None,
-               terms: int = 0) -> float:
+               v0: float, size: float, terms: int) -> float:
     """Where the non-decreasing `fn` turns nonnegative on [0, t_max].
 
     Returns 0 when fn(0) >= 0 and t_max when fn(t_max) <= 0.  `knots` are
@@ -469,14 +476,14 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     Illinois regula falsi (a secant step that halves the value kept at a
     stale end, and the midpoint when the step leaves the bracket) narrows
     it until fn is exactly 0 or the bracket is a few ulps of t_max wide,
-    the precision a flow of that size keeps.  `v0` is fn(0) when the
-    caller has it.  fn is called at most `cap` times; a walk that spends
-    them all returns the last knot where fn is negative.
+    the precision a flow of that size keeps.  `v0` is fn(0), which both
+    callers hold already; fn is called at most `cap` times more, and a
+    walk that spends them all returns the last knot where fn is negative.
 
-    A linear step whose caller gives `size`, S, and `terms`, n, searches
-    for the walk's last two points (`_search_bracket`) when it has at least
-    `_SEARCH_FROM` points to walk and no more than the calls left.  fn must
-    then be a left-to-right float sum of n terms s * c(f + s * t), s = +1
+    `size`, S, and `terms`, n, let a linear step search for the walk's
+    last two points (`_search_bracket`) when it has at least
+    `_SEARCH_FROM` points to walk and no more than `cap`.  fn must be a
+    left-to-right float sum of n terms s * c(f + s * t), s = +1
     or -1 and c one of the package's costs, or the difference of two such
     sums plus constants (a path pair's costs), and S the sum of the terms'
     magnitudes at t = 0.  A value fn(a) < -G, G = K * (n + 2) * 2^-52 * S
@@ -505,16 +512,13 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     the walk runs from the start, reading the values the search knows:
     it evaluates no point twice, and so stays within the cap.
     """
-    calls = 0
-    if v0 is None:
-        v0 = fn(0.0)
-        calls = 1
     if v0 >= 0.0:
         return 0.0
+    calls = 0
     ts = sorted(k for k in knots if 0.0 < k < t_max)
     ts.append(t_max)
     a, fa = 0.0, v0
-    if len(ts) >= _SEARCH_FROM and linear and size is not None and len(ts) <= cap - calls:
+    if len(ts) >= _SEARCH_FROM and linear and len(ts) <= cap:
         values = {}
         found = _search_bracket(fn, ts, v0, 8.0 * (terms + 2) * 2.0 ** -52 * size, values)
         if found is not None:
@@ -602,8 +606,7 @@ def _flow_from_weights(instance: NetworkInstance,
 
 
 def _prune_path_flow(weights: dict[tuple[int, ...], float], demand: float) -> PathFlow:
-    if demand <= 0.0:
-        return PathFlow.of([])
+    # demand > 0: `_solve_additive` has returned at zero demand
     kept = {p: w for p, w in weights.items() if w > _PRUNE_REL * demand}
     total = 0.0
     for w in kept.values():

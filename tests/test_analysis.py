@@ -156,6 +156,30 @@ def test_eta_bound_is_tight_on_structural_family(level, gk):
     assert report.slack == pytest.approx(0.0, abs=1e-9)
 
 
+def test_eta_search_retries_a_noisy_partition_at_the_coarse_tolerance():
+    # two parallel pairs in series, 0 -> 1 twice and 1 -> 2 twice.  Noise of
+    # 1e-6 on the risk-averse flow's first stage puts both of its edges in
+    # B with no tie at 1e-7, which blocks every alternating path; at 1e-4
+    # they tie, and the path is the one forward subpath across the second
+    # stage
+    edge = rr.Affine(1.0, 1.0), rr.Constant(1.0)
+    inst = rr.NetworkInstance(3, tuple(rr.Edge(a, b, *edge) for a, b in
+                                       ((0, 1), (0, 1), (1, 2), (1, 2))),
+                              0, 2, 1.0, 1.0, rr.RiskModel.MEAN_VAR)
+
+    def result(flow):
+        return rr.EquilibriumResult(np.array(flow), rr.PathFlow.of([]), 0.0, 0.0, 0, True)
+
+    rawe = result([0.6 + 1e-6, 0.4 + 1e-6, 0.3, 0.7])
+    rnwe = result([0.6, 0.4, 0.5, 0.5])
+    with pytest.raises(rr.AlternatingPathNotFound):
+        rr.find_alternating_path(inst, rr.partition_edges(inst, rawe.flow, rnwe.flow))
+    report = rr.analyze(inst, rawe, rnwe, (rr.BoundKind.TOPOLOGICAL_ETA,))[
+        rr.BoundKind.TOPOLOGICAL_ETA]
+    assert report.eta == 1
+    assert report.note == "partition retried at coarse tie tolerance"
+
+
 def test_vertex_bound_matches_eta_bound_on_family():
     # 2^(level+1) vertices: ceil((n-1)/2) = 2^level, same bound value
     inst, oracle = build_recursive(RecursiveFamilySpec(level=2))

@@ -235,3 +235,37 @@ def test_instance_over_the_path_cap_is_an_input_error(tmp_path, argv):
     assert out == ""
     assert err.splitlines() == [
         "error: more than 4096 simple source->sink paths (the enumeration cap)"]
+
+
+@pytest.mark.parametrize("command", [["solve"], ["analyze"], ["verify", "--level", "2", "--solve"],
+                                     ["sweep", "--what", "braess", "--count", "1"]])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tolerance", "nan", "error: tolerance must be finite and nonnegative, got nan"),
+    ("--tolerance", "-1", "error: tolerance must be finite and nonnegative, got -1.0"),
+    ("--tolerance", "inf", "error: tolerance must be finite and nonnegative, got inf"),
+    ("--max-iters", "-5", "error: max_iterations must be nonnegative, got -5"),
+])
+def test_meaningless_solver_flags_are_input_errors(tmp_path, command, flag, value, message):
+    # nothing is solved or printed: one error line and exit 2
+    path = tmp_path / "b.txt"
+    ser.write_instance(path, rr.build_braess())
+    if command[0] in ("solve", "analyze"):
+        command = [*command, "--in", str(path)]
+    code, out, err = _run([*command, flag, value])
+    assert (code, out, err.splitlines()) == (2, "", [message])
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.5", "inf"])
+def test_meaningless_pra_tolerance_is_an_input_error(value):
+    code, out, err = _run(["verify", "--level", "2", "--solve", "--pra-tolerance", value])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: --pra-tolerance must be finite and nonnegative, got {float(value)}"]
+
+
+def test_zero_tolerances_stay_valid():
+    # level 1 solves exactly; `test_sweep_leaves_out_unconverged_instances`
+    # runs a zero --max-iters
+    code, out, _ = _run(["verify", "--level", "1", "--solve", "--tolerance", "0",
+                         "--pra-tolerance", "0"])
+    assert code == 0 and out.endswith("rel_err=0.000e+00 [pass]\n")

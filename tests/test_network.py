@@ -1,11 +1,14 @@
 """Instance validation, path costs and path enumeration."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskroute as rr
+from riskroute import network
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
 from riskroute.network import (
     GraphStructureError,
@@ -211,13 +214,73 @@ def test_long_chain_enumerates_and_solves_without_recursion():
 
 
 def test_topological_order_leaves_out_dead_ends():
-    # vertex 3 hangs off vertex 1 and cannot reach the sink 2
+    # vertex 3 hangs off vertex 1 and cannot reach the sink 2, so edge 2
+    # (1 -> 3) is no one's in-edge
     unit = rr.Constant(1.0)
     inst = rr.NetworkInstance(
         4, (rr.Edge(0, 1, unit, unit), rr.Edge(1, 2, unit, unit),
             rr.Edge(1, 3, unit, unit), rr.Edge(0, 2, unit, unit)),
         0, 2, 1.0, 0.0)
-    assert inst.topological_order == ((0, ((0, 1), (3, 2))), (1, ((1, 2),)), (2, ()))
+    assert inst.topological_in_edges == ((1, 0, 0, ()), (2, 3, 0, ((1, 1),)))
+
+
+def _two_step_in_edges(inst):
+    """Reference DAG view, built in two steps: the topological order of the
+    vertices on source->sink paths with their out-edges among them (Kahn's
+    sweep), then each vertex's in-edges, by position, in the order a sweep
+    of that order meets them."""
+    into = [[] for _ in range(inst.vertices)]
+    for eid, e in enumerate(inst.edges):
+        into[e.head].append((eid, e.tail))
+    keep = network._reachable(inst.source, inst._out) & network._reachable(inst.sink, into)
+    out = {v: tuple((eid, head) for eid, head in inst.out_edges(v) if head in keep)
+           for v in keep}
+    indegree = Counter(head for v in keep for _, head in out[v])
+    ready = [v for v in keep if indegree[v] == 0]
+    order = []
+    while ready:
+        v = ready.pop()
+        order.append((v, out[v]))
+        for _, head in out[v]:
+            indegree[head] -= 1
+            if indegree[head] == 0:
+                ready.append(head)
+    if len(order) != len(keep):
+        return None
+    position = {v: i for i, (v, _) in enumerate(order)}
+    pulled = [[] for _ in order]
+    for tail, (_, arcs) in enumerate(order):
+        for eid, head in arcs:
+            pulled[position[head]].append((eid, tail))
+    return tuple((v, *pulled[v][0], tuple(pulled[v][1:])) for v in range(1, len(order)))
+
+
+@st.composite
+def _graphs(draw):
+    """Small multigraphs under random vertex labels: parallel edges, dead
+    ends and vertices off every source->sink path; half of them acyclic,
+    the rest as drawn, with cycles and self-loops."""
+    n = draw(st.integers(2, 7))
+    rank = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(rank, rank), max_size=16))
+    if draw(st.booleans()):
+        arcs = [(min(a, b), max(a, b)) for a, b in arcs if a != b]
+    arcs.append((0, draw(st.integers(1, n - 1))))
+    arcs = draw(st.permutations(arcs))
+    out = [[] for _ in range(n)]
+    for eid, (a, b) in enumerate(arcs):
+        out[a].append((eid, b))
+    sink = draw(st.sampled_from(sorted(network._reachable(0, out) - {0})))
+    label = draw(st.permutations(range(n)))      # rank -> vertex
+    unit = rr.Constant(1.0)
+    edges = tuple(rr.Edge(label[a], label[b], unit, unit) for a, b in arcs)
+    return rr.NetworkInstance(n, edges, label[0], label[sink], 1.0, 0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graphs())
+def test_topological_in_edges_match_the_two_step_construction(inst):
+    assert inst.topological_in_edges == _two_step_in_edges(inst)
 
 
 def test_path_flow_total_and_iteration():

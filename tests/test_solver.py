@@ -153,6 +153,13 @@ def test_iteration_cap_reports_non_convergence():
     assert not res.converged
 
 
+@pytest.mark.parametrize("tolerance, max_iterations", [
+    (math.nan, 10), (-1e-8, 10), (math.inf, 10), (1e-8, -1)])
+def test_solver_config_rejects_meaningless_values(tolerance, max_iterations):
+    with pytest.raises(ValueError):
+        SolverConfig(tolerance, max_iterations)
+
+
 def test_path_flow_decomposition_matches_edge_flow():
     inst, _ = build_recursive(RecursiveFamilySpec(level=2))
     res = rr.solve_rawe_meanvar(inst, CFG)
@@ -227,9 +234,9 @@ def _dags_with_costs(draw):
 @given(_dags_with_costs())
 def test_topological_sweep_matches_dijkstra(case):
     inst, costs = case
-    order = inst.topological_order
-    assert order is not None
-    assert solver._dag_shortest_path(costs, inst.topological_in_edges) == solver._dijkstra(inst, costs)
+    pull = inst.topological_in_edges
+    assert pull is not None
+    assert solver._dag_shortest_path(costs, pull) == solver._dijkstra(inst, costs)
 
 
 def test_parallel_edges_tie_toward_the_smaller_id():
@@ -290,7 +297,7 @@ def test_cyclic_graph_falls_back_to_dijkstra():
              rr.Edge(1, 2, rr.Affine(1.0, 1.0), rr.Constant(0.0)),
              rr.Edge(2, 1, rr.Affine(1.0, 0.0), rr.Constant(0.0)))
     inst = rr.NetworkInstance(4, edges, 0, 3, 1.0, 0.0, rr.RiskModel.MEAN_VAR)
-    assert inst.topological_order is None
+    assert inst.topological_in_edges is None
     res = rr.solve_rnwe(inst, CFG)
     bf = rr.brute_force_equilibrium(inst)
     assert res.converged and bf.converged
@@ -627,8 +634,8 @@ def _steps(draw):
     """One step of either solver on two disjoint source->sink chains: moving
     t in [0, t_max] off the worst chain onto the best.  Returns the step
     function t -> (best cost - worst cost) or the potential's derivative,
-    its knots and linearity as the solver sees them, t_max, and the size of
-    the costs it subtracts."""
+    its knots and linearity as the solver sees them, t_max, the size of the
+    costs it subtracts at 0 and at t_max, and their number."""
     gamma = draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
     model = draw(st.sampled_from(list(rr.RiskModel)))
     t_max = draw(st.floats(0.01, 2.0))
@@ -676,7 +683,7 @@ def _steps(draw):
         def size(t):
             return math.fsum(pair(t))
     knots, linear = solver._slope_knots(*solver._edge_knots(inst, gamma), moves, t_max)
-    return fn, knots, linear, t_max, max(size(0.0), size(t_max))
+    return fn, knots, linear, t_max, size(0.0), size(t_max), len(moves)
 
 
 def _bisection_root(fn, t_max):
@@ -700,27 +707,32 @@ def _bisection_root(fn, t_max):
 @settings(max_examples=400, deadline=None)
 @given(_steps())
 def test_step_root_matches_bisection(step):
-    fn, knots, linear, t_max, size = step
-    got = solver._step_root(fn, t_max, knots, linear, 100)
+    # the walk alone: the bracket search returns its bits (tests below)
+    fn, knots, linear, t_max, size, size_max, terms = step
+    with mock.patch.object(solver, "_SEARCH_FROM", math.inf):
+        got = solver._step_root(fn, t_max, knots, linear, 99, fn(0.0), size, terms)
     ref = _bisection_root(fn, t_max)
     # the step function is known to a few rounding errors of the costs it
     # subtracts, which fixes its root to that over its slope; beyond that
     # the two agree to a few ulps
-    assert abs(got - ref) <= 4 * math.ulp(t_max) + 16 * 2.0 ** -52 * size / _MIN_SLOPE
+    assert abs(got - ref) <= (4 * math.ulp(t_max)
+                              + 16 * 2.0 ** -52 * max(size, size_max) / _MIN_SLOPE)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_steps(), st.lists(st.floats(0.0, 2.0), max_size=150),
        st.sampled_from([1, 2, 3, 5, 8, 60, 100]), st.booleans())
 def test_step_root_keeps_its_call_cap(step, extra_knots, cap, linear):
-    fn, knots, _, t_max, _ = step
+    fn, knots, _, t_max, size, _, terms = step
     calls = []
 
     def counted(t):
         calls.append(t)
         return fn(t)
 
-    t = solver._step_root(counted, t_max, set(knots) | set(extra_knots), linear, cap)
+    with mock.patch.object(solver, "_SEARCH_FROM", math.inf):
+        t = solver._step_root(counted, t_max, set(knots) | set(extra_knots), linear, cap,
+                              fn(0.0), size, terms)
     assert len(calls) <= cap
     # an interpolation next to t_max may round a few ulps past it
     assert 0.0 <= t <= t_max + 4 * math.ulp(t_max)
