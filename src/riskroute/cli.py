@@ -86,8 +86,12 @@ def _family_spec(args) -> instances.RecursiveFamilySpec:
 
 
 def _generate(args) -> int:
+    # checked before anything is written, so a failed run leaves no instance
+    if args.oracle_out and args.family != "recursive":
+        print("error: --oracle-out is only available for --family recursive",
+              file=sys.stderr)
+        return 2
     model = RiskModel(args.risk_model)
-    oracle = None
     if args.family == "recursive":
         instance, oracle = instances.build_recursive(_family_spec(args))
         instance = with_risk_model(instance, model)
@@ -95,10 +99,6 @@ def _generate(args) -> int:
         instance = _GENERATORS[args.family](args, model)
     _emit(serialization.dumps_instance(instance), args.out)
     if args.oracle_out:
-        if oracle is None:
-            print("error: --oracle-out is only available for --family recursive",
-                  file=sys.stderr)
-            return 2
         metadata = {"family": args.family, "level": str(args.level), "variant": args.variant,
                     "r_a": repr(args.r_a), "r_n": repr(args.r_n),
                     "gamma_kappa": repr(args.gamma_kappa)}

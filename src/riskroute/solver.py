@@ -12,16 +12,20 @@ converges fast enough for tight tolerances.
 Each solve builds one table of its edges (`_EdgeTable`): each edge's
 perceived cost, whether that cost is constant (a constant latency and,
 unless gamma is 0, a constant variance) and the flows where it changes
-slope.  A step changes the flow only on the edges where the two paths
-differ, so it recomputes the costs of those edges alone, and never a
-constant one: that is evaluated once per solve.  The flow rebuild every
-256 iterations recomputes every other cost.  One pass over the moved edges
-sets up a step: the line search's terms, in the order the derivative sums
-them, the derivative at step 0 from the cost vector the loop holds (a
-constant edge's share is taken once per step) and the knots from the
-table.  The gap's dot product reads numpy mirrors of the flow and cost
-lists, which the rebuild copies and each step updates in place, edge by
-moved edge: the same call on the same values as arrays built afresh.
+slope.  The costs are kernels (`LatencyFn.kernel`): plain functions that
+give the bits of `fn(x)`, with a constant variance's share added inside
+the latency's kernel, so that a cost is one call; the path loop evaluates
+its latencies and variances through kernels too.  A step changes the
+flow only on the edges where the two paths differ, so it recomputes the
+costs of those edges alone, and never a constant one: that is evaluated
+once per solve.  The flow rebuild every 256 iterations recomputes every
+other cost.  One pass over the moved edges sets up a step: the line
+search's terms, in the order the derivative sums them, the derivative at
+step 0 from the cost vector the loop holds (a constant edge's share is
+taken once per step) and the knots from the table.  The gap's dot
+product reads numpy mirrors of the flow and cost lists, which the rebuild
+copies and each step updates in place, edge by moved edge: the same call
+on the same values as arrays built afresh.
 
 The shortest path is one pull sweep over the vertices on source->sink
 paths in topological order: each vertex takes the cheapest of its
@@ -55,8 +59,9 @@ once in each window of pair iterations [2^j, 2^(j+1)) from 8 on, at the
 window's first iteration after a pair step that left the set of used
 paths as it was; the additive loop at 2048, 4096, ..., on its path
 decomposition.  The paths of a support are often linearly
-dependent, and a singular system is solved by least squares.  An answer is
-kept only when it passes the loop's own convergence test; on
+dependent, and a singular system is solved by least squares, which need
+not meet the demand row.  An answer is kept only when it passes the loop's
+own convergence test and its amounts sum to the demand (`_routes`); on
 piecewise-linear latencies with constant variances, as in the recursive
 family, one step lands on the equilibrium to rounding.  A finish that
 fails leaves the pair iterate as it was, so the trajectory goes on bit for
@@ -143,11 +148,15 @@ class EquilibriumResult:
     `flow` is the authoritative edge flow and `path_flow` a decomposition
     of it.  `common_cost` is the cheapest path's perceived cost at `flow`,
     and `vi_residual` the relative variational-inequality gap of `flow`.
-    What converged=True guarantees is vi_residual <= the solve's tolerance.
-    The mean-stdev path loop also bounds each listed path, whose cost is at
-    most `common_cost` + tolerance * min(1, `common_cost`); the additive
-    loop bounds only the flow-weighted total, so a path carrying little
-    flow may cost more than that.
+    What converged=True guarantees is that `flow` routes the demand and
+    that vi_residual <= the solve's tolerance.  A Newton finish's answer is
+    kept only when its path amounts sum to the demand within 1e-12 relative
+    (`_routes`); a pair step moves flow from one path to another, so the
+    total stays the demand to rounding.  The mean-stdev path loop also
+    bounds each listed path, whose cost is at most `common_cost` +
+    tolerance * min(1, `common_cost`); the additive loop bounds only the
+    flow-weighted total, so a path carrying little flow may cost more than
+    that.
     """
 
     flow: np.ndarray
@@ -186,8 +195,9 @@ class _EdgeTable(NamedTuple):
     """Each edge's perceived cost l_e + gamma_eff * v_e, built once per solve.
 
     `cost[e]` is x -> l_e(x) + gamma_eff * v_e(x), x -> l_e(x) at gamma_eff
-    0; a Constant variance is folded in as l_e(x) + gv with gv =
-    gamma_eff * value, the same bits.  `constant[e]` says that the cost
+    0, built from kernels (`LatencyFn.kernel`); a Constant variance is
+    folded into the latency's kernel as l_e(x) + gv with gv = gamma_eff *
+    value, the same bits.  `constant[e]` says that the cost
     cannot move: a Constant latency, and a Constant variance or gamma_eff 0.
     `knots` and `curved` are `_edge_knots`.
     """
@@ -202,13 +212,13 @@ def _edge_table(instance: NetworkInstance, gamma_eff: float) -> _EdgeTable:
     """The `_EdgeTable` of `instance` at gamma_eff: one entry per edge."""
     cost, constant = [], []
     for e in instance.edges:
-        lat, var = e.latency.__call__, e.variability
+        lat, var = e.latency, e.variability
         if gamma_eff == 0.0:
-            cost.append(lat)
+            cost.append(lat.kernel())
         elif isinstance(var, Constant):
-            cost.append(lambda x, lat=lat, gv=gamma_eff * var.value: lat(x) + gv)
+            cost.append(lat.kernel(gamma_eff * var.value))
         else:
-            cost.append(lambda x, lat=lat, var=var.__call__: lat(x) + gamma_eff * var(x))
+            cost.append(lambda x, lk=lat.kernel(), vk=var.kernel(): lk(x) + gamma_eff * vk(x))
         constant.append(isinstance(e.latency, Constant)
                         and (gamma_eff == 0.0 or isinstance(var, Constant)))
     return _EdgeTable(cost, constant, *_edge_knots(instance, gamma_eff))
@@ -347,12 +357,12 @@ def _path_costs(instance: NetworkInstance, paths, means: list[float],
 
 
 def _moment_fns(instance: NetworkInstance) -> tuple[list, list]:
-    """Per-edge latency and variance callables, bound once.
+    """Per-edge latency and variance kernels (`LatencyFn.kernel`), built once.
 
     The path loop runs at gamma > 0 only, so it always reads both.
     """
-    return ([e.latency.__call__ for e in instance.edges],
-            [e.variability.__call__ for e in instance.edges])
+    return ([e.latency.kernel() for e in instance.edges],
+            [e.variability.kernel() for e in instance.edges])
 
 
 def _moments_at(lat: list, var: list, flow: list[float]) -> tuple[list, list]:
@@ -718,6 +728,19 @@ def _frozen_gap(instance: NetworkInstance, flow: list[float] | np.ndarray, c: li
     return best, dist, total, max(total - demand * dist, 0.0)
 
 
+def _routes(amounts, demand: float) -> bool:
+    """Whether the path `amounts`, summed left to right, route `demand`.
+
+    A finish's candidate must, to within _PRUNE_REL * demand: a
+    least-squares step can miss the KKT system's demand row, and an
+    under-routed flow passes the gap test, which clamps at 0.
+    """
+    total = 0.0
+    for a in amounts:
+        total += a
+    return abs(total - demand) <= _PRUNE_REL * demand
+
+
 def _within_tolerance(gap: float, scale: float, tolerance: float) -> bool:
     """The convergence test: gap <= tolerance * min(1, scale), 1 when scale <= 0.
 
@@ -739,8 +762,10 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, table: _EdgeT
     With U the paths of positive weight and `best`, one `_kkt_step`
     equalizes their costs; the candidate is tested as the loop tests its
     iterate, with one shortest path at the candidate's costs, and a rejected
-    one is the next point to linearize at.  None when `_kkt_step` gives no
-    step.  The arguments are left as they are.
+    one is the next point to linearize at.  A candidate that passes is
+    returned only when it routes the demand (`_routes`).  None when it does
+    not, or when `_kkt_step` gives no step.  The arguments are left as they
+    are.
     """
     demand = instance.demand
     m = len(instance.edges)
@@ -761,7 +786,7 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, table: _EdgeT
         c = [cost(x) for cost, x in zip(table.cost, flow)]
         best, _, total, gap = _frozen_gap(instance, flow, c, demand)
         if _within_tolerance(gap, total, cfg.tolerance):
-            return weights
+            return weights if _routes(weights.values(), demand) else None
 
 
 def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: float,
@@ -932,8 +957,10 @@ def _newton_finish(instance: NetworkInstance, incidence: np.ndarray, state,
     `state(amounts)` is the loop's evaluation, and `s` its value at
     `amounts`.  With U the used paths and the cheapest path, one
     `_kkt_step` equalizes their costs.  The candidate is returned when
-    `state` finds it converged; otherwise the next step starts from it.
-    None when `_kkt_step` gives no step or `_cost_jacobian` no Jacobian.
+    `state` finds it converged and it routes the demand (`_routes`);
+    otherwise the next step starts from it.  None when a converged candidate
+    does not route the demand, or when `_kkt_step` gives no step or
+    `_cost_jacobian` no Jacobian.
     """
     budget = iter(range(_FINISH_SOLVES))
     while True:
@@ -950,7 +977,7 @@ def _newton_finish(instance: NetworkInstance, incidence: np.ndarray, state,
         amounts[np.array(support)[keep]] = new
         s = state(amounts)
         if s.converged:
-            return amounts
+            return amounts if _routes(new.tolist(), instance.demand) else None
 
 
 def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:

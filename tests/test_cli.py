@@ -51,10 +51,15 @@ def test_generate_writes_to_stdout_when_no_out():
 
 
 def test_generate_oracle_requires_recursive_family(tmp_path):
-    code, _, err = _run(["generate", "--family", "braess",
-                         "--oracle-out", str(tmp_path / "o.txt")])
-    assert code == 2
-    assert "recursive" in err
+    # the flags are checked before anything is written: no instance on
+    # stdout or in --out, no oracle file
+    for out_args in ([], ["--out", str(tmp_path / "b.txt")]):
+        code, out, err = _run(["generate", "--family", "braess", *out_args,
+                               "--oracle-out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert "recursive" in err
+        assert out == ""
+        assert not any(tmp_path.iterdir())
 
 
 def test_missing_input_file_is_exit_2(tmp_path):

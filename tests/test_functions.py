@@ -216,3 +216,44 @@ def test_affine_and_polynomial_clamp_as_max_does(slope, intercept, coeffs, xs):
     for x in [*xs, -0.0, 0.0, -1e-300, -5e-324, math.nan, -math.inf, math.inf]:
         assert _bits(affine(x)) == _bits(slope * max(x, 0.0) + intercept), x
         assert _bits(poly(x)) == _bits(poly_reference(x)), x
+
+
+# -0.0 passes every nonnegativity check, so it may be any parameter
+_signed_coef = st.one_of(_coef, st.just(0.0), st.just(-0.0))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A function of each class (polynomials of 1-6 coefficients with inner
+    zeros, piecewise-linear functions of 1-5 breakpoints) and the flows to
+    probe: any float, floats in the range of flows, the clamp's edge cases,
+    every breakpoint and the floats just beside it."""
+    kind = draw(st.integers(0, 3))
+    breaks = []
+    if kind == 0:
+        fn = Constant(draw(_signed_coef))
+    elif kind == 1:
+        fn = Affine(draw(_signed_coef), draw(_signed_coef))
+    elif kind == 2:
+        fn = Polynomial(tuple(draw(st.lists(_signed_coef, min_size=1, max_size=6))))
+    else:
+        breaks = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5,
+                                      unique=True)))
+        ys = sorted(draw(st.lists(_signed_coef, min_size=len(breaks),
+                                  max_size=len(breaks))))
+        fn = PiecewiseLinear(tuple(zip(breaks, ys)))
+    beside = [math.nextafter(b, d) for b in breaks for d in (-math.inf, math.inf)]
+    xs = draw(st.lists(st.floats(), max_size=6)) + draw(st.lists(st.floats(0.0, 20.0),
+                                                                   min_size=1, max_size=6))
+    return fn, [*xs, *breaks, *beside, -0.0, 0.0, -1.0, -5e-324, math.nan,
+                -math.inf, math.inf]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_kernel_cases(), st.one_of(st.floats(0.0, 50.0), st.just(-0.0)))
+def test_kernels_are_the_call_bit_for_bit(case, shift):
+    fn, xs = case
+    plain, shifted = fn.kernel(), fn.kernel(shift)
+    for x in xs:
+        assert _bits(plain(x)) == _bits(fn(x)), x
+        assert _bits(shifted(x)) == _bits(fn(x) + shift), x

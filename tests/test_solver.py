@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import riskroute as rr
 from riskroute import network, solver, synthetic
+from riskroute.cli import _SWEEP_FAMILIES
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
 from riskroute.solver import SolverConfig
 from riskroute.synthetic import random_small_instance
@@ -450,6 +451,60 @@ def test_kkt_step_solves_a_singular_system_by_least_squares():
     amounts[keep] = new
     costs = [rr.path_cost(inst, p, a.T @ amounts) for p in paths]
     assert max(costs) - min(costs) == pytest.approx(0.0, abs=1e-12)
+
+
+def _routes_its_demand(inst, res):
+    return abs(network.flow_demand(inst, res.flow) - inst.demand) <= 1e-12 * inst.demand
+
+
+def test_finishes_reject_a_candidate_that_does_not_route_the_demand(monkeypatch):
+    # a KKT step solved for 1e-3 less than the demand equalizes the costs of
+    # an under-routed flow, whose gap clamps to 0, so it passes both loops'
+    # convergence tests; both finishes must reject it, and the pair steps go
+    # on to a flow that routes the demand
+    kkt_step = solver._kkt_step
+    monkeypatch.setattr(solver, "_kkt_step", lambda jac, h, q, demand, budget:
+                        kkt_step(jac, h, q, demand - 1e-3, budget))
+    finishes = {"_additive_finish": [], "_newton_finish": []}
+    for name, landed in finishes.items():
+        def counted(*args, finish=getattr(solver, name), landed=landed):
+            found = finish(*args)
+            landed.append(found is not None)
+            return found
+        monkeypatch.setattr(solver, name, counted)
+    inst, _ = build_recursive(RecursiveFamilySpec(level=4, gamma_kappa=1.0,
+                                                  variant=Variant.FUNCTIONAL))
+    ms = synthetic.random_series_parallel_instance(24)
+    # with a step that routes the demand, the additive finish lands at pair
+    # step 2048 and the Newton finish at 8; the pair steps alone take 3472
+    # and 1166, as the tests of the pair loops alone pin
+    for instance, res, iterations in ((inst, rr.solve_rawe_meanvar(inst), 3472),
+                                      (ms, rr.solve_rawe_meanstdev(ms), 1166)):
+        assert res.converged and res.iterations == iterations
+        assert _routes_its_demand(instance, res)
+    assert finishes["_additive_finish"] == [False]
+    assert finishes["_newton_finish"] and not any(finishes["_newton_finish"])
+
+
+def test_converged_results_route_their_demand():
+    # what `EquilibriumResult` promises: a converged flow routes the demand,
+    # from the pair steps and from either Newton finish
+    solves = []
+    for variant in Variant:
+        for level in range(1, 7):
+            inst, _ = build_recursive(RecursiveFamilySpec(level=level, gamma_kappa=1.0,
+                                                          variant=variant))
+            ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
+            solves += [(inst, rr.solve_rnwe), (inst, rr.solve_rawe_meanvar),
+                       (ms, rr.solve_rawe_meanstdev)]
+    for make, _ in _SWEEP_FAMILIES.values():
+        for seed in range(20):
+            inst = make(seed)
+            solves += [(inst, rr.solve_rnwe), (inst, rr.solve_rawe)]
+    for inst, solve in solves:
+        res = solve(inst)
+        assert res.converged
+        assert _routes_its_demand(inst, res)
 
 
 def test_oracle_checks_do_not_depend_on_the_python_sum(monkeypatch):
