@@ -9,15 +9,16 @@ zero serve only `solver.beckmann_potential`.
 
 `fn(x)` is the reference evaluation, which the analysis, the network and
 the instance builders call.  The solvers evaluate costs millions of times,
-so they call kernels instead: `fn.kernel()` is a plain function of x that
-returns fn(x) bit for bit, and `fn.kernel(shift)` one that returns
-fn(x) + shift, the float sum taken last, as that expression takes it.  A
-kernel holds the function's numbers as locals and does the same float
-operations in the same order as `__call__`, without its attribute loads
-and calls: a piecewise-linear function of up to three breakpoints picks its
-piece by comparisons, in place of `bisect_right`, and a polynomial of up to
-four coefficients runs Horner's rule unrolled.  Longer functions loop over
-local tuples.
+so they call kernels instead: `fn.kernel(shift)` is a plain function of x
+that returns fn(x) + shift bit for bit, the float sum taken last, as that
+expression takes it.  The shift defaults to -0.0, and y + -0.0 is y bit
+for bit (signed zeros, NaN and inf included), so `fn.kernel()` gives
+fn(x).  A kernel holds the function's numbers as locals and does the same
+float operations in the same order as `__call__`, without its attribute
+loads and calls: a piecewise-linear function of up to three breakpoints
+picks its piece by comparisons, in place of `bisect_right`, and a
+polynomial of up to four coefficients runs Horner's rule unrolled.  The
+kernel of a longer function calls `__call__`.
 
 Variants:
     Constant(value)            value everywhere
@@ -48,9 +49,10 @@ class LatencyFn:
     def __call__(self, x: float) -> float:
         raise NotImplementedError
 
-    def kernel(self, shift: float | None = None):
-        """A function of x computing self(x), or self(x) + shift, bit for bit."""
-        raise NotImplementedError
+    def kernel(self, shift: float = -0.0):
+        """A function of x computing self(x) + shift, bit for bit."""
+        call = self.__call__
+        return lambda x: call(x) + shift
 
     def integral(self, x: float) -> float:
         """Definite integral of the function from 0 to x."""
@@ -81,8 +83,8 @@ class Constant(LatencyFn):
     def __call__(self, x: float) -> float:
         return self.value
 
-    def kernel(self, shift: float | None = None):
-        value = self.value if shift is None else self.value + shift
+    def kernel(self, shift: float = -0.0):
+        value = self.value + shift
         return lambda x: value
 
     def integral(self, x: float) -> float:
@@ -112,18 +114,13 @@ class Affine(LatencyFn):
             x = 0.0
         return self.slope * x + self.intercept
 
-    def kernel(self, shift: float | None = None):
+    def kernel(self, shift: float = -0.0):
         a, b = self.slope, self.intercept
-        if shift is None:
-            def affine(x):
-                if x < 0.0:
-                    x = 0.0
-                return a * x + b
-        else:
-            def affine(x):
-                if x < 0.0:
-                    x = 0.0
-                return a * x + b + shift
+
+        def affine(x):
+            if x < 0.0:
+                x = 0.0
+            return a * x + b + shift
         return affine
 
     def integral(self, x: float) -> float:
@@ -167,33 +164,19 @@ class Polynomial(LatencyFn):
             acc = acc * x + c
         return acc
 
-    def kernel(self, shift: float | None = None):
+    def kernel(self, shift: float = -0.0):
         if len(self.coeffs) > 4:
-            coeffs = self.coeffs[::-1]
-
-            def poly(x):
-                if x < 0.0:
-                    x = 0.0
-                acc = 0.0
-                for c in coeffs:
-                    acc = acc * x + c
-                return acc
-            return _shifted(poly, shift)
+            return super().kernel(shift)
         # Horner unrolled from acc = 0.0, padded with zero coefficients on
         # top: 0.0 * x + 0.0 is 0.0 or NaN wherever 0.0 * x is, and times x
         # it is 0.0 * x again, signed zero and NaN included, so the padding
         # changes no bit
         c3, c2, c1, c0 = (0.0,) * (4 - len(self.coeffs)) + self.coeffs[::-1]
-        if shift is None:
-            def poly(x):
-                if x < 0.0:
-                    x = 0.0
-                return (((0.0 * x + c3) * x + c2) * x + c1) * x + c0
-        else:
-            def poly(x):
-                if x < 0.0:
-                    x = 0.0
-                return (((0.0 * x + c3) * x + c2) * x + c1) * x + c0 + shift
+
+        def poly(x):
+            if x < 0.0:
+                x = 0.0
+            return (((0.0 * x + c3) * x + c2) * x + c1) * x + c0 + shift
         return poly
 
     def integral(self, x: float) -> float:
@@ -284,24 +267,12 @@ class PiecewiseLinear(LatencyFn):
         xa, ya, rise, run = pieces[i - 1]
         return ya + rise * (x - xa) / run
 
-    def kernel(self, shift: float | None = None):
+    def kernel(self, shift: float = -0.0):
+        if len(self.points) > 3:
+            return super().kernel(shift)
         x0, y0 = self.points[0]
         xk, yk = self.points[-1]
         slope = self._final_slope
-        if len(self.points) > 3:
-            breaks, pieces, n = self._breaks, self._pieces, len(self.points)
-
-            def pwl(x):
-                if x < 0.0:
-                    x = 0.0
-                i = bisect_right(breaks, x)
-                if i == 0:
-                    return y0
-                if i == n:
-                    return yk + slope * (x - xk)
-                xa, ya, rise, run = pieces[i - 1]
-                return ya + rise * (x - xa) / run
-            return _shifted(pwl, shift)
         # x < b is the test bisect_right makes, NaN reading False, so the
         # comparisons pick its piece.  Fewer than three breakpoints are
         # padded with breakpoints at inf whose piece is the final one with
@@ -310,28 +281,17 @@ class PiecewiseLinear(LatencyFn):
         final = (xk, yk, slope, 1.0)
         (xa, ya, ra, ua), (xb, yb, rb, ub) = (*self._pieces, final, final)[:2]
         b1, b2 = (*self._breaks[1:], math.inf, math.inf)[:2]
-        if shift is None:
-            def pwl(x):
-                if x < 0.0:
-                    x = 0.0
-                if x < x0:
-                    return y0
-                if x < b1:
-                    return ya + ra * (x - xa) / ua
-                if x < b2:
-                    return yb + rb * (x - xb) / ub
-                return yk + slope * (x - xk)
-        else:
-            def pwl(x):
-                if x < 0.0:
-                    x = 0.0
-                if x < x0:
-                    return y0 + shift
-                if x < b1:
-                    return ya + ra * (x - xa) / ua + shift
-                if x < b2:
-                    return yb + rb * (x - xb) / ub + shift
-                return yk + slope * (x - xk) + shift
+
+        def pwl(x):
+            if x < 0.0:
+                x = 0.0
+            if x < x0:
+                return y0 + shift
+            if x < b1:
+                return ya + ra * (x - xa) / ua + shift
+            if x < b2:
+                return yb + rb * (x - xb) / ub + shift
+            return yk + slope * (x - xk) + shift
         return pwl
 
     def integral(self, x: float) -> float:
@@ -361,10 +321,3 @@ class PiecewiseLinear(LatencyFn):
 
     def knots_between(self, lo: float, hi: float) -> list[float]:
         return [x for x in self._breaks if lo < x < hi]
-
-
-def _shifted(kernel, shift: float | None):
-    """`kernel`, or a function of x returning kernel(x) + shift."""
-    if shift is None:
-        return kernel
-    return lambda x: kernel(x) + shift

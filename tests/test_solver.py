@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import riskroute as rr
 from riskroute import network, solver, synthetic
-from riskroute.cli import _SWEEP_FAMILIES
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
 from riskroute.solver import SolverConfig
 from riskroute.synthetic import random_small_instance
@@ -497,7 +496,13 @@ def test_converged_results_route_their_demand():
             ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
             solves += [(inst, rr.solve_rnwe), (inst, rr.solve_rawe_meanvar),
                        (ms, rr.solve_rawe_meanstdev)]
-    for make, _ in _SWEEP_FAMILIES.values():
+    # the seven families of `riskroute sweep --what`
+    sweep_families = (synthetic.random_affine_instance,
+                      *(lambda seed, d=d: synthetic.random_polynomial_instance(seed, d)
+                        for d in (2, 3, 4)),
+                      synthetic.random_series_parallel_instance,
+                      synthetic.random_braess_instance, synthetic.random_domino_instance)
+    for make in sweep_families:
         for seed in range(20):
             inst = make(seed)
             solves += [(inst, rr.solve_rnwe), (inst, rr.solve_rawe)]
