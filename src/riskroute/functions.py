@@ -66,8 +66,8 @@ class LatencyFn:
         """Slope-change points strictly inside (lo, hi).
 
         Returns None when the function is not piecewise linear: the
-        solvers' step (`solver._step_root`) then runs Illinois regula falsi
-        on the curved piece instead of interpolating.
+        solvers' step (`solver._step_root`) then runs Anderson-Bjorck
+        regula falsi on the curved piece instead of interpolating.
         """
         raise NotImplementedError
 

@@ -73,8 +73,11 @@ cheapest path minus the costliest's after the transfer.  One routine
 finds it for both.  It walks the points where the moved edges' functions
 change slope and interpolates once on a linear piece; on a curved piece
 (polynomial costs, or square roots of flow-dependent variances) it runs
-Illinois regula falsi, which needs a few calls where a bisection to the
-same precision needs 60 or more.  A linear step with ten points or more
+Anderson-Bjorck regula falsi, and stops at the first point where the
+computed function is within the rounding error of its float sum: there it
+cannot be told from 0, so the point is a root to working precision.  That
+takes about five calls where a bisection to the same precision needs 60
+or more.  A linear step with ten points or more
 to walk searches for the walk's last two points instead: secant and
 regula falsi steps through exact values pick the next point, and about
 three calls find them where the walk makes one per point up to the root.
@@ -125,6 +128,11 @@ from .network import (
 )
 
 _PRUNE_REL = 1e-12
+
+# raised where a loop meets costs that overflowed: every path cost of the
+# additive decomposition NaN, or the path loop's amounts NaN after a step
+# between infinite costs
+_NOT_FINITE = "perceived path costs are not finite: the instance's costs overflow"
 
 
 @dataclass(frozen=True)
@@ -483,16 +491,21 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     the points where fn may change slope; the walk evaluates those inside
     (0, t_max), then t_max, in ascending order until fn is nonnegative.  On
     a `linear` piece the root is one interpolation.  On any other piece
-    Illinois regula falsi (a secant step that halves the value kept at a
-    stale end, and the midpoint when the step leaves the bracket) narrows
-    it until fn is exactly 0 or the bracket is a few ulps of t_max wide,
-    the precision a flow of that size keeps.  `v0` is fn(0), which both
+    Anderson-Bjorck regula falsi narrows it: a secant step through the
+    bracket's end values, the midpoint when the step leaves the bracket,
+    and when the same end is replaced twice in a row, the value kept at
+    the other, stale end is weighted by m = 1 - f(new) / f(replaced), or
+    by 1/2 when m <= 0.  It stops at a point where |fn| <= G (below), the
+    rounding error of fn's own sum, so that the computed value cannot be
+    told from 0; or when the bracket is a few ulps of t_max wide, the
+    precision a flow of that size keeps.  `v0` is fn(0), which both
     callers hold already; fn is called at most `cap` times more, and a
     walk that spends them all returns the last knot where fn is negative.
 
-    `size`, S, and `terms`, n, let a linear step search for the walk's
-    last two points (`_search_bracket`) when it has at least
-    `_SEARCH_FROM` points to walk and no more than `cap`.  fn must be a
+    `size`, S, and `terms`, n, bound fn's rounding noise, and with it a
+    linear step searches for the walk's last two points
+    (`_search_bracket`) when it has at least `_SEARCH_FROM` points to walk
+    and no more than `cap`.  fn must be a
     left-to-right float sum of n terms s * c(f + s * t), s = +1
     or -1 and c one of the package's costs, or the difference of two such
     sums plus constants (a path pair's costs), and S the sum of the terms'
@@ -520,7 +533,10 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     certified bracket is the walk's, with the walk's values, so the
     interpolation gives the walk's t, bit for bit.  Without a certificate
     the walk runs from the start, reading the values the search knows:
-    it evaluates no point twice, and so stays within the cap.
+    it evaluates no point twice, and so stays within the cap.  The same
+    terms bound the rounding error of a computed fn(t) where fn is near 0
+    by G, so a computed |fn(t)| <= G cannot be told from 0: a curved step
+    stops there.
     """
     if v0 >= 0.0:
         return 0.0
@@ -528,9 +544,11 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     ts = sorted(k for k in knots if 0.0 < k < t_max)
     ts.append(t_max)
     a, fa = 0.0, v0
+    # G, the rounding bound below
+    g = 8.0 * (terms + 2) * 2.0 ** -52 * size
     if len(ts) >= _SEARCH_FROM and linear and len(ts) <= cap:
         values = {}
-        found = _search_bracket(fn, ts, v0, 8.0 * (terms + 2) * 2.0 ** -52 * size, values)
+        found = _search_bracket(fn, ts, v0, g, values)
         if found is not None:
             a, fa, b, fb = found
             if fb < 0.0 or (fb == 0.0 and b == t_max):
@@ -555,8 +573,10 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     else:
         return t_max
 
-    # Illinois on [a, b], fa < 0 < fb; ga and gb are the end values the
-    # secant uses, halved at an end that stayed put twice in a row
+    # Anderson-Bjorck on [a, b], fa < 0 < fb; ga and gb are the end values
+    # the secant uses, and when one end is replaced twice in a row the value
+    # kept at the other is weighted down.  A value within G is a root to
+    # working precision
     ga, gb, kept = fa, fb, 0
     tol = 2.0 * math.ulp(t_max)
     while calls < cap and b - a > 2.0 * tol:
@@ -566,18 +586,18 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
         t = min(max(t, a + tol), b - tol) if a <= t <= b else 0.5 * (a + b)
         ft = fn(t)
         calls += 1
-        if ft == 0.0:
+        if -g <= ft <= g:
             return t
         if ft < 0.0:
-            a, fa, ga = t, ft, ft
             if kept > 0:
-                gb *= 0.5
-            kept = 1
+                m = 1.0 - ft / fa
+                gb *= m if m > 0.0 else 0.5
+            a, fa, ga, kept = t, ft, ft, 1
         else:
-            b, fb, gb = t, ft, ft
             if kept < 0:
-                ga *= 0.5
-            kept = -1
+                m = 1.0 - ft / fb
+                ga *= m if m > 0.0 else 0.5
+            b, fb, gb, kept = t, ft, ft, -1
     return a if -fa < fb else b
 
 
@@ -588,7 +608,7 @@ def _line_search(moves: list, v0: float, size: float, knots, linear: bool,
     The derivative t -> sum_e delta_e * c_e(f_e + delta_e * t) over the
     moved edges e is non-decreasing; `_step_root` finds its root, exactly
     from the slope-change `knots` for piecewise-linear costs (`linear`) and
-    with Illinois for polynomial ones.  `moves` holds one (cost, f_e,
+    with Anderson-Bjorck for polynomial ones.  `moves` holds one (cost, f_e,
     delta_e, term) per moved edge, in the order the derivative sums them:
     its cost function, or None for a constant-cost edge, whose fixed term
     delta_e * c_e(f_e) no call of the derivative evaluates again.  `v0` is
@@ -846,6 +866,8 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
                 q += c[eid]
             if q > worst_cost or (q == worst_cost and path > worst):
                 worst, worst_cost = path, q
+        if not worst:
+            raise ValueError(_NOT_FINITE)
         if worst == best:
             break
         # moving t from worst to best moves the edges on exactly one of them,
@@ -1024,6 +1046,8 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         q = np.array(_path_costs(instance, paths, means, variances))
         best = int(np.argmin(q))
         used = np.flatnonzero(amounts > used_cut)
+        if not len(used):
+            raise ValueError(_NOT_FINITE)
         worst = int(used[np.argmax(q[used])])
         gap = float(q[worst] - q[best])
         return _PathState(flow, means, variances, q, best, used, worst, gap,

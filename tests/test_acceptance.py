@@ -292,38 +292,44 @@ def test_mean_stdev_alternation_bounds():
 
 
 def test_brute_force_agrees_with_iterative_solver():
-    """Support-enumeration equilibria match the conditional-gradient solver
-    edge by edge on small instances."""
+    """Support-enumeration equilibria match the conditional-gradient solvers
+    edge by edge on small instances, both equilibria of each; about 30% of
+    them have quadratic latencies, whose steps are curved."""
     t0 = time.perf_counter()
     worst = 0.0
     failures = []
-    for seed in range(12):
+    config = SolverConfig(tolerance=1e-10)
+    seeds = range(60)
+    for seed in seeds:
         instance = random_small_instance(seed)
-        config = SolverConfig(tolerance=1e-10)
-        iterative = _solve_rawe(instance, config)
-        brute = brute_force_equilibrium(instance)
-        if not iterative.converged:
-            failures.append(f"seed {seed}: iterative solver did not converge")
-            continue
-        if not brute.converged:
-            failures.append(f"seed {seed}: brute force did not converge")
-            continue
-        if iterative.vi_residual > config.tolerance:
-            failures.append(
-                f"seed {seed}: residual {iterative.vi_residual:.2e} "
-                f"above the configured {config.tolerance:.0e}"
-            )
-        dev = float(np.max(np.abs(iterative.flow - brute.flow)))
-        worst = max(worst, dev)
-        if dev > 1e-4:
-            failures.append(f"seed {seed}: flows differ by {dev:.2e}")
+        # the risk-neutral equilibrium is the one at gamma 0
+        for label, iterative, reference in (
+                ("rawe", _solve_rawe(instance, config), instance),
+                ("rnwe", solve_rnwe(instance, config), with_gamma(instance, 0.0))):
+            brute = brute_force_equilibrium(reference)
+            if not iterative.converged:
+                failures.append(f"seed {seed} {label}: iterative solver did not converge")
+                continue
+            if not brute.converged:
+                failures.append(f"seed {seed} {label}: brute force did not converge")
+                continue
+            if iterative.vi_residual > config.tolerance:
+                failures.append(
+                    f"seed {seed} {label}: residual {iterative.vi_residual:.2e} "
+                    f"above the configured {config.tolerance:.0e}"
+                )
+            dev = float(np.max(np.abs(iterative.flow - brute.flow)))
+            worst = max(worst, dev)
+            if dev > 1e-4:
+                failures.append(f"seed {seed} {label}: flows differ by {dev:.2e}")
     elapsed = time.perf_counter() - t0
     ok = not failures
     _certify(
         "brute force agreement",
         ok,
         "; ".join(failures) if failures else
-        f"12 instances, worst per-edge gap {worst:.2e} (tol 1e-4), {elapsed:.2f}s",
+        f"{len(seeds)} instances, both equilibria, worst per-edge gap {worst:.2e} "
+        f"(tol 1e-4), {elapsed:.2f}s",
     )
 
 

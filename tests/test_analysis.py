@@ -1,9 +1,12 @@
 """Partitions, alternating paths, smoothness and the cost-ratio bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import riskroute as rr
 from riskroute import analysis, synthetic
@@ -118,6 +121,60 @@ def test_smoothness_polynomial_matches_analytic_value():
     # for l(y) = y^2 the supremum sits at y = x/sqrt(3): mu = 2/(3*sqrt(3))
     got = rr.estimate_smoothness_mu(rr.Polynomial((0.0, 0.0, 1.0)), 1.7)
     assert got == pytest.approx(2.0 / (3.0 * math.sqrt(3.0)), abs=1e-8)
+
+
+def _golden_section_mu(fn, x):
+    """Reference smoothness of a polynomial: golden-section search for the
+    maximum of y * (fn(x) - fn(y)) / (x * fn(x)), concave on [0, x], to a
+    bracket 1e-10 * x wide.  The ratio is evaluated exactly, in fractions,
+    since in floats fn(x) - fn(y) cancels at small flows; the bracket is
+    relative, since an absolute one leaves mu off by (1e-10 / x)^2
+    relative."""
+    coeffs = [Fraction(c) for c in fn.coeffs]
+
+    def value(y):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * Fraction(y) + c
+        return acc
+
+    fx = value(x)
+
+    def ratio(y):
+        return Fraction(y) * (fx - value(y)) / (Fraction(x) * fx)
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, x
+    c = hi - inv_phi * (hi - lo)
+    d = lo + inv_phi * (hi - lo)
+    fc, fd = ratio(c), ratio(d)
+    while hi - lo > 1e-10 * x:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = ratio(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = ratio(d)
+    return float(max(0, ratio(0.5 * (lo + hi))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=6)
+       .filter(any),
+       st.floats(1e-6, 1e3))
+@example([1.0, 1.0], 1e-6)
+@example([5.0, 0.0, 2.0], 1e-5)
+@example([1e3, 1e-3], 1e-6)
+def test_smoothness_of_polynomials_matches_golden_section(coeffs, x):
+    # Newton's method on g' against the golden-section reference, on
+    # polynomials of 1-6 coefficients, inner zeros included.  The examples
+    # have a constant term that fn(x) - fn(y) would cancel: mu computed
+    # that way is off by 3e-10 to 1e-5 relative
+    fn = rr.Polynomial(tuple(coeffs))
+    assert rr.estimate_smoothness_mu(fn, x) == pytest.approx(_golden_section_mu(fn, x),
+                                                             rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])

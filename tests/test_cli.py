@@ -268,6 +268,23 @@ def test_meaningless_pra_tolerance_is_an_input_error(value):
         f"error: --pra-tolerance must be finite and nonnegative, got {float(value)}"]
 
 
+@pytest.mark.parametrize("model, mode", [(rr.RiskModel.MEAN_VAR, "rawe"),
+                                         (rr.RiskModel.MEAN_STDEV, "rawe"),
+                                         (rr.RiskModel.MEAN_STDEV, "rnwe")])
+def test_overflowing_costs_are_an_input_error(tmp_path, model, mode):
+    # costs of a valid, finite instance that overflow: one error line and
+    # exit 2, from the additive loop and from the mean-stdev path loop
+    path = tmp_path / "overflow.txt"
+    ser.write_instance(path, rr.NetworkInstance(
+        2,
+        (rr.Edge(0, 1, rr.Affine(1e308, 0.0), rr.Constant(1.0)),
+         rr.Edge(0, 1, rr.Affine(1.0, 1.0), rr.Constant(1.0))),
+        0, 1, 1e308, 1.0, model))
+    code, out, err = _run(["solve", "--in", str(path), "--mode", mode])
+    assert (code, out, err.splitlines()) == (
+        2, "", ["error: perceived path costs are not finite: the instance's costs overflow"])
+
+
 def test_zero_tolerances_stay_valid():
     # level 1 solves exactly; `test_sweep_leaves_out_unconverged_instances`
     # runs a zero --max-iters
