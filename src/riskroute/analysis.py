@@ -37,7 +37,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .functions import Affine, Constant, LatencyFn, PiecewiseLinear
+from .functions import LatencyFn
 from .network import NetworkInstance, RiskModel, social_cost
 from .solver import EquilibriumResult
 
@@ -216,9 +216,20 @@ def estimate_smoothness_mu(fn: LatencyFn, x: float) -> float:
 
     Returns the supremum over y >= 0 of y*(fn(x) - fn(y)) / (x*fn(x)), the
     smallest mu for which y*fn(x) <= y*fn(y) + mu*x*fn(x) for all y.  The
-    supremum is attained on [0, x] because fn is non-decreasing.  Constant,
-    affine and piecewise-linear functions are solved in closed form by
-    candidate enumeration.  For a polynomial, g(y) = y*(fn(x) - fn(y)) is
+    supremum is attained on [0, x] because fn is non-decreasing.
+
+    A piecewise-linear function, one whose `fn.knots_between` is not None
+    as for the solver's step (constant, affine, piecewise linear,
+    polynomials of degree <= 1), is walked piece by piece from x down, each
+    piece's slope s its right derivative at the piece's start.  With
+    drop = fn(x) - fn(end) summed from the nonnegative s * (end - start) of
+    the pieces above, y*(fn(x) - fn(y)) on a piece is
+    y*(drop + s*(end - y)), which peaks at (drop + s*end) / (2s), clipped
+    to the piece, or at the end when s = 0.  Every term is nonnegative, so
+    mu is exact to a few rounding errors even where fn(x) - fn(y) would
+    cancel.
+
+    For a curved function, a polynomial, g(y) = y*(fn(x) - fn(y)) is
     concave on [0, x], and its derivative falls from fn(x) - fn(0) >= 0 to
     -x*fn'(x) <= 0 there: Newton's method on g' finds the maximiser,
     bisecting whenever a step leaves the bracket of the root, until a step
@@ -226,7 +237,7 @@ def estimate_smoothness_mu(fn: LatencyFn, x: float) -> float:
     x).  It takes about five evaluations of g', g'' from the coefficients.
     mu is then summed from nonnegative terms, (x - y) times the factored
     differences x^k - y^k, so it keeps its relative precision at small
-    flows, where fn(x) - fn(y) would cancel.
+    flows too.
     """
     if not x > 0.0:
         raise ValueError(f"smoothness is evaluated at a positive flow, got x={x}")
@@ -234,37 +245,14 @@ def estimate_smoothness_mu(fn: LatencyFn, x: float) -> float:
     if fx <= 0.0:
         raise ValueError(f"smoothness needs fn(x) > 0, got fn({x}) = {fx}")
 
-    def ratio(y: float) -> float:
-        return y * (fx - fn(y)) / (x * fx)
-
-    if isinstance(fn, Constant):
-        return 0.0
-    if isinstance(fn, Affine):
-        best_y = min(max(x / 2.0, 0.0), x)
-        return max(ratio(best_y), 0.0)
-    if isinstance(fn, PiecewiseLinear):
-        candidates = {0.0, x}
-        xs = [p[0] for p in fn.points]
-        for bx in xs:
-            if 0.0 < bx < x:
-                candidates.add(bx)
-        # stationary point inside each linear segment: for fn(y)=c+m(y-s) the
-        # objective y*(fx-fn(y)) peaks at y = (fx - c + m*s) / (2m)
-        bounds = [0.0] + xs + [x]
-        for left, right in zip(bounds, bounds[1:]):
-            left = max(left, 0.0)
-            right = min(right, x)
-            if right <= left:
-                continue
-            mid = 0.5 * (left + right)
-            m = (fn(right) - fn(left)) / (right - left)
-            if m <= 0.0:
-                continue
-            c = fn(mid) - m * mid
-            y_star = (fx - c) / (2.0 * m)
-            if left < y_star < right:
-                candidates.add(y_star)
-        return max(0.0, max(ratio(y) for y in candidates))
+    if (knots := fn.knots_between(0.0, x)) is not None:
+        best, drop, end = 0.0, 0.0, x
+        for start in reversed([0.0, *knots]):
+            s = fn.derivative(start)
+            y = min(max((drop + s * end) / (2.0 * s), start), end) if s > 0.0 else end
+            best = max(best, y * (drop + s * (end - y)))
+            drop, end = drop + s * (end - start), start
+        return best / (x * fx)
     # a polynomial, sum_k c_k * y^k: g'(y) = sum_{k>=1} c_k * (x^k - (k + 1)
     # * y^k) and -g''(y) = sum_{k>=1} k * (k + 1) * c_k * y^(k - 1); lo and
     # hi bracket the root of g'

@@ -4,8 +4,11 @@ Every edge of a routing network carries two of these: a mean latency
 function and a variance function, both evaluated at the edge flow.  All
 variants are continuous, non-decreasing and nonnegative on [0, inf).  The
 solver's exact line search uses their values and slope-change knots, and
-its Newton finish their right derivatives; the closed-form integrals from
-zero serve only `solver.beckmann_potential`.
+its Newton finish their right derivatives.  The smoothness parameter mu
+(`analysis.estimate_smoothness_mu`) reads the knots and right derivatives
+too: a piecewise-linear function is walked piece by piece, each slope its
+right derivative.  The closed-form integrals from zero serve only
+`solver.beckmann_potential`.
 
 `fn(x)` is the reference evaluation, which the analysis, the network and
 the instance builders call.  The solvers evaluate costs millions of times,
@@ -213,8 +216,8 @@ class PiecewiseLinear(LatencyFn):
     points: tuple[tuple[float, float], ...]
     _breaks: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _final_slope: float = field(init=False, repr=False, compare=False)
-    # (xa, ya, yb - ya, xb - xa) of the piece right of each breakpoint but the last
+    # (xa, ya, yb - ya, xb - xa) of the piece right of each breakpoint but
+    # the last, then (xk, yk, final slope, 1.0) of the piece past the last
     _pieces: tuple[tuple[float, float, float, float], ...] = field(
         init=False, repr=False, compare=False)
 
@@ -244,14 +247,10 @@ class PiecewiseLinear(LatencyFn):
             seg = (xs[k] - xs[k - 1]) * 0.5 * (ys[k] + ys[k - 1])
             cum.append(cum[-1] + seg)
         object.__setattr__(self, "_cum", tuple(cum))
-        # slope past the last breakpoint
-        slope = 0.0
-        if len(pts) > 1:
-            (x0, y0), (x1, y1) = pts[-2], pts[-1]
-            slope = (y1 - y0) / (x1 - x0)
-        object.__setattr__(self, "_final_slope", slope)
-        object.__setattr__(self, "_pieces", tuple((xa, ya, yb - ya, xb - xa)
-                                                  for (xa, ya), (xb, yb) in zip(pts, pts[1:])))
+        pieces = [(xa, ya, yb - ya, xb - xa) for (xa, ya), (xb, yb) in zip(pts, pts[1:])]
+        # dividing by 1.0 is exact: the final piece's values are yk + slope * (x - xk)
+        slope = pieces[-1][2] / pieces[-1][3] if pieces else 0.0
+        object.__setattr__(self, "_pieces", (*pieces, (*pts[-1], slope, 1.0)))
 
     def __call__(self, x: float) -> float:
         # max(x, 0.0) without the call: keeps -0.0 and NaN as max does
@@ -260,26 +259,19 @@ class PiecewiseLinear(LatencyFn):
         i = bisect_right(self._breaks, x)
         if i == 0:
             return self.points[0][1]
-        pieces = self._pieces
-        if i > len(pieces):
-            xk, yk = self.points[-1]
-            return yk + self._final_slope * (x - xk)
-        xa, ya, rise, run = pieces[i - 1]
+        xa, ya, rise, run = self._pieces[i - 1]
         return ya + rise * (x - xa) / run
 
     def kernel(self, shift: float = -0.0):
         if len(self.points) > 3:
             return super().kernel(shift)
         x0, y0 = self.points[0]
-        xk, yk = self.points[-1]
-        slope = self._final_slope
         # x < b is the test bisect_right makes, NaN reading False, so the
         # comparisons pick its piece.  Fewer than three breakpoints are
-        # padded with breakpoints at inf whose piece is the final one with
-        # run 1.0: ya + rise * (x - xa) / 1.0 is yk + slope * (x - xk), bit
-        # for bit, and x = inf or NaN passes no x < inf to the final piece
-        final = (xk, yk, slope, 1.0)
-        (xa, ya, ra, ua), (xb, yb, rb, ub) = (*self._pieces, final, final)[:2]
+        # padded with breakpoints at inf whose piece is the final one, and
+        # x = inf or NaN passes no x < inf to the final piece
+        final = self._pieces[-1]
+        (xa, ya, ra, ua), (xb, yb, rb, ub), (xc, yc, rc, _) = (*self._pieces, final, final)[:3]
         b1, b2 = (*self._breaks[1:], math.inf, math.inf)[:2]
 
         def pwl(x):
@@ -291,33 +283,29 @@ class PiecewiseLinear(LatencyFn):
                 return ya + ra * (x - xa) / ua + shift
             if x < b2:
                 return yb + rb * (x - xb) / ub + shift
-            return yk + slope * (x - xk) + shift
+            # the final piece, whose run is 1.0: no division to make
+            return yc + rc * (x - xc) + shift
         return pwl
 
     def integral(self, x: float) -> float:
         x = max(x, 0.0)
-        pts = self.points
         i = bisect_right(self._breaks, x)
         if i == 0:
-            return pts[0][1] * x
-        if i == len(pts):
-            xk, yk = pts[-1]
-            t = x - xk
-            return self._cum[-1] + yk * t + 0.5 * self._final_slope * t * t
-        (xa, ya) = pts[i - 1]
-        yx = self(x)
-        return self._cum[i - 1] + (x - xa) * 0.5 * (ya + yx)
+            return self.points[0][1] * x
+        xa, ya, rise, _ = self._pieces[i - 1]
+        t = x - xa
+        if i == len(self._pieces):
+            # past the last breakpoint, where rise is the final slope
+            return self._cum[-1] + ya * t + 0.5 * rise * t * t
+        return self._cum[i - 1] + t * 0.5 * (ya + self(x))
 
     def derivative(self, x: float) -> float:
         # the piece bisect_right picks is the one to the right of a knot
-        pts = self.points
         i = bisect_right(self._breaks, max(x, 0.0))
         if i == 0:
             return 0.0
-        if i == len(pts):
-            return self._final_slope
-        (xa, ya), (xb, yb) = pts[i - 1], pts[i]
-        return (yb - ya) / (xb - xa)
+        _, _, rise, run = self._pieces[i - 1]
+        return rise / run
 
     def knots_between(self, lo: float, hi: float) -> list[float]:
         return [x for x in self._breaks if lo < x < hi]

@@ -442,6 +442,10 @@ def _slope_knots(edge_knots: list, curved: list, moves,
 # bookkeeping cost about what its saved calls did
 _SEARCH_FROM = 10
 
+# calls of the step function a step may make after fn(0): at most 100 in
+# all, what a 100-step bisection would spend
+_STEP_CALLS = 99
+
 
 def _search_bracket(fn, ts: list[float], v0: float, slack: float, values: dict):
     """The ordered walk's bracket among the points `ts`, found by a search.
@@ -483,7 +487,7 @@ def _search_bracket(fn, ts: list[float], v0: float, slack: float, values: dict):
         j = bisect_left(ts, r, lo + 1, hi - 1)
 
 
-def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
+def _step_root(fn, t_max: float, knots, linear: bool,
                v0: float, size: float, terms: int) -> float:
     """Where the non-decreasing `fn` turns nonnegative on [0, t_max].
 
@@ -499,13 +503,14 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     rounding error of fn's own sum, so that the computed value cannot be
     told from 0; or when the bracket is a few ulps of t_max wide, the
     precision a flow of that size keeps.  `v0` is fn(0), which both
-    callers hold already; fn is called at most `cap` times more, and a
-    walk that spends them all returns the last knot where fn is negative.
+    callers hold already; fn is called at most `_STEP_CALLS` times more,
+    and a walk that spends them all returns the last knot where fn is
+    negative.
 
     `size`, S, and `terms`, n, bound fn's rounding noise, and with it a
     linear step searches for the walk's last two points
     (`_search_bracket`) when it has at least `_SEARCH_FROM` points to walk
-    and no more than `cap`.  fn must be a
+    and no more than `_STEP_CALLS`.  fn must be a
     left-to-right float sum of n terms s * c(f + s * t), s = +1
     or -1 and c one of the package's costs, or the difference of two such
     sums plus constants (a path pair's costs), and S the sum of the terms'
@@ -546,7 +551,7 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     a, fa = 0.0, v0
     # G, the rounding bound below
     g = 8.0 * (terms + 2) * 2.0 ** -52 * size
-    if len(ts) >= _SEARCH_FROM and linear and len(ts) <= cap:
+    if len(ts) >= _SEARCH_FROM and linear and len(ts) <= _STEP_CALLS:
         values = {}
         found = _search_bracket(fn, ts, v0, g, values)
         if found is not None:
@@ -558,7 +563,7 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
         # others: at most len(ts) calls in all, so the cap is not reached
         fn = lambda t, fn=fn, known=values: known[t] if t in known else fn(t)  # noqa: E731
     for b in ts:
-        if calls >= cap:
+        if calls >= _STEP_CALLS:
             return a
         fb = fn(b)
         calls += 1
@@ -579,7 +584,7 @@ def _step_root(fn, t_max: float, knots, linear: bool, cap: int,
     # working precision
     ga, gb, kept = fa, fb, 0
     tol = 2.0 * math.ulp(t_max)
-    while calls < cap and b - a > 2.0 * tol:
+    while calls < _STEP_CALLS and b - a > 2.0 * tol:
         t = b - gb * (b - a) / (gb - ga)
         # a step closer than tol to an end moves tol, so that a root next to
         # the end closes the bracket; a step outside the bracket bisects
@@ -622,8 +627,7 @@ def _line_search(moves: list, v0: float, size: float, knots, linear: bool,
             acc += term if cost is None else s * cost(f + s * t)
         return acc
 
-    # at most 100 calls, what a 100-step bisection would spend: v0 is the first
-    return _step_root(dphi, t_max, knots, linear, 99, v0, size, len(moves))
+    return _step_root(dphi, t_max, knots, linear, v0, size, len(moves))
 
 
 def _flow_from_weights(instance: NetworkInstance,
@@ -1097,11 +1101,10 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
             cw, cb = _path_costs(instance, pair, means, variances)
             return cb - cw
 
-        # pair_diff(0) is -gap bit for bit; at most 60 calls, what a 60-step
-        # bisection would spend; the two paths' costs and edges size the
-        # bracket search's certificate
+        # pair_diff(0) is -gap bit for bit; the two paths' costs and edges
+        # size the bracket search's certificate
         t = _step_root(pair_diff, move, *_slope_knots(edge_knots, curved, moved, move),
-                       60, -s.gap, float(s.q[best] + s.q[worst]),
+                       -s.gap, float(s.q[best] + s.q[worst]),
                        len(worst_path) + len(best_path))
         amounts[worst] -= t
         amounts[best] += t

@@ -1,11 +1,12 @@
 """Partitions, alternating paths, smoothness and the cost-ratio bounds."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import riskroute as rr
@@ -177,6 +178,81 @@ def test_smoothness_of_polynomials_matches_golden_section(coeffs, x):
                                                              rel=1e-12, abs=0.0)
 
 
+def _exact_linear_mu(fn, x):
+    """Reference smoothness of a piecewise-linear function, in fractions.
+
+    The function is rebuilt from its parameters as breakpoints, constant
+    left of the first and extended along the last segment past the last.
+    On each segment y * (fn(x) - fn(y)) is a quadratic in y, so its
+    supremum over [0, x] sits at 0, x, a breakpoint, or a segment line's
+    stationary point; the ratio is the largest at any of those in [0, x].
+    """
+    if isinstance(fn, rr.PiecewiseLinear):
+        pts = [(Fraction(a), Fraction(b)) for a, b in fn.points]
+    elif isinstance(fn, rr.Constant):
+        pts = [(Fraction(0), Fraction(fn.value))]
+    else:
+        intercept, slope = ((fn.intercept, fn.slope) if isinstance(fn, rr.Affine)
+                            else (*fn.coeffs, 0.0)[:2])
+        pts = [(Fraction(0), Fraction(intercept)),
+               (Fraction(1), Fraction(intercept) + Fraction(slope))]
+    segments = list(zip(pts, pts[1:]))
+
+    def value(y):
+        if y <= pts[0][0] or not segments:
+            return pts[0][1]
+        (xa, ya), (xb, yb) = next((s for s in segments if y <= s[1][0]), segments[-1])
+        return ya + (yb - ya) * (y - xa) / (xb - xa)
+
+    x = Fraction(x)
+    fx = value(x)
+    candidates = {Fraction(0), x} | {a for a, _ in pts if a < x}
+    for (xa, ya), (xb, yb) in segments:
+        m = (yb - ya) / (xb - xa)
+        if m > 0:
+            # fx - (ya + m * (y - xa)) times y peaks where its derivative is 0
+            stationary = (fx - ya + m * xa) / (2 * m)
+            if 0 < stationary < x:
+                candidates.add(stationary)
+    return float(max(y * (fx - value(y)) for y in candidates) / (x * fx))
+
+
+def _linear_latencies():
+    """Constant, Affine, Polynomial of degree <= 1 and PiecewiseLinear of
+    1-5 breakpoints, the first at 0 or above, flat pieces included."""
+    coeff = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    steps = st.lists(st.tuples(st.floats(1e-3, 1e2), st.one_of(st.just(0.0), coeff)),
+                     max_size=4)
+
+    def piecewise(x0, y0, rest):
+        pts = [(x0, y0)]
+        for dx, dy in rest:
+            pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
+        return rr.PiecewiseLinear(tuple(pts))
+
+    return st.one_of(
+        st.builds(rr.Constant, coeff),
+        st.builds(rr.Affine, coeff, coeff),
+        st.builds(lambda c: rr.Polynomial(tuple(c)), st.lists(coeff, min_size=1, max_size=2)),
+        st.builds(piecewise, st.one_of(st.just(0.0), st.floats(1e-6, 1e2)), coeff, steps))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_linear_latencies(), st.floats(1e-6, 1e3), st.data())
+@example(rr.Affine(1.0, 1.0), 1e-6, None)
+@example(rr.Affine(2.0, 0.0), 3.0, None)
+@example(rr.PiecewiseLinear(((0.0, 0.0), (0.9, 0.0), (1.0, 10.0))), 0.95, None)
+def test_smoothness_of_linear_pieces_is_exact(fn, x, data):
+    # the piece walk against the fraction-exact reference, x on a breakpoint
+    # or between; mu taken from fn(x) - fn(y) by subtraction is off by up to
+    # 5e-5 relative on affine functions at small flows
+    if data is not None and isinstance(fn, rr.PiecewiseLinear):
+        x = data.draw(st.one_of(st.just(x), st.sampled_from([p[0] for p in fn.points])))
+    assume(x > 0.0 and fn(x) > 0.0)
+    assert rr.estimate_smoothness_mu(fn, x) == pytest.approx(_exact_linear_mu(fn, x),
+                                                             rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_smoothness_of_functional_family_is_exact(level):
     inst, _, x, _ = _oracle_flows(level, variant=Variant.FUNCTIONAL)
@@ -247,6 +323,16 @@ def test_vertex_bound_matches_eta_bound_on_family():
     assert report.satisfied
     assert report.bound_value == pytest.approx(5.0)
     assert report.slack == pytest.approx(0.0, abs=1e-9)
+
+
+def test_analyze_rejects_zero_demand():
+    # both equilibria route nothing, so the cost ratio is 0 / 0
+    inst = dataclasses.replace(synthetic.random_affine_instance(0), demand=0.0)
+    rawe, rnwe = _solved(inst)
+    assert rawe.converged and rnwe.converged
+    assert not rawe.flow.any() and not rnwe.flow.any()
+    with pytest.raises(ValueError, match="ratio is undefined"):
+        analysis.analyze(inst, rawe, rnwe)
 
 
 def test_functional_smooth_bound_value():

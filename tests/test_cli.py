@@ -6,6 +6,7 @@ import io
 import pytest
 
 import riskroute as rr
+from riskroute import cli
 from riskroute import serialization as ser
 from riskroute.cli import main
 
@@ -132,6 +133,29 @@ def test_sweep_reports_tightest_instance(tmp_path):
     assert "tightest instance:" in err
 
 
+def test_sweep_skips_inapplicable_bounds(tmp_path, monkeypatch):
+    # the level-1 recursive instance read as mean-stdev: its alternating
+    # path has two forward runs, so StdevZeroAlt (pra 3 > bound 2) does not
+    # apply and StdevOneAlt (pra 3 = bound 3) does.  Like `analyze`, the
+    # sweep counts no violation and names the applicable row the tightest
+    inst, _ = rr.build_recursive(rr.RecursiveFamilySpec(level=1))
+    ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
+    monkeypatch.setitem(cli._SWEEP_FAMILIES, "series-parallel", (
+        lambda seed: ms, (rr.BoundKind.STDEV_ZERO_ALT, rr.BoundKind.STDEV_ONE_ALT)))
+    code, out, err = _run(["sweep", "--what", "series-parallel", "--count", "1"])
+    assert code == 0, err
+    assert [row.split(",")[-1] for row in out.splitlines()[2:]] == [
+        "StdevZeroAlt", "StdevOneAlt"]
+    [line] = err.splitlines()
+    assert line.startswith("tightest instance: series-parallel-0/StdevOneAlt ratio=")
+
+    path = tmp_path / "ms1.txt"
+    ser.write_instance(path, ms)
+    code, out, _ = _run(["analyze", "--in", str(path), "--bound", "stdev0"])
+    assert code == 0
+    assert "[VIOLATED] (inapplicable" in out
+
+
 def test_sweep_leaves_out_unconverged_instances(tmp_path):
     out = tmp_path / "s.csv"
     code, _, err = _run(["sweep", "--what", "affine", "--count", "3",
@@ -169,6 +193,17 @@ def test_braess_file_analyzes(tmp_path):
         demand="1.0", gamma="1.0", risky="const 1.0"))
     assert code == 0, err
     assert "TopologicalEta" in out
+
+
+def test_zero_demand_is_an_input_error(tmp_path):
+    # both equilibria route nothing, so the cost ratio is 0 / 0
+    path = tmp_path / "zero.txt"
+    path.write_text(BRAESS_FILE.format(demand="0.0", gamma="1.0", risky="const 1.0"),
+                    encoding="utf-8")
+    code, out, err = _run(["analyze", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: risk-neutral social cost is 0.0; the ratio is undefined"]
 
 
 @pytest.mark.parametrize("field,value", [

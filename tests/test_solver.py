@@ -793,7 +793,7 @@ def test_step_root_matches_bisection(step):
     # the walk alone: the bracket search returns its bits (tests below)
     fn, knots, linear, t_max, size, size_max, terms = step
     with mock.patch.object(solver, "_SEARCH_FROM", math.inf):
-        got = solver._step_root(fn, t_max, knots, linear, 99, fn(0.0), size, terms)
+        got = solver._step_root(fn, t_max, knots, linear, fn(0.0), size, terms)
     ref = _bisection_root(fn, t_max)
     # the step function is known to a few rounding errors of the costs it
     # subtracts, which fixes its root to that over its slope; beyond that
@@ -813,8 +813,9 @@ def test_step_root_keeps_its_call_cap(step, extra_knots, cap, linear):
         calls.append(t)
         return fn(t)
 
-    with mock.patch.object(solver, "_SEARCH_FROM", math.inf):
-        t = solver._step_root(counted, t_max, set(knots) | set(extra_knots), linear, cap,
+    with mock.patch.object(solver, "_SEARCH_FROM", math.inf), \
+            mock.patch.object(solver, "_STEP_CALLS", cap):
+        t = solver._step_root(counted, t_max, set(knots) | set(extra_knots), linear,
                               fn(0.0), size, terms)
     assert len(calls) <= cap
     # an interpolation next to t_max may round a few ulps past it
@@ -844,6 +845,22 @@ def test_curved_steps_spend_few_calls(monkeypatch):
         rr.solve_rnwe(inst)
         rr.solve_rawe(inst)
     assert len(calls) <= 5.0 * len(steps)
+
+
+def test_curved_steps_keep_their_precision_at_tiny_scale():
+    # costs x^3 and 2 x^3: at demand 1e-60 the step function's values are
+    # near 1e-180, and products of two of them underflow to 0; the split is
+    # the one at demand 1, x1 / x2 = 2^(1/3), scaled
+    def instance(demand):
+        return rr.NetworkInstance(
+            2, (rr.Edge(0, 1, rr.Polynomial((0.0, 0.0, 0.0, 1.0)), rr.Constant(1.0)),
+                rr.Edge(0, 1, rr.Polynomial((0.0, 0.0, 0.0, 2.0)), rr.Constant(1.0))),
+            0, 1, demand, 1.0, network.RiskModel.MEAN_VAR)
+
+    tiny, unit = rr.solve_rnwe(instance(1e-60)), rr.solve_rnwe(instance(1.0))
+    assert tiny.converged and unit.converged
+    assert tiny.flow[0] / tiny.flow[1] == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+    assert list(tiny.flow / 1e-60) == pytest.approx(list(unit.flow), rel=1e-12)
 
 
 def _walked_root(fn, t_max, knots, cap, v0):
@@ -977,8 +994,9 @@ def test_bracket_search_returns_the_walks_step_bit_for_bit(step, extra_knots, ca
         calls.append(t)
         return fn(t)
 
-    with mock.patch.object(solver, "_SEARCH_FROM", search_from):
-        got = solver._step_root(counted, t_max, knots, True, cap, v0, size, terms)
+    with mock.patch.object(solver, "_SEARCH_FROM", search_from), \
+            mock.patch.object(solver, "_STEP_CALLS", cap):
+        got = solver._step_root(counted, t_max, knots, True, v0, size, terms)
     assert _bits(got) == _bits(_walked_root(fn, t_max, knots, cap, v0))
     assert len(calls) <= cap and len(set(calls)) == len(calls)
 
@@ -1017,10 +1035,10 @@ def test_bracket_search_spends_few_calls_and_falls_back_near_a_zero(monkeypatch)
 
         knots, linear = solver._slope_knots(*solver._edge_knots(inst, 0.0), moves, 40.0)
         v0 = -head_start
-        reference = _walked_root(fn, 40.0, knots, 99, v0)
+        reference = _walked_root(fn, 40.0, knots, solver._STEP_CALLS, v0)
         assert len(calls) == walked
         del calls[:]
-        got = solver._step_root(fn, 40.0, knots, linear, 99, v0, head_start, 2)
+        got = solver._step_root(fn, 40.0, knots, linear, v0, head_start, 2)
         assert _bits(got) == _bits(reference)
         assert len(calls) == searched and len(set(calls)) == searched
         assert searches.pop() == found
