@@ -122,59 +122,43 @@ class _Builder:
         return len(self.edges) - 1
 
 
-def _structural_a(level: int, r_a: float, r_n: float, gk: float) -> PiecewiseLinear:
-    """Diagonal latency a_level pinned by the recursion parameters.
-
-    Zero up to r_n/2 (the flow it carries at the risk-neutral equilibrium)
-    and equal to 2^(level-1)*gk at the flow it carries at the risk-averse
-    equilibrium, linear in between and beyond.
-    """
-    threshold = r_n / 2.0
-    if level == 1:
-        anchor = r_a
-    else:
-        anchor = r_a / 2.0 + r_n / 2.0 ** (level + 1)
-    value = 2.0 ** (level - 1) * gk
-    points = [(threshold, 0.0), (anchor, value)]
-    if threshold > 0.0:
+def _diagonal(neutral: float, averse: float, value: float) -> PiecewiseLinear:
+    """Diagonal latency a_j: zero up to its risk-neutral flow `neutral`,
+    `value` at its risk-averse flow `averse`, linear in between and beyond."""
+    points = [(neutral, 0.0), (averse, value)]
+    if neutral > 0.0:
         points.insert(0, (0.0, 0.0))
     return PiecewiseLinear(tuple(points))
 
 
-def _functional_a(level: int, top_level: int, gk: float) -> PiecewiseLinear:
-    """Diagonal latency a_level of the uniform-split variant.
+def _grow(b: _Builder, level: int, s: int, t: int, r_a: float, r_n: float, gk: float,
+          spec: RecursiveFamilySpec) -> tuple[list[tuple[tuple[int, ...], float]], list]:
+    """Emit the level subgraph between s and t for demands r_a and r_n.
 
-    Zero up to 2^(level-1)/2^i (its risk-neutral flow in the level-i
-    instance) and 2^(level-1)*gk at 2^(level-1)/(2^i - 1) (its risk-averse
-    flow), so its best smoothness parameter at the risk-averse flow is
-    exactly 1 - 2^-i for every level.
-    """
-    threshold = 2.0 ** (level - 1) / 2.0 ** top_level
-    anchor = 2.0 ** (level - 1) / (2.0 ** top_level - 1.0)
-    value = 2.0 ** (level - 1) * gk
-    return PiecewiseLinear(((0.0, 0.0), (threshold, 0.0), (anchor, value)))
+    Returns (zig-zag paths, parallel paths), each path an edge-id tuple.
+    Each zig-zag path comes paired with its structural risk-averse amount:
+    r_n/2^level on the subgraph's own crossing path, r_a on a level-1
+    block's, and on each copy's paths their amounts at the sub-demands
+    (2^level*r_a - r_n)/2^(level+1) and r_n/2.  Zig-zag paths are ordered
+    [own crossing, upper copy..., lower copy...].  The structural variant
+    raises ValueError unless 2^level*r_a > (2^level - 1)*r_n, at every
+    level.
 
-
-def _check_structural_precondition(level: int, r_a: float, r_n: float) -> None:
-    if not 2.0 ** level * r_a > (2.0 ** level - 1.0) * r_n:
-        raise ValueError(
-            f"structural level-{level} parameters need 2^i*r_a > (2^i - 1)*r_n, "
-            f"got r_a={r_a}, r_n={r_n}")
-
-
-def _grow(b: _Builder, level: int, s: int, t: int, r_a: float, r_n: float,
-          gk: float, spec: RecursiveFamilySpec) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Emit the level subgraph between s and t.
-
-    Returns (zigzag paths, parallel paths) as edge-id tuples.  Zig-zag
-    paths are ordered [own crossing, upper copy..., lower copy...], which
-    is the order the amount recursion expects.
+    The diagonal a_level is zero up to r_n/2, its risk-neutral flow, and
+    2^(level-1)*gk at its risk-averse flow: the structural amounts of the
+    paths through it, or in the functional variant 2^(level-1) of the
+    2^i - 1 equal zig-zag shares of the level-i instance, where its best
+    smoothness parameter is exactly 1 - 2^-i at every level.
     """
     if spec.variant is Variant.STRUCTURAL:
-        _check_structural_precondition(level, r_a, r_n)
-        a_fn = _structural_a(level, r_a, r_n, gk)
+        if not 2.0 ** level * r_a > (2.0 ** level - 1.0) * r_n:
+            raise ValueError(
+                f"structural level-{level} parameters need 2^i*r_a > (2^i - 1)*r_n, "
+                f"got r_a={r_a}, r_n={r_n}")
+        averse = r_a if level == 1 else r_a / 2.0 + r_n / 2.0 ** (level + 1)
     else:
-        a_fn = _functional_a(level, spec.level, gk)
+        averse = 2.0 ** (level - 1) / (2.0 ** spec.level - 1.0)
+    a_fn = _diagonal(r_n / 2.0, averse, 2.0 ** (level - 1) * gk)
     var_kappa = Constant(1.0)
 
     if level == 1:
@@ -185,7 +169,7 @@ def _grow(b: _Builder, level: int, s: int, t: int, r_a: float, r_n: float,
         e_ll = b.edge(s, w, _ONE, var_kappa, "risky")
         e_lr = b.edge(w, t, a_fn, _ZERO, "a:1")
         e_cr = b.edge(u, w, _ONE, _ZERO, "vertical")
-        zig = [(e_ul, e_cr, e_lr)]
+        zig = [((e_ul, e_cr, e_lr), r_a)]
         par = [(e_ul, e_ur), (e_ll, e_lr)]
         return zig, par
 
@@ -198,21 +182,12 @@ def _grow(b: _Builder, level: int, s: int, t: int, r_a: float, r_n: float,
     zig_up, par_up = _grow(b, level - 1, u, t, sub_r_a, sub_r_n, gk, spec)
     e_in = b.edge(s, u, a_fn, _ZERO, f"a:{level}")
     e_out = b.edge(w, t, a_fn, _ZERO, f"a:{level}")
-    zig = [(e_in, e_cr, e_out)]
-    zig += [(e_in,) + p for p in zig_up]
-    zig += [p + (e_out,) for p in zig_lo]
+    zig = [((e_in, e_cr, e_out), r_n / 2.0 ** level)]
+    zig += [((e_in,) + p, x) for p, x in zig_up]
+    zig += [(p + (e_out,), x) for p, x in zig_lo]
     par = [(e_in,) + p for p in par_up]
     par += [p + (e_out,) for p in par_lo]
     return zig, par
-
-
-def _structural_zigzag_amounts(level: int, r_a: float, r_n: float) -> list[float]:
-    """Risk-averse amounts per zig-zag path, in _grow order."""
-    if level == 1:
-        return [r_a]
-    sub_r_a = (2.0 ** level * r_a - r_n) / 2.0 ** (level + 1)
-    sub = _structural_zigzag_amounts(level - 1, sub_r_a, r_n / 2.0)
-    return [r_n / 2.0 ** level] + sub + sub
 
 
 def build_recursive(spec: RecursiveFamilySpec) -> tuple[NetworkInstance, OracleFlows]:
@@ -220,7 +195,11 @@ def build_recursive(spec: RecursiveFamilySpec) -> tuple[NetworkInstance, OracleF
 
     The instance stores gamma = spec.gamma_kappa with unit variance on the
     risky edges, so the realized variance-to-mean ratio at the risk-averse
-    equilibrium is exactly 1 and gamma*kappa = spec.gamma_kappa.
+    equilibrium is exactly 1 and gamma*kappa = spec.gamma_kappa.  The
+    risk-averse oracle routes each zig-zag path the amount `_grow` pairs
+    it with (structural; paths with amount 0 left out) or the uniform
+    share 1/(2^i - 1) (functional), the risk-neutral one r_n/2^i on each
+    parallel path.
     """
     if spec.level < 1:
         raise ValueError(f"level must be >= 1, got {spec.level}")
@@ -230,8 +209,6 @@ def build_recursive(spec: RecursiveFamilySpec) -> tuple[NetworkInstance, OracleF
         raise ValueError("demands must be nonnegative")
     if spec.variant is Variant.FUNCTIONAL and (spec.r_a != 1.0 or spec.r_n != 1.0):
         raise ValueError("the functional variant requires r_a = r_n = 1")
-    if spec.variant is Variant.STRUCTURAL:
-        _check_structural_precondition(spec.level, spec.r_a, spec.r_n)
 
     b = _Builder()
     s = b.vertex()
@@ -248,11 +225,10 @@ def build_recursive(spec: RecursiveFamilySpec) -> tuple[NetworkInstance, OracleF
     )
 
     if spec.variant is Variant.STRUCTURAL:
-        amounts = _structural_zigzag_amounts(spec.level, spec.r_a, spec.r_n)
-        rawe = PathFlow.of([(p, a) for p, a in zip(zig, amounts) if a > 0.0])
+        rawe = PathFlow.of([(p, a) for p, a in zig if a > 0.0])
     else:
         share = 1.0 / (2.0 ** spec.level - 1.0)
-        rawe = PathFlow.of([(p, share) for p in zig])
+        rawe = PathFlow.of([(p, share) for p, _ in zig])
     rn_share = spec.r_n / 2.0 ** spec.level
     rnwe = PathFlow.of([(p, rn_share) for p in par] if rn_share > 0.0 else [])
 
@@ -287,7 +263,7 @@ def build_braess(edge_functions=None, demand: float = 1.0, gamma: float = 1.0,
     functions with r_a = r_n = 1 and gamma*kappa = gamma.
     """
     if edge_functions is None:
-        a_fn = _structural_a(1, 1.0, 1.0, gamma)
+        a_fn = _diagonal(0.5, 1.0, gamma)
         edge_functions = [
             (a_fn, _ZERO),
             (_ONE, Constant(1.0)),

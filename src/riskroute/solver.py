@@ -93,7 +93,8 @@ which bounds both the absolute and the relative residual by the
 tolerance; the path loop once the costliest used path is within tolerance
 * min(1, its cost) of the cheapest path, which bounds the residual as
 well.  Both use one test (`_within_tolerance`), and the reported
-`vi_residual` is the relative form.  Running out of iterations sets
+`vi_residual` is the relative form, which must be within the tolerance
+too for the solve to report converged.  Running out of iterations sets
 converged=False, it does not raise.
 
 All shortest-path ties are broken toward the lexicographically smallest
@@ -157,7 +158,11 @@ class EquilibriumResult:
     of it.  `common_cost` is the cheapest path's perceived cost at `flow`,
     and `vi_residual` the relative variational-inequality gap of `flow`.
     What converged=True guarantees is that `flow` routes the demand and
-    that vi_residual <= the solve's tolerance.  A Newton finish's answer is
+    that vi_residual <= the solve's tolerance.  Each loop tests its own
+    iterate, the additive loop its incrementally updated flow and the path
+    loop its costliest used path, and the residual of the flow rebuilt at
+    exit can differ from that by rounding; so a loop reports converged only
+    when that residual, too, is within the tolerance.  A Newton finish's answer is
     kept only when its path amounts sum to the demand within 1e-12 relative
     (`_routes`); a pair step moves flow from one path to another, so the
     total stays the demand to rounding.  The mean-stdev path loop also
@@ -447,6 +452,23 @@ _SEARCH_FROM = 10
 _STEP_CALLS = 99
 
 
+def _moved_edges(best: tuple[int, ...], worst: tuple[int, ...]) -> dict[int, float]:
+    """Edge id to +1.0 or -1.0: the edges whose flow a pair step from `worst`
+    to `best` moves, and which way.
+
+    Moving t from worst to best moves the edges on exactly one of them,
+    best's first, each in path order: each simple path is its own edge
+    set, so two different ones leave some.
+    """
+    deltas = dict.fromkeys(best, 1.0)
+    for eid in worst:
+        if eid in deltas:
+            del deltas[eid]
+        else:
+            deltas[eid] = -1.0
+    return deltas
+
+
 def _search_bracket(fn, ts: list[float], v0: float, slack: float, values: dict):
     """The ordered walk's bracket among the points `ts`, found by a search.
 
@@ -555,10 +577,9 @@ def _step_root(fn, t_max: float, knots, linear: bool,
         values = {}
         found = _search_bracket(fn, ts, v0, g, values)
         if found is not None:
-            a, fa, b, fb = found
-            if fb < 0.0 or (fb == 0.0 and b == t_max):
-                return b
-            return a + (0.0 - fa) * (b - a) / (fb - fa)
+            # the walk's last step, from a certified bracket
+            a, fa, b, _ = found
+            ts = [b]
         # the walk reads the values the search knows and calls fn at the
         # others: at most len(ts) calls in all, so the cap is not reached
         fn = lambda t, fn=fn, known=values: known[t] if t in known else fn(t)  # noqa: E731
@@ -874,15 +895,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             raise ValueError(_NOT_FINITE)
         if worst == best:
             break
-        # moving t from worst to best moves the edges on exactly one of them,
-        # best's first: each simple path is its own edge set, so two
-        # different ones leave some
-        deltas = dict.fromkeys(best, 1.0)
-        for eid in worst:
-            if eid in deltas:
-                del deltas[eid]
-            else:
-                deltas[eid] = -1.0
+        deltas = _moved_edges(best, worst)
         # one pass sets up the step: the derivative's terms in the order it
         # sums them, its value at 0 and their magnitudes' sum (the costs are
         # nonnegative), and the moved varying edges for knots
@@ -922,7 +935,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
     gap, total, dist = _edge_gap(instance, flow, cost_of, demand)
     residual = gap / total if total > 0.0 else 0.0
     return EquilibriumResult(flow, _prune_path_flow(weights, demand), dist,
-                             residual, iterations, converged)
+                             residual, iterations, converged and residual <= cfg.tolerance)
 
 
 def solve_rnwe(instance: NetworkInstance, cfg: SolverConfig = SolverConfig(),
@@ -1084,11 +1097,8 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
 
         flow, means, variances, worst, best = s.flow, s.means, s.variances, s.worst, s.best
         move = float(amounts[worst])
-        # moving t from the worst path to the best changes the flow only on
-        # the edges of exactly one of them, by +t (best) or -t (worst)
         pair = worst_path, best_path = paths[worst], paths[best]
-        moved = ([(eid, flow[eid], 1.0) for eid in best_path if eid not in worst_path]
-                 + [(eid, flow[eid], -1.0) for eid in worst_path if eid not in best_path])
+        moved = [(eid, flow[eid], d) for eid, d in _moved_edges(best_path, worst_path).items()]
 
         def pair_diff(t: float) -> float:
             # cost of the best path minus the worst's after moving t, which
@@ -1116,7 +1126,8 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
     residual = gap / total if total > 0.0 else 0.0
     pf = PathFlow.of(sorted((paths[i], float(a)) for i, a in enumerate(amounts) if a > used_cut))
     flow = induced_edge_flow(instance, pf)
-    return EquilibriumResult(flow, pf, cheapest, residual, iterations, converged)
+    return EquilibriumResult(flow, pf, cheapest, residual, iterations,
+                             converged and residual <= cfg.tolerance)
 
 
 def _simplex_points(k: int, grid: int, total: float):

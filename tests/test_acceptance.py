@@ -291,44 +291,56 @@ def test_mean_stdev_alternation_bounds():
     )
 
 
+def _brute_force_pool():
+    """(label, instance) pairs with at most four paths: random small
+    instances (parallel links and the Braess graph, about 30% of them with
+    quadratic latencies, whose steps are curved), series-parallel networks,
+    and layered networks under both risk models."""
+    pool = [(f"small-{seed}", random_small_instance(seed)) for seed in range(60)]
+    pool += [(f"series-parallel-{seed}", random_series_parallel_instance(seed))
+             for seed in (4, 7, 9, 13)]
+    pool += [(f"layered-{seed}-{model.value}",
+              random_affine_instance(seed, topology="layered", risk_model=model))
+             for seed in (*range(4, 10), *range(11, 15)) for model in RiskModel]
+    return pool
+
+
 def test_brute_force_agrees_with_iterative_solver():
     """Support-enumeration equilibria match the conditional-gradient solvers
-    edge by edge on small instances, both equilibria of each; about 30% of
-    them have quadratic latencies, whose steps are curved."""
+    edge by edge on small instances, both equilibria of each."""
     t0 = time.perf_counter()
     worst = 0.0
     failures = []
     config = SolverConfig(tolerance=1e-10)
-    seeds = range(60)
-    for seed in seeds:
-        instance = random_small_instance(seed)
+    pool = _brute_force_pool()
+    for name, instance in pool:
         # the risk-neutral equilibrium is the one at gamma 0
         for label, iterative, reference in (
                 ("rawe", _solve_rawe(instance, config), instance),
                 ("rnwe", solve_rnwe(instance, config), with_gamma(instance, 0.0))):
             brute = brute_force_equilibrium(reference)
             if not iterative.converged:
-                failures.append(f"seed {seed} {label}: iterative solver did not converge")
+                failures.append(f"{name} {label}: iterative solver did not converge")
                 continue
             if not brute.converged:
-                failures.append(f"seed {seed} {label}: brute force did not converge")
+                failures.append(f"{name} {label}: brute force did not converge")
                 continue
             if iterative.vi_residual > config.tolerance:
                 failures.append(
-                    f"seed {seed} {label}: residual {iterative.vi_residual:.2e} "
+                    f"{name} {label}: residual {iterative.vi_residual:.2e} "
                     f"above the configured {config.tolerance:.0e}"
                 )
             dev = float(np.max(np.abs(iterative.flow - brute.flow)))
             worst = max(worst, dev)
             if dev > 1e-4:
-                failures.append(f"seed {seed} {label}: flows differ by {dev:.2e}")
+                failures.append(f"{name} {label}: flows differ by {dev:.2e}")
     elapsed = time.perf_counter() - t0
     ok = not failures
     _certify(
         "brute force agreement",
         ok,
         "; ".join(failures) if failures else
-        f"{len(seeds)} instances, both equilibria, worst per-edge gap {worst:.2e} "
+        f"{len(pool)} instances, both equilibria, worst per-edge gap {worst:.2e} "
         f"(tol 1e-4), {elapsed:.2f}s",
     )
 

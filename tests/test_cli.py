@@ -1,12 +1,13 @@
 """Command line behavior: round trips, exit codes, deterministic sweeps."""
 
 import contextlib
+import dataclasses
 import io
 
 import pytest
 
 import riskroute as rr
-from riskroute import cli
+from riskroute import analysis, cli
 from riskroute import serialization as ser
 from riskroute.cli import main
 
@@ -326,3 +327,69 @@ def test_zero_tolerances_stay_valid():
     code, out, _ = _run(["verify", "--level", "1", "--solve", "--tolerance", "0",
                          "--pra-tolerance", "0"])
     assert code == 0 and out.endswith("rel_err=0.000e+00 [pass]\n")
+
+
+def _level2_file(tmp_path):
+    path = tmp_path / "g2.txt"
+    code, _, _ = _run(["generate", "--family", "recursive", "--level", "2", "--out", str(path)])
+    assert code == 0
+    return path
+
+
+def test_solve_reports_an_unconverged_solve(tmp_path):
+    # the results are printed, and the exit code says one did not converge
+    code, out, err = _run(["solve", "--in", str(_level2_file(tmp_path)), "--max-iters", "0"])
+    assert (code, err) == (1, "")
+    assert [line.split(" ")[:2] for line in out.splitlines()] == [
+        ["rnwe:", "converged=False"], ["rawe:", "converged=False"]]
+
+
+def test_analyze_reports_an_unconverged_solve(tmp_path):
+    code, out, err = _run(["analyze", "--in", str(_level2_file(tmp_path)),
+                           "--max-iters", "0"])
+    assert (code, out, err) == (1, "", "error: equilibrium solver did not converge\n")
+
+
+def test_analyze_fails_on_a_violated_bound_that_applies(tmp_path, monkeypatch):
+    # the level-2 instance meets its eta bound with slack 4e-8; asked for
+    # 1e-3 of slack instead of forgiving 1e-9 of excess, it reads violated
+    path = _level2_file(tmp_path)
+    monkeypatch.setattr(analysis, "_SATISFIED_TOL", -1e-3)
+    code, out, _ = _run(["analyze", "--in", str(path), "--bound", "eta"])
+    assert code == 1
+    assert out.splitlines() == [
+        "TopologicalEta: pra=4.99999996 bound=5 slack=3.970e-08 kappa=1 eta=4 [VIOLATED]"]
+
+
+def test_analyze_out_writes_what_it_prints(tmp_path):
+    report = tmp_path / "report.txt"
+    code, out, _ = _run(["analyze", "--in", str(_level2_file(tmp_path)), "--out", str(report)])
+    assert code == 0
+    assert len(out.splitlines()) == 5
+    assert report.read_text(encoding="utf-8") == out
+
+
+def test_verify_fails_when_the_solved_ratio_misses_the_tolerance():
+    # the level-2 solve's ratio is 7.940e-09 off the closed form, above 0
+    code, out, _ = _run(["verify", "--level", "2", "--solve", "--pra-tolerance", "0"])
+    assert code == 1
+    assert out.splitlines() == [
+        "closed_form_check: pass",
+        "solver_pra: observed=4.99999996 expected=5 rel_err=7.940e-09 [FAIL]"]
+
+
+def test_sweep_prints_violations_and_fails(monkeypatch):
+    # every bound lowered to 1e-3 below the observed ratio reads violated
+    analyze = analysis.analyze
+
+    def lowered(*args):
+        return {kind: dataclasses.replace(rep, bound_value=rep.pra_observed - 1e-3)
+                for kind, rep in analyze(*args).items()}
+
+    monkeypatch.setattr(analysis, "analyze", lowered)
+    code, out, err = _run(["sweep", "--what", "braess", "--count", "2"])
+    assert code == 1
+    assert len(out.splitlines()) == 2 + 2
+    violations = [line for line in err.splitlines() if line.startswith("violation: ")]
+    assert [v.split(":")[1].strip() for v in violations] == [
+        f"braess-{seed}/StdevOneAlt" for seed in range(2)]

@@ -1,11 +1,13 @@
 """Recursive worst-case families: structure, tags and closed-form checks."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 import riskroute as rr
+from riskroute import cli
 from riskroute.instances import (
     BRAESS_CROSS,
     DOMINO_CONTRACT_EDGE_IDS,
@@ -192,3 +194,58 @@ def test_reinterpret_as_meanstdev():
     assert ms.risk_model is rr.RiskModel.MEAN_STDEV
     assert ms.edges == inst.edges
     assert ms.gamma == inst.gamma
+
+
+# sha256 of `generate --family recursive` output, the instance file and
+# its oracle sidecar, for (level, variant, r_a, r_n, gamma_kappa): every
+# byte the family builder writes is pinned
+_GENERATE_SHA256 = [
+    pytest.param((1, "structural", 1, 1, 1),
+                 "79aee04222d4446280dea32b4b3741866c9c16a9de472afa89975dbfdedd414c",
+                 "2b985462e20db642a2d721bd58f4f581ae070d23caf5468c3ef54c2fe10856be",
+                 id="1-structural-1-1-1"),
+    pytest.param((2, "structural", 1, 1, 1),
+                 "eeda8e320a1a153deafee2f64ca7fcd11cb57a7a26186236e7c470e447e999bd",
+                 "fb545fa0b38e5b6b1252c0614c954c138edff5d1215ef28c7a29c37657353884",
+                 id="2-structural-1-1-1"),
+    pytest.param((3, "structural", 1, 1, 1),
+                 "a327535f2c9e3cf48851e04b72ad629ce85e6a86d76d5596846e56f331d26708",
+                 "354294d477a46214bc4a170e8cd265c5888d66fd4bb239ba5accfd9ea55ae183",
+                 id="3-structural-1-1-1"),
+    pytest.param((4, "structural", 1, 1, 1),
+                 "85d6ae3b268afee50c7aaebceff75b9fce47f20944f423d75acbbbadf40d4c3e",
+                 "23624366d72f031f9cd55dfad9a288a752c0bed721c220e4ea65b5c506a87a03",
+                 id="4-structural-1-1-1"),
+    pytest.param((1, "functional", 1, 1, 1),
+                 "79aee04222d4446280dea32b4b3741866c9c16a9de472afa89975dbfdedd414c",
+                 "9e51e069e4a062ad0d09f45f17a51e9299c8ca235979f0339bfa56c7f1c4ead6",
+                 id="1-functional-1-1-1"),
+    pytest.param((2, "functional", 1, 1, 1),
+                 "cdad71aff8f926169b91c581f1a6f5f978e49e7be8998d0f5b9f18a0c7a5d930",
+                 "ee6158370f8732a9a214eff462450f948892d35719c7e9e9e837f0387ae24c35",
+                 id="2-functional-1-1-1"),
+    pytest.param((3, "functional", 1, 1, 1),
+                 "d2b42827bef4ccdbb5a3b793af2e8c6bcaad5a0c957b23c0d00c1bbb499a2317",
+                 "dc0f98b2fc933a068270ad7f89a7800f7cf7afb4e336172da599c76e06093d18",
+                 id="3-functional-1-1-1"),
+    pytest.param((4, "functional", 1, 1, 1),
+                 "664337f845cdeeccdce42082b3f32836009810c592b54adbb8968f27ac39e7d0",
+                 "3c2b118af4844d6764883568ebbd13aa4a9c60e7ee76d1262e09241e7ce0c357",
+                 id="4-functional-1-1-1"),
+    pytest.param((3, "structural", 2, 1, 0.5),
+                 "c1008622f6aa6f42f552d55529169dff41d3bdbe4dbe7200340829b9d423ed5f",
+                 "779131fbfad42ad3e1c9165dbba5c3d650a83d180ad4bc72f2dec294713db582",
+                 id="3-structural-2-1-0.5"),
+]
+
+
+@pytest.mark.parametrize("case, instance_sha, oracle_sha", _GENERATE_SHA256)
+def test_generated_family_files_keep_their_bytes(tmp_path, case, instance_sha, oracle_sha):
+    level, variant, r_a, r_n, gk = map(str, case)
+    ipath, opath = tmp_path / "i.txt", tmp_path / "o.txt"
+    code = cli.main(["generate", "--family", "recursive", "--level", level, "--variant", variant,
+                     "--r-a", r_a, "--r-n", r_n, "--gamma-kappa", gk,
+                     "--out", str(ipath), "--oracle-out", str(opath)])
+    assert code == 0
+    assert hashlib.sha256(ipath.read_bytes()).hexdigest() == instance_sha
+    assert hashlib.sha256(opath.read_bytes()).hexdigest() == oracle_sha

@@ -1,6 +1,7 @@
 """Equilibrium solvers: frozen reference values and cross-method checks."""
 
 import builtins
+import dataclasses
 import math
 import struct
 from bisect import bisect_right
@@ -141,6 +142,25 @@ def test_zero_demand_is_trivially_converged():
     assert res.converged
     assert np.all(res.flow == 0.0)
     assert res.path_flow.total() == 0.0
+
+
+def test_meanstdev_zero_demand_is_trivially_converged():
+    # the path loop at demand 0: no step, no flow, and the common cost is
+    # the cheapest path's at zero flow
+    inst = dataclasses.replace(synthetic.random_series_parallel_instance(3), demand=0.0)
+    assert not inst.edge_additive
+    res = rr.solve_rawe_meanstdev(inst)
+    assert (res.converged, res.iterations, res.vi_residual) == (True, 0, 0.0)
+    assert np.all(res.flow == 0.0) and res.path_flow.total() == 0.0
+    zero = network.zero_flow(inst)
+    assert res.common_cost == min(rr.path_cost(inst, p, zero) for p in rr.enumerate_paths(inst))
+    assert res.common_cost == 0.7963080888082151
+
+
+def test_meanstdev_iteration_cap_reports_non_convergence():
+    inst = synthetic.random_series_parallel_instance(615)
+    res = rr.solve_rawe_meanstdev(inst, SolverConfig(max_iterations=5))
+    assert (res.converged, res.iterations) == (False, 5)
 
 
 def test_iteration_cap_reports_non_convergence():
@@ -381,6 +401,21 @@ def test_converged_bounds_the_vi_residual(what):
         if not inst.edge_additive:
             cap = rawe.common_cost + tol * min(1.0, rawe.common_cost)
             assert all(rr.path_cost(inst, p, rawe.flow) <= cap for p, _ in rawe.path_flow), seed
+
+
+def test_converged_bounds_the_vi_residual_at_tolerance_zero():
+    # each loop tests its own iterate, and the flow rebuilt at exit may have
+    # a residual of a few ulps; at tolerance 0 that must read as not
+    # converged.  On 32 of these 400 solves the loop's own test passes and
+    # the rebuilt flow's residual is above 0
+    cfg = SolverConfig(tolerance=0.0, max_iterations=2000)
+    for what, make in _SWEEP_MAKERS.items():
+        for seed in range(40):
+            inst = make(seed)
+            for res in (rr.solve_rnwe(inst, cfg), rr.solve_rawe(inst, cfg)):
+                assert not res.converged or res.vi_residual <= 0.0, (what, seed)
+    res = rr.solve_rnwe(synthetic.random_affine_instance(3), SolverConfig(tolerance=0.0))
+    assert res.vi_residual > 0.0 and not res.converged
 
 
 def _compensated_sum(items, start=0):
