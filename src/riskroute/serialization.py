@@ -76,10 +76,10 @@ def function_from_text(text: str) -> LatencyFn:
     raise FormatError(f"unknown function kind {kind!r} in {text!r}")
 
 
-def _number(convert, text: str, where):
-    """convert(text) for convert int or float; FormatError naming `where` otherwise.
+def _parse(convert, text: str, where):
+    """convert(text); FormatError naming `where` if it raises ValueError.
 
-    `where` is a line number or a header key.
+    `where` is a line number or a record's key.
     """
     try:
         return convert(text)
@@ -88,7 +88,21 @@ def _number(convert, text: str, where):
         raise FormatError(f"{place}: expected {convert.__name__}, got {text!r}") from None
 
 
-def _records(text: str, header: str):
+def boolean(text: str) -> bool:
+    """The converged flag, written 'true' or 'false'."""
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+def _records(text: str, header: str, keys: dict, values: dict):
+    """Yield (line number, fields) of every record whose key is not in `keys`.
+
+    `keys` maps each key that the format has exactly once to the reader of
+    its value, and `values` receives what those readers return.  A repeated
+    key or a wrong field count raises FormatError naming its line; missing
+    keys are named once the text ends.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise FormatError(f"missing header {header!r}")
@@ -96,7 +110,19 @@ def _records(text: str, header: str):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        yield lineno, [field.strip() for field in line.split("::")]
+        fields = [field.strip() for field in line.split("::")]
+        key = fields[0]
+        if key not in keys:
+            yield lineno, fields
+        elif len(fields) != 2:
+            raise FormatError(f"line {lineno}: {key} record needs 2 fields")
+        elif key in values:
+            raise FormatError(f"line {lineno}: repeated record {key!r}")
+        else:
+            values[key] = _parse(keys[key], fields[1], key)
+    missing = keys.keys() - values.keys()
+    if missing:
+        raise FormatError(f"missing records: {sorted(missing)}")
 
 
 def dumps_instance(instance: NetworkInstance) -> str:
@@ -116,36 +142,26 @@ def dumps_instance(instance: NetworkInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INSTANCE_KEYS = {"vertices": int, "source": int, "sink": int, "demand": float,
+                  "gamma": float, "risk_model": RiskModel}
+
+
 def loads_instance(text: str) -> NetworkInstance:
-    header: dict[str, str] = {}
+    values: dict = {}
     edges: list[Edge] = []
-    for lineno, fields in _records(text, INSTANCE_HEADER):
-        if fields[0] == "edge":
-            if len(fields) != 5:
-                raise FormatError(f"line {lineno}: edge record needs 5 fields")
-            tail, head = _number(int, fields[1], lineno), _number(int, fields[2], lineno)
-            try:
-                latency = function_from_text(fields[3])
-                variability = function_from_text(fields[4])
-            except FormatError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
-            edges.append(Edge(tail, head, latency, variability))
-        else:
-            if len(fields) != 2:
-                raise FormatError(f"line {lineno}: expected 'key :: value'")
-            header[fields[0]] = fields[1]
-    missing = {"vertices", "source", "sink", "demand", "gamma",
-               "risk_model"} - set(header)
-    if missing:
-        raise FormatError(f"missing header fields: {sorted(missing)}")
-    try:
-        risk_model = RiskModel(header["risk_model"])
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-    ints = {key: _number(int, header[key], key) for key in ("vertices", "source", "sink")}
-    return NetworkInstance(ints["vertices"], tuple(edges), ints["source"], ints["sink"],
-                           _number(float, header["demand"], "demand"),
-                           _number(float, header["gamma"], "gamma"), risk_model)
+    for lineno, fields in _records(text, INSTANCE_HEADER, _INSTANCE_KEYS, values):
+        if fields[0] != "edge":
+            raise FormatError(f"line {lineno}: unknown record {fields[0]!r}")
+        if len(fields) != 5:
+            raise FormatError(f"line {lineno}: edge record needs 5 fields")
+        tail, head = _parse(int, fields[1], lineno), _parse(int, fields[2], lineno)
+        try:
+            latency = function_from_text(fields[3])
+            variability = function_from_text(fields[4])
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+        edges.append(Edge(tail, head, latency, variability))
+    return NetworkInstance(edges=tuple(edges), **values)
 
 
 def _path_to_text(path) -> str:
@@ -153,7 +169,7 @@ def _path_to_text(path) -> str:
 
 
 def _path_from_text(text: str, lineno: int) -> tuple[int, ...]:
-    return tuple(_number(int, p, lineno) for p in text.split(","))
+    return tuple(_parse(int, p, lineno) for p in text.split(","))
 
 
 def dumps_oracle(oracle: OracleFlows, metadata: dict[str, str] | None = None) -> str:
@@ -170,33 +186,27 @@ def dumps_oracle(oracle: OracleFlows, metadata: dict[str, str] | None = None) ->
     return "\n".join(lines) + "\n"
 
 
+_ORACLE_KEYS = {"rawe_cost": float, "rnwe_cost": float, "expected_pra": float}
+
+
 def loads_oracle(text: str) -> tuple[OracleFlows, dict[str, str]]:
     metadata: dict[str, str] = {}
-    scalars: dict[str, float] = {}
+    values: dict = {}
     flows: dict[str, list[tuple[tuple[int, ...], float]]] = {"rawe": [], "rnwe": []}
-    for lineno, fields in _records(text, ORACLE_HEADER):
+    for lineno, fields in _records(text, ORACLE_HEADER, _ORACLE_KEYS, values):
         key = fields[0]
         if key == "meta":
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: meta record needs 3 fields")
             metadata[fields[1]] = fields[2]
-        elif key in ("rawe", "rnwe"):
+        elif key in flows:
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: flow record needs 3 fields")
             flows[key].append((_path_from_text(fields[1], lineno),
-                               _number(float, fields[2], lineno)))
-        elif key in ("rawe_cost", "rnwe_cost", "expected_pra"):
-            if len(fields) != 2:
-                raise FormatError(f"line {lineno}: {key} record needs 2 fields")
-            scalars[key] = _number(float, fields[1], lineno)
+                               _parse(float, fields[2], lineno)))
         else:
             raise FormatError(f"line {lineno}: unknown record {key!r}")
-    missing = {"rawe_cost", "rnwe_cost", "expected_pra"} - set(scalars)
-    if missing:
-        raise FormatError(f"missing oracle fields: {sorted(missing)}")
-    oracle = OracleFlows(PathFlow.of(flows["rawe"]), PathFlow.of(flows["rnwe"]),
-                         scalars["rawe_cost"], scalars["rnwe_cost"],
-                         scalars["expected_pra"])
+    oracle = OracleFlows(PathFlow.of(flows["rawe"]), PathFlow.of(flows["rnwe"]), **values)
     return oracle, metadata
 
 
@@ -215,39 +225,32 @@ def dumps_result(result: EquilibriumResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RESULT_KEYS = {"converged": boolean, "iterations": int, "common_cost": float,
+                "vi_residual": float}
+
+
 def loads_result(text: str) -> EquilibriumResult:
-    header: dict[str, str] = {}
+    values: dict = {}
     flow_entries: list[tuple[int, float]] = []
     paths: list[tuple[tuple[int, ...], float]] = []
-    for lineno, fields in _records(text, RESULT_HEADER):
+    for lineno, fields in _records(text, RESULT_HEADER, _RESULT_KEYS, values):
         key = fields[0]
-        if key in ("edge_flow", "path") and len(fields) != 3:
+        if key not in ("edge_flow", "path"):
+            raise FormatError(f"line {lineno}: unknown record {key!r}")
+        if len(fields) != 3:
             raise FormatError(f"line {lineno}: {key} record needs 3 fields")
         if key == "edge_flow":
-            flow_entries.append((_number(int, fields[1], lineno),
-                                 _number(float, fields[2], lineno)))
-        elif key == "path":
-            paths.append((_path_from_text(fields[1], lineno),
-                          _number(float, fields[2], lineno)))
-        elif len(fields) == 2:
-            header[key] = fields[1]
+            flow_entries.append((_parse(int, fields[1], lineno),
+                                 _parse(float, fields[2], lineno)))
         else:
-            raise FormatError(f"line {lineno}: unknown record {key!r}")
-    missing = {"converged", "iterations", "common_cost", "vi_residual"} - set(header)
-    if missing:
-        raise FormatError(f"missing result fields: {sorted(missing)}")
-    if header["converged"] not in ("true", "false"):
-        raise FormatError(f"bad converged flag {header['converged']!r}")
+            paths.append((_path_from_text(fields[1], lineno),
+                          _parse(float, fields[2], lineno)))
     if sorted(eid for eid, _ in flow_entries) != list(range(len(flow_entries))):
         raise FormatError("edge_flow records must cover edge ids 0..E-1 exactly once")
     flow = np.zeros(len(flow_entries))
     for eid, value in flow_entries:
         flow[eid] = value
-    return EquilibriumResult(flow, PathFlow.of(paths),
-                             _number(float, header["common_cost"], "common_cost"),
-                             _number(float, header["vi_residual"], "vi_residual"),
-                             _number(int, header["iterations"], "iterations"),
-                             header["converged"] == "true")
+    return EquilibriumResult(flow, PathFlow.of(paths), **values)
 
 
 def _write(path: str | os.PathLike, text: str) -> None:

@@ -93,9 +93,10 @@ which bounds both the absolute and the relative residual by the
 tolerance; the path loop once the costliest used path is within tolerance
 * min(1, its cost) of the cheapest path, which bounds the residual as
 well.  Both use one test (`_within_tolerance`), and the reported
-`vi_residual` is the relative form, which must be within the tolerance
-too for the solve to report converged.  Running out of iterations sets
-converged=False, it does not raise.
+`vi_residual` is the relative form: a loop whose test passes stops only
+when that residual of the result it returns is within the tolerance too,
+and steps on otherwise.  Running out of iterations sets converged=False,
+it does not raise.
 
 All shortest-path ties are broken toward the lexicographically smallest
 edge-id sequence, so repeated runs are bit-for-bit reproducible.  Two
@@ -160,9 +161,10 @@ class EquilibriumResult:
     What converged=True guarantees is that `flow` routes the demand and
     that vi_residual <= the solve's tolerance.  Each loop tests its own
     iterate, the additive loop its incrementally updated flow and the path
-    loop its costliest used path, and the residual of the flow rebuilt at
-    exit can differ from that by rounding; so a loop reports converged only
-    when that residual, too, is within the tolerance.  A Newton finish's answer is
+    loop its costliest used path, and the residual of the flow rebuilt from
+    that iterate can differ from it by rounding; so a loop stops on a pass
+    only when the result it would return passes too, and otherwise steps
+    on.  The same holds for a Newton finish, whose answer is also
     kept only when its path amounts sum to the demand within 1e-12 relative
     (`_routes`); a pair step moves flow from one path to another, so the
     total stays the demand to rounding.  The mean-stdev path loop also
@@ -834,6 +836,17 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, table: _EdgeT
             return weights if _routes(weights.values(), demand) else None
 
 
+def _additive_result(instance: NetworkInstance, cost_of: list,
+                     weights: dict[tuple[int, ...], float], iterations: int,
+                     converged: bool) -> EquilibriumResult:
+    """The additive loop's result at path `weights`: the flow rebuilt from them and its residual."""
+    flow = np.array(_flow_from_weights(instance, weights))
+    gap, total, dist = _edge_gap(instance, flow, cost_of, instance.demand)
+    residual = gap / total if total > 0.0 else 0.0
+    return EquilibriumResult(flow, _prune_path_flow(weights, instance.demand), dist,
+                             residual, iterations, converged)
+
+
 def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: float,
                     callback=None) -> EquilibriumResult:
     demand = instance.demand
@@ -850,13 +863,15 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
     # of the varying edges it moves, and the rebuild of `flow` every 256
     # iterations those of every varying edge.  flow_a and c_a mirror them as
     # arrays for the gap's dot product: the rebuild copies them, and a step
-    # writes each edge it moves into both.
+    # writes each edge it moves into both.  A pass of the mirrors stops the
+    # loop only when the flow rebuilt from `weights`, the one returned, passes
+    # too; when it does not, the next iteration rebuilds.
     varying = [eid for eid, fixed in enumerate(constant) if not fixed]
     flow: list[float] = []
     iterations = 0
-    converged = False
+    rebuild = False
     for k in itertools.count():
-        if k % 256 == 0:
+        if rebuild or k % 256 == 0:
             flow = _flow_from_weights(instance, weights)
             for eid in varying:
                 c[eid] = cost_of[eid](flow[eid])
@@ -867,9 +882,11 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
         gap = max(total - demand * dist, 0.0)
         if callback is not None:
             callback(k, np.array(flow), total, gap)
-        if _within_tolerance(gap, total, cfg.tolerance):
-            converged = True
-            break
+        rebuild = _within_tolerance(gap, total, cfg.tolerance)
+        if rebuild:
+            result = _additive_result(instance, cost_of, weights, iterations, True)
+            if result.vi_residual <= cfg.tolerance:
+                return result
         if k >= cfg.max_iterations:
             break
         # the flow was rebuilt from `weights` at this k, a multiple of 256
@@ -877,8 +894,9 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             finished = _additive_finish(instance, cfg, table, gamma_eff, weights,
                                         flow, c, best)
             if finished is not None:
-                weights, converged = finished, True
-                break
+                result = _additive_result(instance, cost_of, finished, iterations, True)
+                if result.vi_residual <= cfg.tolerance:
+                    return result
         iterations = k + 1
 
         # the costliest path of the decomposition, the largest (cost, path);
@@ -931,11 +949,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
         else:
             weights[worst] = t_max - t
 
-    flow = np.array(_flow_from_weights(instance, weights))
-    gap, total, dist = _edge_gap(instance, flow, cost_of, demand)
-    residual = gap / total if total > 0.0 else 0.0
-    return EquilibriumResult(flow, _prune_path_flow(weights, demand), dist,
-                             residual, iterations, converged and residual <= cfg.tolerance)
+    return _additive_result(instance, cost_of, weights, iterations, False)
 
 
 def solve_rnwe(instance: NetworkInstance, cfg: SolverConfig = SolverConfig(),
@@ -1070,28 +1084,39 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         return _PathState(flow, means, variances, q, best, used, worst, gap,
                           _within_tolerance(gap, float(q[best]), cfg.tolerance))
 
+    def result(amounts: np.ndarray, iterations: int, converged: bool) -> EquilibriumResult:
+        gap, total, cheapest = _path_gap(instance, paths, amounts, incidence.T @ amounts,
+                                         demand)
+        residual = gap / total if total > 0.0 else 0.0
+        pf = PathFlow.of(sorted((paths[i], float(a)) for i, a in enumerate(amounts)
+                                if a > used_cut))
+        return EquilibriumResult(induced_edge_flow(instance, pf), pf, cheapest, residual,
+                                 iterations, converged)
+
     amounts = np.zeros(len(paths))
     amounts[int(np.argmin(q0))] = demand
 
     iterations = 0
-    converged = False
     # no finish until past this pair iteration, the end of the last window
-    # tried
+    # tried; a pass of the pair-gap test stops the loop only when the
+    # residual it reports passes too
     tried = _FINISH_FROM - 1
     used = None
     for k in itertools.count():
         s = state(amounts)
         if s.converged:
-            converged = True
-            break
+            res = result(amounts, iterations, True)
+            if res.vi_residual <= cfg.tolerance:
+                return res
         if k >= cfg.max_iterations:
             break
         if k > tried and np.array_equal(s.used, used):
             tried = (1 << k.bit_length()) - 1
             finished = _newton_finish(instance, incidence, state, s, amounts)
             if finished is not None:
-                amounts, converged = finished, True
-                break
+                res = result(finished, iterations, True)
+                if res.vi_residual <= cfg.tolerance:
+                    return res
         used = s.used
         iterations = k + 1
 
@@ -1122,12 +1147,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
             amounts[best] += amounts[worst]
             amounts[worst] = 0.0
 
-    gap, total, cheapest = _path_gap(instance, paths, amounts, incidence.T @ amounts, demand)
-    residual = gap / total if total > 0.0 else 0.0
-    pf = PathFlow.of(sorted((paths[i], float(a)) for i, a in enumerate(amounts) if a > used_cut))
-    flow = induced_edge_flow(instance, pf)
-    return EquilibriumResult(flow, pf, cheapest, residual, iterations,
-                             converged and residual <= cfg.tolerance)
+    return result(amounts, iterations, False)
 
 
 def _simplex_points(k: int, grid: int, total: float):

@@ -233,6 +233,17 @@ def test_non_numeric_integer_fields_are_input_errors(tmp_path, old, new, message
     assert err.strip() == message
 
 
+def test_repeated_demand_is_exit_2(tmp_path):
+    # a second demand line is not read as the demand to solve at
+    path = tmp_path / "braess.txt"
+    text = BRAESS_FILE.format(demand="1.0", gamma="1.0", risky="const 1.0")
+    path.write_text(text + "demand :: 2.0\n", encoding="utf-8")
+    code, out, err = _run(["solve", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: line 13: repeated record 'demand'"
+
+
 def test_directory_as_input_is_exit_2(tmp_path):
     code, _, err = _run(["analyze", "--in", str(tmp_path)])
     assert code == 2

@@ -127,7 +127,6 @@ def test_file_round_trip(tmp_path):
     (ser.loads_result, ser.RESULT_HEADER, "edge_flow :: 0 :: much"),
     (ser.loads_result, ser.RESULT_HEADER, "path :: 0,b,2 :: 1.0"),
     (ser.loads_oracle, ser.ORACLE_HEADER, "rawe :: 0,1 :: half"),
-    (ser.loads_oracle, ser.ORACLE_HEADER, "rnwe_cost :: one"),
 ])
 def test_non_numeric_record_fields_name_their_line(loads, header, record):
     text = header + "\n# comment\n" + record + "\n"
@@ -149,7 +148,8 @@ def test_bad_function_spec_names_its_line(spec, message, column):
         ser.loads_instance(text)
 
 
-@pytest.mark.parametrize("key", ["vertices", "source", "sink", "demand", "gamma"])
+@pytest.mark.parametrize("key", ["vertices", "source", "sink", "demand", "gamma",
+                                 "risk_model"])
 def test_non_numeric_instance_header_names_its_key(key):
     inst, _ = build_recursive(RecursiveFamilySpec(level=1))
     lines = [f"{key} :: two" if line.startswith(f"{key} ::") else line
@@ -158,13 +158,66 @@ def test_non_numeric_instance_header_names_its_key(key):
         ser.loads_instance("\n".join(lines))
 
 
-@pytest.mark.parametrize("key", ["iterations", "common_cost", "vi_residual"])
+@pytest.mark.parametrize("key", ["iterations", "common_cost", "vi_residual", "converged"])
 def test_non_numeric_result_header_names_its_key(key):
     inst, _ = build_recursive(RecursiveFamilySpec(level=1))
     lines = [f"{key} :: many" if line.startswith(f"{key} ::") else line
              for line in ser.dumps_result(rr.solve_rnwe(inst)).splitlines()]
     with pytest.raises(ser.FormatError, match=f"^{key}: expected"):
         ser.loads_result("\n".join(lines))
+
+
+@pytest.mark.parametrize("key", ["rawe_cost", "rnwe_cost", "expected_pra"])
+def test_non_numeric_oracle_value_names_its_key(key):
+    _, oracle = build_recursive(RecursiveFamilySpec(level=1))
+    lines = [f"{key} :: one" if line.startswith(f"{key} ::") else line
+             for line in ser.dumps_oracle(oracle).splitlines()]
+    with pytest.raises(ser.FormatError, match=f"^{key}: expected float, got 'one'$"):
+        ser.loads_oracle("\n".join(lines))
+
+
+def _written(kind):
+    """(reader, text) of one written file of each format."""
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=1))
+    if kind == "instance":
+        return ser.loads_instance, ser.dumps_instance(inst)
+    if kind == "oracle":
+        return ser.loads_oracle, ser.dumps_oracle(oracle, {"family": "recursive"})
+    return ser.loads_result, ser.dumps_result(rr.solve_rnwe(inst))
+
+
+@pytest.mark.parametrize("kind, key", [
+    *(("instance", key) for key in ("vertices", "source", "sink", "demand", "gamma",
+                                    "risk_model")),
+    *(("oracle", key) for key in ("rawe_cost", "rnwe_cost", "expected_pra")),
+    *(("result", key) for key in ("converged", "iterations", "common_cost", "vi_residual")),
+])
+def test_repeated_key_names_its_line(kind, key):
+    # the repeat is rejected even where it agrees with the first record
+    loads, text = _written(kind)
+    lines = text.splitlines()
+    (first,) = [line for line in lines if line.startswith(f"{key} ::")]
+    lines.append(first)
+    with pytest.raises(ser.FormatError,
+                       match=f"^line {len(lines)}: repeated record '{key}'$"):
+        loads("\n".join(lines))
+
+
+@pytest.mark.parametrize("kind, record", [
+    *((kind, record) for kind in ("instance", "oracle", "result")
+      for record in ("foo :: 3", "foo")),
+    # a record of another format
+    ("instance", "edge_flow :: 0 :: 1.0"),
+    ("oracle", "edge :: 0 :: 1 :: const 1.0 :: const 0.0"),
+    ("result", "rawe :: 0 :: 1.0"),
+])
+def test_unknown_record_names_its_line(kind, record):
+    loads, text = _written(kind)
+    lines = text.splitlines() + [record]
+    key = record.split(" ::")[0]
+    with pytest.raises(ser.FormatError,
+                       match=f"^line {len(lines)}: unknown record '{key}'$"):
+        loads("\n".join(lines))
 
 
 # any finite nonnegative float, subnormals and huge values included: the
