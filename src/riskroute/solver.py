@@ -1085,13 +1085,14 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
                           _within_tolerance(gap, float(q[best]), cfg.tolerance))
 
     def result(amounts: np.ndarray, iterations: int, converged: bool) -> EquilibriumResult:
-        gap, total, cheapest = _path_gap(instance, paths, amounts, incidence.T @ amounts,
-                                         demand)
+        # the gap of the returned flow, as `result_from_paths` defines it:
+        # the kept amounts at their induced flow, routing what they sum to
+        kept = np.where(amounts > used_cut, amounts, 0.0)
+        pf = PathFlow.of(sorted((paths[i], float(kept[i])) for i in np.flatnonzero(kept)))
+        flow = induced_edge_flow(instance, pf)
+        gap, total, cheapest = _path_gap(instance, paths, kept, flow, pf.total())
         residual = gap / total if total > 0.0 else 0.0
-        pf = PathFlow.of(sorted((paths[i], float(a)) for i, a in enumerate(amounts)
-                                if a > used_cut))
-        return EquilibriumResult(induced_edge_flow(instance, pf), pf, cheapest, residual,
-                                 iterations, converged)
+        return EquilibriumResult(flow, pf, cheapest, residual, iterations, converged)
 
     amounts = np.zeros(len(paths))
     amounts[int(np.argmin(q0))] = demand

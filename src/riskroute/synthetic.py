@@ -15,6 +15,12 @@ layered DAGs.  Series-parallel instances are grown from a random
 composition tree (series and parallel joins of single edges); they and the
 reweighted Braess / domino-with-ears graphs are the raw material for the
 mean-stdev bound sweeps.
+
+Every continuous draw goes through `_uniform`, which reads the same stream
+as `rng.uniform` and returns the same floats, without `rng.uniform`'s
+per-call argument handling.  The order of the draws is part of what a seed
+means: reordering two draws, or drawing a block of doubles ahead, changes
+every instance that follows.
 """
 
 from __future__ import annotations
@@ -25,23 +31,34 @@ import numpy as np
 
 from .functions import Affine, Constant, Polynomial
 from .instances import build_braess, build_domino_with_ears
-from .network import Edge, NetworkInstance, RiskModel, with_edge_functions
+from .network import Edge, NetworkInstance, RiskModel
 
 TOPOLOGIES = ("parallel", "braess", "layered")
 
 _MIN_INTERCEPT = 0.1
 
+# the domino-with-ears layout; each random domino instance replaces all of
+# its edges' functions
+_DOMINO = build_domino_with_ears()
+
+
+def _uniform(rng, low: float, high: float) -> float:
+    """`float(rng.uniform(low, high))`, bit for bit and at the same stream
+    position: numpy computes low + (high - low) * u from one `rng.random()`
+    double u."""
+    return low + (high - low) * rng.random()
+
 
 def _affine(rng) -> Affine:
-    return Affine(slope=float(rng.uniform(0.05, 1.5)),
-                  intercept=float(rng.uniform(_MIN_INTERCEPT, 1.5)))
+    return Affine(slope=_uniform(rng, 0.05, 1.5),
+                  intercept=_uniform(rng, _MIN_INTERCEPT, 1.5))
 
 
 def _polynomial(rng, degree: int) -> Polynomial:
-    coeffs = [float(rng.uniform(_MIN_INTERCEPT, 1.0))]
+    coeffs = [_uniform(rng, _MIN_INTERCEPT, 1.0)]
     for _ in range(degree - 1):
-        coeffs.append(0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.5)))
-    coeffs.append(float(rng.uniform(0.1, 1.0)))
+        coeffs.append(0.0 if rng.random() < 0.5 else _uniform(rng, 0.0, 0.5))
+    coeffs.append(_uniform(rng, 0.1, 1.0))
     return Polynomial(tuple(coeffs))
 
 
@@ -49,17 +66,17 @@ def _variability(rng, force: bool = False):
     """Variance function: mostly constants, sometimes flow-dependent."""
     u = 0.0 if force else rng.random()
     if u < 0.55:
-        return Constant(float(rng.uniform(0.05, 1.5)))
+        return Constant(_uniform(rng, 0.05, 1.5))
     if u < 0.75:
-        return Affine(slope=float(rng.uniform(0.05, 0.6)),
-                      intercept=float(rng.uniform(0.0, 0.5)))
+        return Affine(slope=_uniform(rng, 0.05, 0.6),
+                      intercept=_uniform(rng, 0.0, 0.5))
     return Constant(0.0)
 
 
 def _ensure_risky(rng, variabilities: list) -> list:
     if all(isinstance(v, Constant) and v.value == 0.0 for v in variabilities):
         variabilities[int(rng.integers(len(variabilities)))] = Constant(
-            float(rng.uniform(0.2, 1.5)))
+            _uniform(rng, 0.2, 1.5))
     return variabilities
 
 
@@ -120,8 +137,8 @@ def _assemble(rng, vertices: int, arcs, latencies, risk_model) -> NetworkInstanc
     variabilities = _ensure_risky(rng, [_variability(rng) for _ in arcs])
     edges = tuple(Edge(u, v, lat, var)
                   for (u, v), lat, var in zip(arcs, latencies, variabilities))
-    demand = float(rng.uniform(0.5, 2.0))
-    gamma = float(rng.uniform(0.25, 2.0))
+    demand = _uniform(rng, 0.5, 2.0)
+    gamma = _uniform(rng, 0.25, 2.0)
     return NetworkInstance(vertices, edges, 0, vertices - 1, demand, gamma,
                            risk_model)
 
@@ -188,8 +205,8 @@ def random_series_parallel_instance(seed: int, max_depth: int = 3,
     variabilities = _ensure_risky(rng, [_variability(rng) for _ in arcs])
     edges = tuple(Edge(u, v, _affine(rng), var)
                   for (u, v), var in zip(arcs, variabilities))
-    demand = float(rng.uniform(0.5, 2.0))
-    gamma = float(rng.uniform(0.25, 2.0))
+    demand = _uniform(rng, 0.5, 2.0)
+    gamma = _uniform(rng, 0.25, 2.0)
     return NetworkInstance(vertices, edges, 0, 1, demand, gamma, risk_model)
 
 
@@ -206,8 +223,8 @@ def random_braess_instance(seed: int,
             else Constant(0.0)
         functions.append((_affine(rng), var))
     return build_braess(edge_functions=functions,
-                        demand=float(rng.uniform(0.5, 2.0)),
-                        gamma=float(rng.uniform(0.25, 2.0)),
+                        demand=_uniform(rng, 0.5, 2.0),
+                        gamma=_uniform(rng, 0.25, 2.0),
                         risk_model=risk_model)
 
 
@@ -217,15 +234,15 @@ def random_domino_instance(seed: int,
     """Domino-with-ears graph with random affine means and sprinkled
     variability (at least one risky edge)."""
     rng = np.random.default_rng(seed)
-    base = build_domino_with_ears(demand=float(rng.uniform(0.5, 2.0)),
-                                  gamma=float(rng.uniform(0.25, 2.0)),
-                                  risk_model=risk_model)
+    demand = _uniform(rng, 0.5, 2.0)
+    gamma = _uniform(rng, 0.25, 2.0)
     variabilities = _ensure_risky(
         rng, [_variability(rng) if rng.random() < 0.5 else Constant(0.0)
-              for _ in base.edges])
-    assignments = {eid: (_affine(rng), var)
-                   for eid, var in enumerate(variabilities)}
-    return with_edge_functions(base, assignments)
+              for _ in _DOMINO.edges])
+    edges = tuple(Edge(e.tail, e.head, _affine(rng), var)
+                  for e, var in zip(_DOMINO.edges, variabilities))
+    return NetworkInstance(_DOMINO.vertices, edges, _DOMINO.source, _DOMINO.sink,
+                           demand, gamma, risk_model)
 
 
 def random_small_instance(seed: int) -> NetworkInstance:

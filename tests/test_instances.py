@@ -1,13 +1,16 @@
-"""Recursive worst-case families: structure, tags and closed-form checks."""
+"""Recursive worst-case families: structure, tags and closed-form checks;
+the bytes of every generated instance."""
 
 import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskroute as rr
-from riskroute import cli
+from riskroute import cli, synthetic
 from riskroute.instances import (
     BRAESS_CROSS,
     DOMINO_CONTRACT_EDGE_IDS,
@@ -20,6 +23,7 @@ from riskroute.instances import (
     contracted_domino_matches_braess,
     recursive_edge_tags,
 )
+from riskroute.serialization import dumps_instance
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
@@ -249,3 +253,91 @@ def test_generated_family_files_keep_their_bytes(tmp_path, case, instance_sha, o
     assert code == 0
     assert hashlib.sha256(ipath.read_bytes()).hexdigest() == instance_sha
     assert hashlib.sha256(opath.read_bytes()).hexdigest() == oracle_sha
+
+
+_MV, _MS = rr.RiskModel.MEAN_VAR, rr.RiskModel.MEAN_STDEV
+
+# sha256 of the serialized instances of each random generator over seeds
+# 0 .. count-1, at its default risk model and at the other one: a seed
+# names the same instance, byte for byte, as long as these hold
+_RANDOM_SHA256 = [
+    pytest.param(synthetic.random_affine_instance, 200,
+                 "7fa8b7b3b37b618675c99e423717093c5b090aba6a0bcd7a70a7c63a344fca5f",
+                 id="affine"),
+    pytest.param(lambda s: synthetic.random_polynomial_instance(s, 2), 200,
+                 "345781b32a35baae6d6610a68a3271c809b5cc417ff8ba0f25fbea5535015aff",
+                 id="poly2"),
+    pytest.param(lambda s: synthetic.random_polynomial_instance(s, 3), 200,
+                 "a1ee2ff563b86c32f6fe26527045ef83080f81e169f576ed83e4b1f8a1df7d62",
+                 id="poly3"),
+    pytest.param(lambda s: synthetic.random_polynomial_instance(s, 4), 200,
+                 "431f3bc52f2ab796faeb7a033ad82036bf33468ec7ca2d6ea4ca821dac71be39",
+                 id="poly4"),
+    pytest.param(synthetic.random_series_parallel_instance, 200,
+                 "3d0751c615871d6f8d596f505e2c9963067a6e46fcd3964069214f6bce0a1571",
+                 id="series-parallel"),
+    pytest.param(synthetic.random_braess_instance, 200,
+                 "94c10166eed3ec329aba2109b9568e5ba1dcd5becc2b5c4b718a12f0901e7ed2",
+                 id="braess"),
+    pytest.param(synthetic.random_domino_instance, 200,
+                 "788e3d18f8847fddddef2376d44ead0d5d53ba2a99c86460c513e5743f1cde6a",
+                 id="domino"),
+    pytest.param(synthetic.random_small_instance, 60,
+                 "57ac08574908403a5815a0b3accf2fd52024feb29539dc70dde9c5da22061ea4",
+                 id="small"),
+    pytest.param(lambda s: synthetic.random_affine_instance(s, risk_model=_MS), 200,
+                 "237a9a0cb5ce75741749955dd37c5cdced3944fb6e7987e3408dec7aa709fd97",
+                 id="affine-mean-stdev"),
+    pytest.param(lambda s: synthetic.random_polynomial_instance(s, 2, risk_model=_MS), 200,
+                 "2259e509bb5d095549c55fa5181bf55014e2351ec482e0dce57cae7fd700e55e",
+                 id="poly2-mean-stdev"),
+    pytest.param(lambda s: synthetic.random_polynomial_instance(s, 3, risk_model=_MS), 200,
+                 "ba832b17c482f7c5b0695ae756e1227de7739806e2ac7761b60ea3ebeaa90783",
+                 id="poly3-mean-stdev"),
+    pytest.param(lambda s: synthetic.random_polynomial_instance(s, 4, risk_model=_MS), 200,
+                 "5e040e3b49979be33ecd1baa6e9268dc0529066ebba7c1b650b2e1fe78b4e1a1",
+                 id="poly4-mean-stdev"),
+    pytest.param(lambda s: synthetic.random_series_parallel_instance(s, risk_model=_MV), 200,
+                 "955165e22b4d12d64a017a4131f84928bebc6e21fa2ce1d527927693f6a698d5",
+                 id="series-parallel-mean-var"),
+    pytest.param(lambda s: synthetic.random_braess_instance(s, risk_model=_MV), 200,
+                 "5dbb8a16aba8930edb8ebeb595ab12f178aa7e4f1323756f3f0217dab511862d",
+                 id="braess-mean-var"),
+    pytest.param(lambda s: synthetic.random_domino_instance(s, risk_model=_MV), 200,
+                 "e347c87fa2fa900edc2e0182d1401ed92a0de2160b0bfd32b3515e00b98ba2ff",
+                 id="domino-mean-var"),
+]
+
+
+@pytest.mark.parametrize("generate, count, sha", _RANDOM_SHA256)
+def test_generated_random_instances_keep_their_bytes(generate, count, sha):
+    text = "".join(dumps_instance(generate(seed)) for seed in range(count))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+_DRAWS = st.lists(st.one_of(
+    st.tuples(st.just("uniform"), st.floats(-1e12, 1e12), st.floats(-1e12, 1e12)),
+    st.tuples(st.just("random")),
+    # ranges up to 2^32 take 32 bits and stash the other half of a 64-bit
+    # draw in the bit generator; wider ones take 64
+    st.tuples(st.just("integers"), st.integers(0, 1000), st.integers(1, 2 ** 40)),
+), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), _DRAWS)
+def test_uniform_is_rng_uniform(seed, draws):
+    # `_uniform` returns rng.uniform's float bits and leaves the generator
+    # where rng.uniform does, whatever draws come before and after it
+    ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+    for kind, *args in draws:
+        if kind == "uniform":
+            low, high = sorted(args)
+            assert synthetic._uniform(ours, low, high).hex() == \
+                float(numpy.uniform(low, high)).hex()
+        elif kind == "random":
+            assert ours.random() == numpy.random()
+        else:
+            low, width = args
+            assert ours.integers(low, low + width) == numpy.integers(low, low + width)
+    assert ours.bit_generator.state == numpy.bit_generator.state

@@ -421,9 +421,9 @@ def test_converged_bounds_the_vi_residual_at_tolerance_zero():
     # the additive loop's mirrors pass at pair step 34, and the flow
     # rebuilt from its path weights has residual 1.57e-16
     (rr.solve_rnwe, synthetic.random_affine_instance(6), 1e-16),
-    # the path loop's pair gap passes at pair step 8, and the residual of
-    # its amounts is 5.80e-16
-    (rr.solve_rawe, synthetic.random_domino_instance(3), 3e-16),
+    # the path loop's pair gap passes at pair step 4, and the residual of
+    # the flow it would return is 1.87e-16
+    (rr.solve_rawe, synthetic.random_domino_instance(0), 1e-16),
 ])
 def test_a_loop_stops_only_when_its_result_passes(solve, inst, tolerance):
     res = solve(inst, SolverConfig(tolerance=tolerance))
@@ -644,6 +644,33 @@ def test_meanstdev_family_social_cost_matches_the_oracle(level, variant):
     expected = network.social_cost(ms, network.induced_edge_flow(ms, oracle.rawe))
     assert res.converged
     assert network.social_cost(ms, res.flow) == pytest.approx(expected, rel=1e-12)
+
+
+def _path_loop_instances():
+    for generate in (synthetic.random_series_parallel_instance,
+                     synthetic.random_braess_instance, synthetic.random_domino_instance):
+        for seed in range(200):
+            yield f"{generate.__name__}-{seed}", generate(seed)
+    for variant in Variant:
+        for level in range(1, 6):
+            yield f"{variant.value}-{level}", _family_meanstdev(level, variant)[0]
+
+
+def test_path_loop_residual_is_that_of_its_flow():
+    # a path-loop result's vi_residual, flow and common_cost are those that
+    # `result_from_paths` gives its own path flow, bit for bit: the amounts
+    # the result prunes count in none of them
+    solved = 0
+    for name, inst in _path_loop_instances():
+        if inst.edge_additive:
+            continue
+        res = rr.solve_rawe_meanstdev(inst)
+        ref = rr.result_from_paths(inst, res.path_flow)
+        assert res.vi_residual.hex() == ref.vi_residual.hex(), name
+        assert res.common_cost.hex() == ref.common_cost.hex(), name
+        assert res.flow.tobytes() == ref.flow.tobytes(), name
+        solved += 1
+    assert solved > 300
 
 
 @pytest.mark.parametrize("generate", [synthetic.random_series_parallel_instance,
