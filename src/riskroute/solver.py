@@ -1048,7 +1048,10 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
     pair step left the used paths as they were, a Newton finish
     (`_newton_finish`) solves the equal-cost system of the used paths and
     the cheapest one; when its answer passes the same test the solve ends
-    there, otherwise the pair steps go on from where they were.
+    there, otherwise the pair steps go on from where they were.  A pair
+    step of length 0 in an iteration whose finish failed leaves the iterate
+    as it was, so the solve would repeat that iteration to
+    `max_iterations`; it stops there with converged=False instead.
     `iterations` counts the pair steps.
     """
     if instance.risk_model is not RiskModel.MEAN_STDEV:
@@ -1102,7 +1105,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
     # tried; a pass of the pair-gap test stops the loop only when the
     # residual it reports passes too
     tried = _FINISH_FROM - 1
-    used = None
+    used = finished_at = None
     for k in itertools.count():
         s = state(amounts)
         if s.converged:
@@ -1112,7 +1115,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         if k >= cfg.max_iterations:
             break
         if k > tried and np.array_equal(s.used, used):
-            tried = (1 << k.bit_length()) - 1
+            tried, finished_at = (1 << k.bit_length()) - 1, k
             finished = _newton_finish(instance, incidence, state, s, amounts)
             if finished is not None:
                 res = result(finished, iterations, True)
@@ -1142,6 +1145,10 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         t = _step_root(pair_diff, move, *_slope_knots(edge_knots, curved, moved, move),
                        -s.gap, float(s.q[best] + s.q[worst]),
                        len(worst_path) + len(best_path))
+        if t == 0.0 and finished_at == k:
+            # the amounts stay as they are, bit for bit, so every later
+            # iteration, its finish included, would repeat this one
+            break
         amounts[worst] -= t
         amounts[best] += t
         if amounts[worst] <= used_cut:
@@ -1151,104 +1158,60 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
     return result(amounts, iterations, False)
 
 
-def _simplex_points(k: int, grid: int, total: float):
-    """All points of the k-simplex with coordinates in multiples of total/grid."""
-    for cuts in itertools.combinations(range(grid + k - 1), k - 1):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(grid + k - 2 - prev)
-        yield np.array(parts, dtype=float) * (total / grid)
-
-
 def brute_force_equilibrium(instance: NetworkInstance) -> EquilibriumResult:
     """Reference equilibrium by support enumeration over the path set.
 
-    Only for instances with at most four simple paths.  For every subset of
-    paths it solves the smooth equal-cost system on that support (coarse
-    simplex grid in steps of demand/12, then a derivative-free polish of
-    the squared cost spread), then keeps the candidate with the smallest
+    Only for instances with at most four simple paths.  For every support of
+    k paths it solves the equal-cost system on that support: the k - 1
+    differences of consecutive path costs, in the amounts of the first
+    k - 1 paths, the last taking the rest of the demand.  The solve is
+    scipy's `root` (method hybr, with its own finite-difference Jacobian),
+    started from the even split; a one-path support needs none.  Of the
+    candidates with no negative amount it keeps the one with the smallest
     equilibrium violation: used-path cost spread plus any amount by which
     an unused path undercuts the common cost.  Intentionally independent
-    of the iterative solvers so the two can cross-check.
+    of the iterative solvers so the two can cross-check: every cost comes
+    from `path_cost`.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import root
 
     paths = enumerate_paths(instance, cap=64)
     if len(paths) > 4:
         raise ValueError(f"brute force supports at most 4 paths, found {len(paths)}")
     demand = instance.demand
     n_paths = len(paths)
-    m = len(instance.edges)
-    incidence = np.zeros((n_paths, m))
+    incidence = np.zeros((n_paths, len(instance.edges)))
     for i, p in enumerate(paths):
-        for eid in p:
-            incidence[i, eid] = 1.0
+        incidence[i, list(p)] = 1.0
 
     def costs(amounts: np.ndarray) -> np.ndarray:
         flow = incidence.T @ amounts
         return np.array([path_cost(instance, p, flow) for p in paths])
 
-    def violation(amounts: np.ndarray, support) -> float:
-        q = costs(amounts)
-        q_s = q[list(support)]
-        v = float(q_s.max() - q_s.min())
-        lam = float(q_s.max())
-        for j in range(n_paths):
-            if j not in support:
-                v += max(0.0, lam - q[j])
-        return v
-
     if demand == 0.0:
         amounts = np.zeros(n_paths)
     else:
-        best_amounts, best_viol = None, math.inf
+        best_viol = math.inf
         for size in range(1, n_paths + 1):
             for support in itertools.combinations(range(n_paths), size):
-                if size == 1:
+                idx = list(support)
+
+                def split(theta: np.ndarray) -> np.ndarray:
                     cand = np.zeros(n_paths)
-                    cand[support[0]] = demand
-                else:
-                    # seed from a coarse grid on the support simplex
-                    seed, seed_val = None, math.inf
-                    for pt in _simplex_points(size, 12, demand):
-                        cand = np.zeros(n_paths)
-                        cand[list(support)] = pt
-                        q_s = costs(cand)[list(support)]
-                        val = float(q_s.max() - q_s.min())
-                        if val < seed_val:
-                            seed, seed_val = cand, val
+                    cand[idx[:-1]] = theta
+                    cand[idx[-1]] = demand - theta.sum()
+                    return cand
 
-                    idx = list(support)
-
-                    def objective(theta: np.ndarray) -> float:
-                        full = np.zeros(n_paths)
-                        full[idx[:-1]] = theta
-                        full[idx[-1]] = demand - theta.sum()
-                        penalty = float(np.sum(np.maximum(-full, 0.0)))
-                        clipped = np.maximum(full, 0.0)
-                        s = clipped.sum()
-                        if s > 0.0:
-                            clipped *= demand / s
-                        q_s = costs(clipped)[idx]
-                        return float(np.sum((q_s - q_s.mean()) ** 2)) + 1e6 * penalty
-
-                    res = minimize(objective, seed[idx[:-1]], method="Nelder-Mead",
-                                   options={"xatol": 1e-13, "fatol": 1e-18,
-                                            "maxiter": 4000, "maxfev": 4000})
-                    cand = np.zeros(n_paths)
-                    cand[idx[:-1]] = res.x
-                    cand[idx[-1]] = demand - res.x.sum()
-                    cand = np.maximum(cand, 0.0)
-                    s = cand.sum()
-                    if s > 0.0:
-                        cand *= demand / s
-                viol = violation(cand, set(support))
-                if viol < best_viol:
-                    best_amounts, best_viol = cand, viol
-        amounts = best_amounts
+                theta = np.full(size - 1, demand / size)
+                if size > 1:
+                    theta = root(lambda th: np.diff(costs(split(th))[idx]), theta,
+                                 method="hybr", tol=1e-14).x
+                cand = split(theta)
+                q = costs(cand)
+                lam = q[idx].max()
+                viol = lam - q[idx].min() + np.maximum(lam - np.delete(q, idx), 0.0).sum()
+                if viol < best_viol and (cand >= 0.0).all():
+                    amounts, best_viol = cand, viol
 
     flow = incidence.T @ amounts
     q = costs(amounts)

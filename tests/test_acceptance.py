@@ -332,7 +332,7 @@ def test_brute_force_agrees_with_iterative_solver():
                 )
             dev = float(np.max(np.abs(iterative.flow - brute.flow)))
             worst = max(worst, dev)
-            if dev > 1e-4:
+            if dev > 1e-7:
                 failures.append(f"{name} {label}: flows differ by {dev:.2e}")
     elapsed = time.perf_counter() - t0
     ok = not failures
@@ -341,7 +341,27 @@ def test_brute_force_agrees_with_iterative_solver():
         ok,
         "; ".join(failures) if failures else
         f"{len(pool)} instances, both equilibria, worst per-edge gap {worst:.2e} "
-        f"(tol 1e-4), {elapsed:.2f}s",
+        f"(tol 1e-7), {elapsed:.2f}s",
+    )
+
+
+def test_brute_force_flows_are_equilibria_to_rounding():
+    """Each support's root solve lands on its equilibrium to rounding: the
+    reference flow's own residual, both equilibria of each pool instance."""
+    worst = 0.0
+    failures = []
+    for name, instance in _brute_force_pool():
+        for label, reference in (("rawe", instance), ("rnwe", with_gamma(instance, 0.0))):
+            brute = brute_force_equilibrium(reference)
+            residual = result_from_paths(reference, brute.path_flow).vi_residual
+            worst = max(worst, residual)
+            if residual > 1e-15:
+                failures.append(f"{name} {label}: residual {residual:.2e}")
+    _certify(
+        "brute force residual",
+        not failures,
+        "; ".join(failures) if failures else
+        f"both equilibria of the pool, worst residual {worst:.2e} (tol 1e-15)",
     )
 
 
