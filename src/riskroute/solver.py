@@ -19,22 +19,30 @@ its latencies and variances through kernels too.  A step changes the
 flow only on the edges where the two paths differ, so it recomputes the
 costs of those edges alone, and never a constant one: that is evaluated
 once per solve.  The flow rebuild every 256 iterations recomputes every
-other cost.  One pass over the moved edges sets up a step: the line
-search's terms, in the order the derivative sums them, the derivative at
-step 0 from the cost vector the loop holds (a constant edge's share is
-taken once per step) and the knots from the table.  The gap's dot
-product reads numpy mirrors of the flow and cost lists, which the rebuild
-copies and each step updates in place, edge by moved edge: the same call
-on the same values as arrays built afresh.
+other cost.  One pass over the moved edges sets up a step: the
+derivative's terms, in the order it sums them, its value at step 0 from
+the cost vector the loop holds (a constant edge's share is taken once per
+step), and from the moved edges whose costs the step recomputes, the
+knots from the table (`_add_step_knots`, which the path loop's steps use
+too), whether the derivative is linear between them and where the next
+shortest-path sweep starts.  The gap's dot product reads numpy mirrors of
+the flow and cost lists, which the rebuild copies and each step updates
+in place, edge by moved edge: the same call on the same values as arrays
+built afresh.
 
 The shortest path is one pull sweep over the vertices on source->sink
 paths in topological order: each vertex takes the cheapest of its
 in-edges, met in the order a relaxation sweep would relax them.  The
 in-edge lists are built once per instance and shared by all its solves
 and checks (`NetworkInstance.topological_in_edges`); when those vertices
-span a cycle it is Dijkstra.  Both give the same path and distance, and
-every sum keeps the order and arithmetic of a full recompute, so the
-iterates do not depend on which route computed them.  Float sums are
+span a cycle it is Dijkstra.  The additive loop keeps the sweep's labels
+from step to step and re-sweeps from the first vertex, in topological
+order, that is the head of an edge whose cost the last step recomputed:
+each vertex before it would take the same label again.  It sweeps in full
+at the first iteration and after each flow rebuild.  Both routes give the
+same path and distance, and every sum keeps the order and arithmetic of a
+full recompute, so the iterates do not depend on which route computed
+them.  Float sums are
 left-to-right loops, not sum(), which is compensated from Python 3.12 on,
 so the iterates do not depend on the Python version either.
 
@@ -270,7 +278,8 @@ def _dijkstra(instance: NetworkInstance, costs) -> tuple[tuple[int, ...], float]
     raise GraphStructureError("sink not reachable from source")
 
 
-def _dag_shortest_path(costs: list[float], pull) -> tuple[tuple[int, ...], float]:
+def _dag_shortest_path(costs: list[float], pull, labels=None,
+                       start: int = 0) -> tuple[tuple[int, ...], float]:
     """Dijkstra's result on a DAG from one sweep in topological order.
 
     `pull` is `NetworkInstance.topological_in_edges`.  Each vertex takes
@@ -283,12 +292,19 @@ def _dag_shortest_path(costs: list[float], pull) -> tuple[tuple[int, ...], float
     they are found by walking back from the later of the two tails in
     topological order until the walks meet.  Two parallel edges meet at
     once, and compare by id.
+
+    `labels` are the (dist, via, prev) lists of an earlier sweep, which this
+    one updates in place from `pull[start]` on; without them the sweep is
+    a full one into new lists.  A restart gives the full sweep's bits when
+    no in-edge of the vertices before `pull[start]` changed its cost since
+    `labels` were swept: those vertices read the same costs and the same
+    labels of their tails, and a tie's walk-back reads only the labels of
+    earlier vertices.
     """
-    n = len(pull) + 1
-    dist = [0.0] * n
-    via = [-1] * n          # last edge of each vertex's chosen path
-    prev = [0] * n          # its tail
-    for v, e, u, rest in pull:
+    if labels is None:
+        labels, start = _sweep_labels(pull), 0
+    dist, via, prev = labels
+    for v, e, u, rest in pull[start:] if start else pull:
         d = dist[u] + costs[e]
         for eid, tail in rest:
             nd = dist[tail] + costs[eid]
@@ -308,11 +324,18 @@ def _dag_shortest_path(costs: list[float], pull) -> tuple[tuple[int, ...], float
         prev[v] = u
     # the sink comes last
     walk = []
-    v = n - 1
+    v = len(pull)
     while v:
         walk.append(via[v])
         v = prev[v]
-    return tuple(reversed(walk)), dist[n - 1]
+    return tuple(reversed(walk)), dist[-1]
+
+
+def _sweep_labels(pull) -> tuple[list[float], list[int], list[int]]:
+    """Labels for a full `_dag_shortest_path` sweep of `pull`: per vertex its
+    distance, the last edge of its chosen path and that edge's tail."""
+    n = len(pull) + 1
+    return [0.0] * n, [-1] * n, [0] * n
 
 
 def beckmann_potential(instance: NetworkInstance, flow) -> float:
@@ -433,15 +456,21 @@ def _slope_knots(edge_knots: list, curved: list, moves,
     for eid, f, d in moves:
         if curved[eid]:
             linear = False
-        ks = edge_knots[eid]
-        if ks:
-            lo, hi = (f, f + t_max) if d > 0 else (f - t_max, f)
-            if lo < 0.0:
-                lo = 0.0
-            for x in ks:
-                if lo < x < hi:
-                    knots.add((x - f) / d)
+        _add_step_knots(knots, edge_knots[eid], f, d, t_max)
     return knots, linear
+
+
+def _add_step_knots(knots: set[float], ks: tuple[float, ...], f: float, d: float,
+                    t_max: float) -> None:
+    """Add to `knots` the t in (0, t_max) at which an edge whose flow goes
+    from f to f + d * t, d = +1 or -1, meets one of its knots `ks`."""
+    if ks:
+        lo, hi = (f, f + t_max) if d > 0 else (f - t_max, f)
+        if lo < 0.0:
+            lo = 0.0
+        for x in ks:
+            if lo < x < hi:
+                knots.add((x - f) / d)
 
 
 # a linear step searches for its bracket when it has at least this many
@@ -629,30 +658,6 @@ def _step_root(fn, t_max: float, knots, linear: bool,
     return a if -fa < fb else b
 
 
-def _line_search(moves: list, v0: float, size: float, knots, linear: bool,
-                 t_max: float) -> float:
-    """Step length in [0, t_max] minimizing the potential along a pair step.
-
-    The derivative t -> sum_e delta_e * c_e(f_e + delta_e * t) over the
-    moved edges e is non-decreasing; `_step_root` finds its root, exactly
-    from the slope-change `knots` for piecewise-linear costs (`linear`) and
-    with Anderson-Bjorck for polynomial ones.  `moves` holds one (cost, f_e,
-    delta_e, term) per moved edge, in the order the derivative sums them:
-    its cost function, or None for a constant-cost edge, whose fixed term
-    delta_e * c_e(f_e) no call of the derivative evaluates again.  `v0` is
-    the derivative at 0, the sum of the terms, and `size` the sum of their
-    magnitudes, with which a linear step searches for its bracket among
-    the knots instead of walking them all (`_step_root`).
-    """
-    def dphi(t: float) -> float:
-        acc = 0.0
-        for cost, f, s, term in moves:
-            acc += term if cost is None else s * cost(f + s * t)
-        return acc
-
-    return _step_root(dphi, t_max, knots, linear, v0, size, len(moves))
-
-
 def _flow_from_weights(instance: NetworkInstance,
                        weights: dict[tuple[int, ...], float]) -> list[float]:
     flow = [0.0] * len(instance.edges)
@@ -688,6 +693,33 @@ _FINISH_FROM = 8
 _ADDITIVE_FINISH_FROM = 2048
 # linear solves per finish, over all its steps
 _FINISH_SOLVES = 16
+# the longest cycle of pair steps the mean-stdev loop detects
+_CYCLE_SPAN = 8
+
+
+def _finish_schedule(ok: list[bool], k: int, tried: int, cap: int):
+    """(iteration, phase) of each finish the mean-stdev loop tries from `k` on, on a cycle.
+
+    From iteration `k` on the loop's amounts repeat a cycle of p = len(ok)
+    vectors: iteration K starts from phase (K - k) % p, and `ok[i]` says
+    that the used paths of phase i are those of the phase before it.  The
+    loop tries a finish at the first iteration past `tried` whose used
+    paths are the last iteration's, and then none before the next window,
+    2^j with 2^j > that iteration; yields each such iteration below `cap`,
+    the iteration cap, in order.
+    """
+    p = len(ok)
+    if not any(ok):
+        return
+    at = k
+    while True:
+        at = max(at, tried + 1)
+        while not ok[(at - k) % p]:
+            at += 1
+        if at >= cap:
+            return
+        yield at, (at - k) % p
+        tried = (1 << at.bit_length()) - 1
 
 
 def _cost_jacobian(instance: NetworkInstance, a: np.ndarray, flow: list[float],
@@ -771,7 +803,7 @@ def _frozen_gap(instance: NetworkInstance, flow: list[float] | np.ndarray, c: li
     0), the variational-inequality residual of routing `demand`.
     """
     best, dist = _shortest_path(instance, c)
-    total = float(np.asarray(flow) @ np.array(c))
+    total = float(np.asarray(flow).dot(np.array(c)))
     return best, dist, total, max(total - demand * dist, 0.0)
 
 
@@ -867,8 +899,30 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
     # loop only when the flow rebuilt from `weights`, the one returned, passes
     # too; when it does not, the next iteration rebuilds.
     varying = [eid for eid, fixed in enumerate(constant) if not fixed]
+    # on a DAG the sweep's labels are kept from step to step: a step
+    # re-sweeps from `start`, the first position in `pull` of the head of an
+    # edge whose cost it recomputed (`head_at`; an edge on no source->sink
+    # path is at the end), and a rebuild sweeps in full
+    pull = instance.topological_in_edges
+    end = 0 if pull is None else len(pull)
+    head_at = [end] * len(cost_of)
+    if pull is not None:
+        labels = _sweep_labels(pull)
+        for i, (_, e, _, rest) in enumerate(pull):
+            head_at[e] = i
+            for eid, _ in rest:
+                head_at[eid] = i
+
+    def dphi(t: float) -> float:
+        # the potential's derivative along the step, over the moved edges in
+        # `moves`: sum_e s_e * c_e(f_e + s_e * t), non-decreasing in t
+        acc = 0.0
+        for cost, f, s, term in moves:
+            acc += term if cost is None else s * cost(f + s * t)
+        return acc
+
     flow: list[float] = []
-    iterations = 0
+    iterations = start = 0
     rebuild = False
     for k in itertools.count():
         if rebuild or k % 256 == 0:
@@ -876,9 +930,13 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             for eid in varying:
                 c[eid] = cost_of[eid](flow[eid])
             flow_a, c_a = np.array(flow), np.array(c)
+            start = 0
         # `_frozen_gap` on the mirrors
-        best, dist = _shortest_path(instance, c)
-        total = float(flow_a @ c_a)
+        if pull is None:
+            best, dist = _dijkstra(instance, c)
+        else:
+            best, dist = _dag_shortest_path(c, pull, labels, start)
+        total = float(flow_a.dot(c_a))
         gap = max(total - demand * dist, 0.0)
         if callback is not None:
             callback(k, np.array(flow), total, gap)
@@ -914,11 +972,18 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
         if worst == best:
             break
         deltas = _moved_edges(best, worst)
+        t_max = weights[worst]
         # one pass sets up the step: the derivative's terms in the order it
-        # sums them, its value at 0 and their magnitudes' sum (the costs are
-        # nonnegative), and the moved varying edges for knots
-        moves, moved = [], []
+        # sums them, a constant edge's as a fixed term no call evaluates
+        # again, its value at 0 and their magnitudes' sum (the costs are
+        # nonnegative); and from the moved varying edges, whose costs the
+        # step recomputes, the knots, whether the derivative is linear
+        # between them and where the next sweep starts
+        moves = []
+        knots: set[float] = set()
+        linear = True
         v0 = size = 0.0
+        start = end
         for eid, s in deltas.items():
             f = flow[eid]
             term = s * c[eid]
@@ -928,10 +993,13 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
                 moves.append((None, f, s, term))
             else:
                 moves.append((cost_of[eid], f, s, term))
-                moved.append((eid, f, s))
-        t_max = weights[worst]
-        t = _line_search(moves, v0, size, *_slope_knots(edge_knots, curved, moved, t_max),
-                         t_max)
+                if curved[eid]:
+                    linear = False
+                _add_step_knots(knots, edge_knots[eid], f, s, t_max)
+                if head_at[eid] < start:
+                    start = head_at[eid]
+        # the potential's minimum along the step: the root of its derivative
+        t = _step_root(dphi, t_max, knots, linear, v0, size, len(moves))
         remainder = t_max - t
         if remainder <= _PRUNE_REL * demand:
             t = t_max
@@ -1048,11 +1116,18 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
     pair step left the used paths as they were, a Newton finish
     (`_newton_finish`) solves the equal-cost system of the used paths and
     the cheapest one; when its answer passes the same test the solve ends
-    there, otherwise the pair steps go on from where they were.  A pair
-    step of length 0 in an iteration whose finish failed leaves the iterate
-    as it was, so the solve would repeat that iteration to
-    `max_iterations`; it stops there with converged=False instead.
-    `iterations` counts the pair steps.
+    there, otherwise the pair steps go on from where they were.  Below the
+    rounding floor the pair steps can end in a cycle: a step of an ulp or
+    none at all, which the next steps undo.  Once a finish has been tried,
+    a pair step whose amounts repeat, bit for bit, those at the start of
+    one of the last `_CYCLE_SPAN` iterations ends the solve: every later
+    iteration repeats the cycle, whose iterates have all failed the
+    convergence test, so only a finish the schedule would still try
+    (`_finish_schedule`) can end it.  Those finishes are tried at once, one
+    per amounts vector of the cycle, in the schedule's order, and the first
+    that passes returns what the schedule would have returned at its
+    iteration; when none passes, the solve stops with converged=False,
+    returning the amounts it has.  `iterations` counts the pair steps.
     """
     if instance.risk_model is not RiskModel.MEAN_STDEV:
         raise ValueError("solve_rawe_meanstdev requires a mean-stdev instance")
@@ -1105,7 +1180,9 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
     # tried; a pass of the pair-gap test stops the loop only when the
     # residual it reports passes too
     tried = _FINISH_FROM - 1
-    used = finished_at = None
+    used = None
+    # the amounts at the start of the last _CYCLE_SPAN iterations
+    recent = [amounts.tobytes()]
     for k in itertools.count():
         s = state(amounts)
         if s.converged:
@@ -1115,7 +1192,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         if k >= cfg.max_iterations:
             break
         if k > tried and np.array_equal(s.used, used):
-            tried, finished_at = (1 << k.bit_length()) - 1, k
+            tried = (1 << k.bit_length()) - 1
             finished = _newton_finish(instance, incidence, state, s, amounts)
             if finished is not None:
                 res = result(finished, iterations, True)
@@ -1145,15 +1222,35 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         t = _step_root(pair_diff, move, *_slope_knots(edge_knots, curved, moved, move),
                        -s.gap, float(s.q[best] + s.q[worst]),
                        len(worst_path) + len(best_path))
-        if t == 0.0 and finished_at == k:
-            # the amounts stay as they are, bit for bit, so every later
-            # iteration, its finish included, would repeat this one
-            break
         amounts[worst] -= t
         amounts[best] += t
         if amounts[worst] <= used_cut:
             amounts[best] += amounts[worst]
             amounts[worst] = 0.0
+        after = amounts.tobytes()
+        if after in recent and tried >= _FINISH_FROM:
+            # the iterates from k + 1 on repeat `cycle`, bit for bit, and
+            # each has failed the convergence test: only a finish the
+            # schedule still tries can end the solve, and one tried from
+            # the same amounts ends it the same way
+            cycle = recent[recent.index(after):]
+            states = [state(np.frombuffer(a)) for a in cycle]
+            ok = [np.array_equal(x.used, states[i - 1].used) for i, x in enumerate(states)]
+            seen = set()
+            for at, phase in _finish_schedule(ok, k + 1, tried, cfg.max_iterations):
+                if phase in seen:
+                    continue
+                seen.add(phase)
+                a = np.frombuffer(cycle[phase])
+                finished = _newton_finish(instance, incidence, state, states[phase], a)
+                if finished is not None:
+                    res = result(finished, at, True)
+                    if res.vi_residual <= cfg.tolerance:
+                        return res
+            break
+        recent.append(after)
+        if len(recent) > _CYCLE_SPAN:
+            del recent[0]
 
     return result(amounts, iterations, False)
 

@@ -2,6 +2,7 @@
 
 import builtins
 import dataclasses
+import hashlib
 import math
 import struct
 from bisect import bisect_right
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskroute as rr
-from riskroute import network, solver, synthetic
+from riskroute import network, serialization, solver, synthetic
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
 from riskroute.solver import SolverConfig
 from riskroute.synthetic import random_small_instance
@@ -166,14 +167,84 @@ def test_meanstdev_iteration_cap_reports_non_convergence():
 @pytest.mark.parametrize("seed", [21, 23])
 def test_meanstdev_stall_below_rounding_ends_the_solve(seed):
     # at tolerance 1e-16 the residual these solves reach at rounding never
-    # passes, and every pair step after the first has gap 0: a zero-length
-    # step after a failed finish ends the solve where the capped solve ends
+    # passes, and every pair step after the first has gap 0: a cycle of
+    # period 1, which ends the solve after the failed first finish, where the
+    # capped solve ends
     inst = synthetic.random_series_parallel_instance(seed)
     res = rr.solve_rawe_meanstdev(inst, SolverConfig(tolerance=1e-16))
     capped = rr.solve_rawe_meanstdev(inst, SolverConfig(tolerance=1e-16, max_iterations=200))
     assert not res.converged and res.iterations < 64
     assert res.flow.tobytes() == capped.flow.tobytes()
     assert res.vi_residual.hex() == capped.vi_residual.hex()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: synthetic.random_braess_instance(10), id="braess-10"),
+    pytest.param(lambda: synthetic.random_series_parallel_instance(19), id="series-parallel-19"),
+    pytest.param(lambda: synthetic.random_domino_instance(12), id="domino-12"),
+])
+def test_meanstdev_cycle_below_rounding_ends_the_solve(make):
+    # at tolerance 1e-16 the pair steps of these solves end in a cycle of
+    # steps of about one ulp, of period 2 (braess, series-parallel) or 3
+    # (domino), and no finish the schedule would still try passes: the
+    # solve stops unconverged where the solve capped at its count stops
+    inst = make()
+    res = rr.solve_rawe_meanstdev(inst, SolverConfig(tolerance=1e-16))
+    assert not res.converged and res.iterations < 64
+    capped = rr.solve_rawe_meanstdev(
+        inst, SolverConfig(tolerance=1e-16, max_iterations=res.iterations))
+    assert res.flow.tobytes() == capped.flow.tobytes()
+    assert res.path_flow == capped.path_flow
+    assert res.vi_residual.hex() == capped.vi_residual.hex()
+
+
+def test_meanstdev_cycle_returns_the_finish_the_schedule_reaches(monkeypatch):
+    # domino seed 12 at 1e-16 cycles through three amounts vectors from pair
+    # step 51 on, and the one at the start of step 52 has residual 0.0.  A
+    # finish that returns its amounts as they are passes there, and the
+    # schedule's next finish, at 64, starts from that vector: the cycle rule,
+    # seeing the cycle after step 53, must return what the loop returns
+    # stepping on to 64 (with a span of 0 it keeps one vector, too few to see
+    # the cycle)
+    inst = synthetic.random_domino_instance(12)
+    cfg = SolverConfig(tolerance=1e-16)
+    monkeypatch.setattr(solver, "_newton_finish",
+                        lambda instance, incidence, state, s, amounts: amounts.copy())
+    step_root = solver._step_root
+    steps = []
+
+    def counted(*args):
+        steps.append(1)
+        return step_root(*args)
+
+    monkeypatch.setattr(solver, "_step_root", counted)
+    res = rr.solve_rawe_meanstdev(inst, cfg)
+    assert len(steps) == 54
+    steps.clear()
+    monkeypatch.setattr(solver, "_CYCLE_SPAN", 0)
+    stepped = rr.solve_rawe_meanstdev(inst, cfg)
+    assert len(steps) == 64
+    assert (res.converged, res.iterations, res.vi_residual) == (True, 64, 0.0)
+    assert (stepped.converged, stepped.iterations) == (True, 64)
+    assert res.flow.tobytes() == stepped.flow.tobytes()
+    assert res.path_flow == stepped.path_flow
+    assert res.common_cost.hex() == stepped.common_cost.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ok=st.lists(st.booleans(), min_size=1, max_size=8), k=st.integers(1, 100),
+       tried=st.integers(7, 127), cap=st.integers(0, 600))
+def test_finish_schedule_is_the_loops_schedule(ok, k, tried, cap):
+    # the iterations the mean-stdev loop would try a finish at, iteration by
+    # iteration, on amounts that repeat `ok`'s cycle from iteration k on
+    p = len(ok)
+    expected = []
+    last = tried
+    for at in range(k, cap):
+        if at > last and ok[(at - k) % p]:
+            expected.append((at, (at - k) % p))
+            last = (1 << at.bit_length()) - 1
+    assert list(solver._finish_schedule(ok, k, tried, cap)) == expected
 
 
 def test_iteration_cap_reports_non_convergence():
@@ -293,6 +364,30 @@ def test_topological_sweep_matches_dijkstra(case):
     pull = inst.topological_in_edges
     assert pull is not None
     assert solver._dag_shortest_path(costs, pull) == solver._dijkstra(inst, costs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dags_with_costs(), st.data())
+def test_restarted_sweep_matches_a_full_sweep(case, data):
+    # the additive loop keeps the sweep's labels between its steps and
+    # re-sweeps from the first vertex one of whose in-edges changed its cost
+    inst, costs = case
+    pull = inst.topological_in_edges
+    labels = solver._sweep_labels(pull)
+    solver._dag_shortest_path(costs, pull, labels, 0)
+    m = len(costs)
+    for _ in range(data.draw(st.integers(1, 4))):
+        changed = data.draw(st.sets(st.integers(0, m - 1), max_size=m))
+        costs = list(costs)
+        for eid in changed:
+            costs[eid] = float(data.draw(st.integers(0, 3)))
+        start = next((i for i, (_, e, _, rest) in enumerate(pull)
+                      if e in changed or any(eid in changed for eid, _ in rest)), len(pull))
+        got = solver._dag_shortest_path(costs, pull, labels, start)
+        fresh = solver._sweep_labels(pull)
+        assert got == solver._dag_shortest_path(costs, pull, fresh, 0)
+        assert labels == fresh
+        assert got == solver._dag_shortest_path(costs, pull) == solver._dijkstra(inst, costs)
 
 
 def test_parallel_edges_tie_toward_the_smaller_id():
@@ -1304,3 +1399,49 @@ def test_slope_knots_from_the_table_match_the_functions(case, t_max, data):
     for gamma_eff in {0.0, inst.gamma}:
         got = solver._slope_knots(*solver._edge_knots(inst, gamma_eff), moves, t_max)
         assert got == _slope_knots_reference(inst, moves, t_max, gamma_eff)
+
+
+def _family_instances(model):
+    return [rr.with_risk_model(build_recursive(RecursiveFamilySpec(level=level, gamma_kappa=1.0,
+                                                                   variant=variant))[0], model)
+            for variant in (Variant.STRUCTURAL, Variant.FUNCTIONAL) for level in range(1, 6)]
+
+
+# sha256 over `dumps_result` of both equilibria (`solve_rnwe`, then
+# `solve_rawe`) of each instance in turn, at the default SolverConfig: a
+# change that claims to keep every iterate bit for bit must keep these.
+# The residuals come from numpy dot products, which sum in the order of
+# the BLAS kernel numpy runs on; these digests are those of numpy 2.4's
+# bundled OpenBLAS on an x86-64 CPU with AVX-512
+_RESULT_SHA256 = [
+    pytest.param(lambda: _family_instances(rr.RiskModel.MEAN_VAR),
+                 "2e7bffd6ff745265118ac8c4fda90084505971b44e402bcd8fd23361b7eac6a9",
+                 id="family-mean-var"),
+    pytest.param(lambda: _family_instances(rr.RiskModel.MEAN_STDEV),
+                 "2d9a717482d21f74e9f287d46130b1a0e8165659e167d76b9b125c6534d19adc",
+                 id="family-mean-stdev"),
+    pytest.param(lambda: [synthetic.random_affine_instance(s) for s in range(20)],
+                 "27526e0312542c8324a072ca7f228a0d9b6400f6825249f0f02fd307b3c6c581",
+                 id="affine"),
+    pytest.param(lambda: [synthetic.random_polynomial_instance(s, 3) for s in range(20)],
+                 "03b660f7cb539fea93de15336c50e1bab7032b2e10e61b02e7a93f82403db9df",
+                 id="poly3"),
+    pytest.param(lambda: [synthetic.random_series_parallel_instance(s) for s in range(20)],
+                 "33eb9f2e8c22e10a543ca2d00ee5e5dd3c469e90ea9d3804617c5928a0d7ff4f",
+                 id="series-parallel"),
+    pytest.param(lambda: [synthetic.random_braess_instance(s) for s in range(20)],
+                 "50391567e0148d9386c064a71c7cd81d04226852da5f52bad05b400f2c157eb5",
+                 id="braess"),
+    pytest.param(lambda: [synthetic.random_domino_instance(s) for s in range(20)],
+                 "0c42eed06934aad1f4dc38e9e8f10215ecccabc3a30c84a7c401a543785021f5",
+                 id="domino"),
+]
+
+
+@pytest.mark.parametrize("make, digest", _RESULT_SHA256)
+def test_solver_results_keep_their_bytes(make, digest):
+    h = hashlib.sha256()
+    for inst in make():
+        for res in (rr.solve_rnwe(inst), rr.solve_rawe(inst)):
+            h.update(serialization.dumps_result(res).encode())
+    assert h.hexdigest() == digest
