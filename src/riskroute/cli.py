@@ -24,7 +24,8 @@ import os
 import sys
 
 from . import analysis, instances, serialization, synthetic
-from .network import NetworkInstance, PathCapExceeded, RiskModel, with_risk_model
+from .network import (NetworkInstance, PathCapExceeded, RiskModel, path_cost, with_gamma,
+                      with_risk_model)
 from .solver import EquilibriumResult, SolverConfig, solve_rawe, solve_rnwe
 
 OUT_DIR_ENV = "RISKROUTE_OUT_DIR"
@@ -117,10 +118,17 @@ def _solve(args) -> int:
         results.insert(0, ("rnwe", solve_rnwe(instance, cfg)))
     status = 0
     for name, res in results:
-        print(f"{name}: converged={res.converged} iterations={res.iterations} "
-              f"common_cost={res.common_cost!r} vi_residual={res.vi_residual:.3e}")
+        line = (f"{name}: converged={res.converged} iterations={res.iterations} "
+                f"common_cost={res.common_cost!r} vi_residual={res.vi_residual:.3e}")
         if not res.converged:
             status = 1
+            # a path-loop stop tests its costliest path against the cheapest,
+            # a gap the flow-weighted residual can round to 0
+            priced = with_gamma(instance, 0.0) if name == "rnwe" else instance
+            worst = max((path_cost(priced, p, res.flow) for p, _ in res.path_flow),
+                        default=res.common_cost)
+            line += f" path_gap={worst - res.common_cost:.3e}"
+        print(line)
         if args.out:
             suffix = f".{name}.txt" if args.mode == "both" else ""
             serialization.write_result(_resolve(args.out) + suffix, res)

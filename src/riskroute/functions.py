@@ -23,6 +23,13 @@ picks its piece by comparisons, in place of `bisect_right`, and a
 polynomial of up to four coefficients runs Horner's rule unrolled.  The
 kernel of a longer function calls `__call__`.
 
+A function is built once and read by every edge that holds it and every
+solve of those edges, so it keeps what they derive from it: its default
+kernel, `fn.kernel()`, and its knots over the whole line, `fn.knots()`,
+are built on first use and kept on the object.  A shifted kernel is built
+per call.  Nothing is kept outside the object, and nothing kept takes part
+in its equality, hash or repr.
+
 Variants:
     Constant(value)            value everywhere
     Affine(slope, intercept)   slope * x + intercept
@@ -53,7 +60,22 @@ class LatencyFn:
         raise NotImplementedError
 
     def kernel(self, shift: float = -0.0):
-        """A function of x computing self(x) + shift, bit for bit."""
+        """A function of x computing self(x) + shift, bit for bit.
+
+        The kernel of shift -0.0, the default, is built once and kept.
+        """
+        # only -0.0 gives fn(x) itself: + 0.0 turns a -0.0 value into 0.0
+        if shift != 0.0 or math.copysign(1.0, shift) > 0.0:
+            return self._kernel(shift)
+        # not functools.cached_property: its __dict__ write slows attribute loads
+        kept = getattr(self, "_plain_kernel", None)
+        if kept is None:
+            kept = self._kernel(-0.0)
+            object.__setattr__(self, "_plain_kernel", kept)
+        return kept
+
+    def _kernel(self, shift: float):
+        """`kernel(shift)`, built afresh."""
         call = self.__call__
         return lambda x: call(x) + shift
 
@@ -64,6 +86,16 @@ class LatencyFn:
     def derivative(self, x: float) -> float:
         """Right derivative at max(x, 0)."""
         raise NotImplementedError
+
+    def knots(self) -> tuple[float, ...] | None:
+        """All slope-change points, sorted: `knots_between(-inf, inf)`, kept."""
+        kept = getattr(self, "_knots", False)
+        if kept is False:
+            kept = self.knots_between(-math.inf, math.inf)
+            if kept is not None:
+                kept = tuple(kept)
+            object.__setattr__(self, "_knots", kept)
+        return kept
 
     def knots_between(self, lo: float, hi: float) -> list[float] | None:
         """Slope-change points strictly inside (lo, hi).
@@ -86,7 +118,7 @@ class Constant(LatencyFn):
     def __call__(self, x: float) -> float:
         return self.value
 
-    def kernel(self, shift: float = -0.0):
+    def _kernel(self, shift: float):
         value = self.value + shift
         return lambda x: value
 
@@ -117,7 +149,7 @@ class Affine(LatencyFn):
             x = 0.0
         return self.slope * x + self.intercept
 
-    def kernel(self, shift: float = -0.0):
+    def _kernel(self, shift: float):
         a, b = self.slope, self.intercept
 
         def affine(x):
@@ -167,9 +199,9 @@ class Polynomial(LatencyFn):
             acc = acc * x + c
         return acc
 
-    def kernel(self, shift: float = -0.0):
+    def _kernel(self, shift: float):
         if len(self.coeffs) > 4:
-            return super().kernel(shift)
+            return super()._kernel(shift)
         # Horner unrolled from acc = 0.0, padded with zero coefficients on
         # top: 0.0 * x + 0.0 is 0.0 or NaN wherever 0.0 * x is, and times x
         # it is 0.0 * x again, signed zero and NaN included, so the padding
@@ -262,9 +294,9 @@ class PiecewiseLinear(LatencyFn):
         xa, ya, rise, run = self._pieces[i - 1]
         return ya + rise * (x - xa) / run
 
-    def kernel(self, shift: float = -0.0):
+    def _kernel(self, shift: float):
         if len(self.points) > 3:
-            return super().kernel(shift)
+            return super()._kernel(shift)
         x0, y0 = self.points[0]
         # x < b is the test bisect_right makes, NaN reading False, so the
         # comparisons pick its piece.  Fewer than three breakpoints are

@@ -320,10 +320,24 @@ def enumerate_paths(instance: NetworkInstance, cap: int = 4096) -> list[tuple[in
     """All simple source->sink paths, lexicographic by edge-id sequence.
 
     Raises PathCapExceeded as soon as more than `cap` paths exist, so the
-    call stays cheap on instances with exponentially many paths.
+    call stays cheap on instances with exponentially many paths.  The first
+    walk that finds them all keeps them on the instance, and later calls
+    return a new list of them; a later call with a smaller cap still raises
+    when there are more than it allows.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
+    paths = getattr(instance, "_paths", None)
+    if paths is None:
+        paths = _walk_paths(instance, cap)
+        object.__setattr__(instance, "_paths", paths)
+    elif len(paths) > cap:
+        raise PathCapExceeded(f"more than {cap} simple source->sink paths (the enumeration cap)")
+    return list(paths)
+
+
+def _walk_paths(instance: NetworkInstance, cap: int) -> tuple[tuple[int, ...], ...]:
+    """`enumerate_paths`' depth-first walk, raising PathCapExceeded past `cap`."""
     paths: list[tuple[int, ...]] = []
     prefix: list[int] = []
     on_path = {instance.source}
@@ -348,7 +362,7 @@ def enumerate_paths(instance: NetworkInstance, cap: int = 4096) -> list[tuple[in
             stack.pop()
             if prefix:
                 on_path.discard(instance.edges[prefix.pop()].head)
-    return paths
+    return tuple(paths)
 
 
 def with_risk_model(instance: NetworkInstance, risk_model: RiskModel) -> NetworkInstance:
@@ -356,14 +370,29 @@ def with_risk_model(instance: NetworkInstance, risk_model: RiskModel) -> Network
 
     Used to reinterpret a mean-var instance under the mean-stdev model
     (the stored variance functions are then read as sigma^2 and the square
-    root is taken at path level).
+    root is taken at path level).  The copy has the same graph, so it keeps
+    the graph views `instance` has built: `topological_in_edges` and the
+    `enumerate_paths` list.
     """
-    return dataclasses.replace(instance, risk_model=risk_model)
+    return _same_graph(instance, dataclasses.replace(instance, risk_model=risk_model))
 
 
 def with_gamma(instance: NetworkInstance, gamma: float) -> NetworkInstance:
-    """Copy of `instance` with the risk aversion coefficient replaced."""
-    return dataclasses.replace(instance, gamma=gamma)
+    """Copy of `instance` with the risk aversion coefficient replaced.
+
+    The copy keeps the graph views `instance` has built, as
+    `with_risk_model`'s does.
+    """
+    return _same_graph(instance, dataclasses.replace(instance, gamma=gamma))
+
+
+def _same_graph(instance: NetworkInstance, copy: NetworkInstance) -> NetworkInstance:
+    """`copy`, given the graph views `instance` keeps: the two share their edges."""
+    for name in ("_dag_in", "_paths"):
+        kept = getattr(instance, name, False)
+        if kept is not False:
+            object.__setattr__(copy, name, kept)
+    return copy
 
 
 def with_edge_functions(instance: NetworkInstance, assignments) -> NetworkInstance:

@@ -13,6 +13,15 @@ single field:
     affine 2.0 0.5              (slope, intercept)
     poly 0.5 0.0 1.0            (coefficients, ascending)
     pwl 0.0,0.0 0.5,0.0 1.0,1.0 (breakpoints)
+
+Within one instance text, fields that hold the same spec are read into one
+function object, which their edges share: a function keeps the kernel and
+knots the solvers derive from it (`functions.LatencyFn.kernel`), so each
+distinct spec pays for them once.  Two reads share nothing.
+
+Readers convert a record's fields with int() and float() directly; only a
+field that fails is read again through `_parse`, for the message naming
+its line.
 """
 
 from __future__ import annotations
@@ -149,15 +158,26 @@ _INSTANCE_KEYS = {"vertices": int, "source": int, "sink": int, "demand": float,
 def loads_instance(text: str) -> NetworkInstance:
     values: dict = {}
     edges: list[Edge] = []
+    # spec text -> the function read from it, shared by every field that holds it
+    fns: dict[str, LatencyFn] = {}
+
+    def function(spec: str) -> LatencyFn:
+        fn = fns.get(spec)
+        if fn is None:
+            fn = fns[spec] = function_from_text(spec)
+        return fn
+
     for lineno, fields in _records(text, INSTANCE_HEADER, _INSTANCE_KEYS, values):
         if fields[0] != "edge":
             raise FormatError(f"line {lineno}: unknown record {fields[0]!r}")
         if len(fields) != 5:
             raise FormatError(f"line {lineno}: edge record needs 5 fields")
-        tail, head = _parse(int, fields[1], lineno), _parse(int, fields[2], lineno)
         try:
-            latency = function_from_text(fields[3])
-            variability = function_from_text(fields[4])
+            tail, head = int(fields[1]), int(fields[2])
+        except ValueError:
+            tail, head = _parse(int, fields[1], lineno), _parse(int, fields[2], lineno)
+        try:
+            latency, variability = function(fields[3]), function(fields[4])
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         edges.append(Edge(tail, head, latency, variability))
@@ -170,6 +190,14 @@ def _path_to_text(path) -> str:
 
 def _path_from_text(text: str, lineno: int) -> tuple[int, ...]:
     return tuple(_parse(int, p, lineno) for p in text.split(","))
+
+
+def _path_record(fields: list[str], lineno: int) -> tuple[tuple[int, ...], float]:
+    """(path, amount) of a `key :: e1,e2,... :: amount` record."""
+    try:
+        return tuple(map(int, fields[1].split(","))), float(fields[2])
+    except ValueError:
+        return _path_from_text(fields[1], lineno), _parse(float, fields[2], lineno)
 
 
 def dumps_oracle(oracle: OracleFlows, metadata: dict[str, str] | None = None) -> str:
@@ -202,11 +230,11 @@ def loads_oracle(text: str) -> tuple[OracleFlows, dict[str, str]]:
         elif key in flows:
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: flow record needs 3 fields")
-            flows[key].append((_path_from_text(fields[1], lineno),
-                               _parse(float, fields[2], lineno)))
+            flows[key].append(_path_record(fields, lineno))
         else:
             raise FormatError(f"line {lineno}: unknown record {key!r}")
-    oracle = OracleFlows(PathFlow.of(flows["rawe"]), PathFlow.of(flows["rnwe"]), **values)
+    oracle = OracleFlows(PathFlow(tuple(flows["rawe"])), PathFlow(tuple(flows["rnwe"])),
+                         **values)
     return oracle, metadata
 
 
@@ -218,8 +246,8 @@ def dumps_result(result: EquilibriumResult) -> str:
         f"common_cost{_SEP}{result.common_cost!r}",
         f"vi_residual{_SEP}{result.vi_residual!r}",
     ]
-    for eid, value in enumerate(result.flow):
-        lines.append(f"edge_flow{_SEP}{eid}{_SEP}{float(value)!r}")
+    for eid, value in enumerate(result.flow.tolist()):
+        lines.append(f"edge_flow{_SEP}{eid}{_SEP}{value!r}")
     for path, amount in result.path_flow:
         lines.append(f"path{_SEP}{_path_to_text(path)}{_SEP}{amount!r}")
     return "\n".join(lines) + "\n"
@@ -239,18 +267,20 @@ def loads_result(text: str) -> EquilibriumResult:
             raise FormatError(f"line {lineno}: unknown record {key!r}")
         if len(fields) != 3:
             raise FormatError(f"line {lineno}: {key} record needs 3 fields")
-        if key == "edge_flow":
+        if key == "path":
+            paths.append(_path_record(fields, lineno))
+            continue
+        try:
+            flow_entries.append((int(fields[1]), float(fields[2])))
+        except ValueError:
             flow_entries.append((_parse(int, fields[1], lineno),
                                  _parse(float, fields[2], lineno)))
-        else:
-            paths.append((_path_from_text(fields[1], lineno),
-                          _parse(float, fields[2], lineno)))
     if sorted(eid for eid, _ in flow_entries) != list(range(len(flow_entries))):
         raise FormatError("edge_flow records must cover edge ids 0..E-1 exactly once")
-    flow = np.zeros(len(flow_entries))
+    flow = [0.0] * len(flow_entries)
     for eid, value in flow_entries:
         flow[eid] = value
-    return EquilibriumResult(flow, PathFlow.of(paths), **values)
+    return EquilibriumResult(np.array(flow), PathFlow(tuple(paths)), **values)
 
 
 def _write(path: str | os.PathLike, text: str) -> None:

@@ -15,7 +15,10 @@ unless gamma is 0, a constant variance) and the flows where it changes
 slope.  The costs are kernels (`LatencyFn.kernel`): plain functions that
 give the bits of `fn(x)`, with a constant variance's share added inside
 the latency's kernel, so that a cost is one call; the path loop evaluates
-its latencies and variances through kernels too.  A step changes the
+its latencies and variances through kernels too.  A function object keeps
+its default kernel and its knots (`LatencyFn.knots`), so the tables of
+later solves and checks, of the same instance or of another that shares
+its functions, build neither again.  A step changes the
 flow only on the edges where the two paths differ, so it recomputes the
 costs of those edges alone, and never a constant one: that is evaluated
 once per solve.  The flow rebuild every 256 iterations recomputes every
@@ -204,13 +207,13 @@ def _edge_knots(instance: NetworkInstance,
     stdev = gamma_eff != 0.0 and instance.risk_model is RiskModel.MEAN_STDEV
     knots, curved = [], []
     for e in instance.edges:
-        lat = e.latency.knots_between(-math.inf, math.inf)
-        var = [] if gamma_eff == 0.0 else e.variability.knots_between(-math.inf, math.inf)
+        lat = e.latency.knots()
+        var = () if gamma_eff == 0.0 else e.variability.knots()
         curved.append(lat is None or var is None
                       or (stdev and not isinstance(e.variability, Constant)))
-        # each list is sorted and distinct
-        lat, var = lat or [], var or []
-        knots.append(tuple(sorted({*lat, *var}) if var else lat))
+        # each tuple is sorted and distinct
+        lat, var = lat or (), var or ()
+        knots.append(tuple(sorted({*lat, *var})) if var else lat)
     return knots, curved
 
 
@@ -395,7 +398,7 @@ def _path_costs(instance: NetworkInstance, paths, means: list[float],
 
 
 def _moment_fns(instance: NetworkInstance) -> tuple[list, list]:
-    """Per-edge latency and variance kernels (`LatencyFn.kernel`), built once.
+    """Per-edge latency and variance kernels (`LatencyFn.kernel`), each kept by its function.
 
     The path loop runs at gamma > 0 only, so it always reads both.
     """
@@ -674,7 +677,8 @@ def _prune_path_flow(weights: dict[tuple[int, ...], float], demand: float) -> Pa
     for w in kept.values():
         total += w
     scale = demand / total if total > 0.0 else 0.0
-    return PathFlow.of(sorted((p, w * scale) for p, w in kept.items()))
+    # the paths are tuples of ints already: no PathFlow.of re-conversion
+    return PathFlow(tuple(sorted((p, float(w * scale)) for p, w in kept.items())))
 
 
 # The mean-stdev loop tries a Newton finish at most once in each window of
@@ -1166,7 +1170,8 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         # the gap of the returned flow, as `result_from_paths` defines it:
         # the kept amounts at their induced flow, routing what they sum to
         kept = np.where(amounts > used_cut, amounts, 0.0)
-        pf = PathFlow.of(sorted((paths[i], float(kept[i])) for i in np.flatnonzero(kept)))
+        # `paths` is in lexicographic order, so the entries need no sort
+        pf = PathFlow(tuple((p, a) for p, a in zip(paths, kept.tolist()) if a))
         flow = induced_edge_flow(instance, pf)
         gap, total, cheapest = _path_gap(instance, paths, kept, flow, pf.total())
         residual = gap / total if total > 0.0 else 0.0

@@ -7,7 +7,7 @@ import io
 import pytest
 
 import riskroute as rr
-from riskroute import analysis, cli
+from riskroute import analysis, cli, synthetic
 from riskroute import serialization as ser
 from riskroute.cli import main
 
@@ -404,3 +404,19 @@ def test_sweep_prints_violations_and_fails(monkeypatch):
     violations = [line for line in err.splitlines() if line.startswith("violation: ")]
     assert [v.split(":")[1].strip() for v in violations] == [
         f"braess-{seed}/StdevOneAlt" for seed in range(2)]
+
+
+def test_solve_reports_the_path_gap_of_an_unconverged_solve(tmp_path):
+    # at tolerance 1e-16 the two used paths of Braess seed 10 end one ulp
+    # apart: the path loop's test fails where the flow-weighted residual
+    # rounds to 0, and the line names the figure that failed
+    path = tmp_path / "b10.txt"
+    ser.write_instance(path, synthetic.random_braess_instance(10))
+    code, out, err = _run(["solve", "--in", str(path), "--mode", "rawe",
+                           "--tolerance", "1e-16"])
+    assert (code, err) == (1, "")
+    assert out.startswith("rawe: converged=False ")
+    assert out.endswith(" vi_residual=0.000e+00 path_gap=8.882e-16\n")
+    # converged lines carry no path_gap
+    code, out, _ = _run(["solve", "--in", str(path), "--mode", "rnwe"])
+    assert code == 0 and "path_gap" not in out

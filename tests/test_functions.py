@@ -1,5 +1,6 @@
 """Latency function evaluation, exact integrals and breakpoint reporting."""
 
+import dataclasses
 import math
 import struct
 
@@ -257,3 +258,20 @@ def test_kernels_are_the_call_bit_for_bit(case, shift):
     for x in xs:
         assert _bits(plain(x)) == _bits(fn(x)), x
         assert _bits(shifted(x)) == _bits(fn(x) + shift), x
+
+
+def test_default_kernel_and_knots_are_kept_on_the_function():
+    # built on first use and kept, a shifted kernel per call; equality, hash
+    # and repr do not see what is kept
+    for fn in (Constant(1.0), Affine(1.0, 2.0), Polynomial((1.0, 0.0, 2.0)),
+               Polynomial((1.0,) * 6), PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))),
+               PiecewiseLinear(tuple((float(i), float(i * i)) for i in range(5)))):
+        twin = dataclasses.replace(fn)
+        assert fn.kernel() is fn.kernel() is fn.kernel(-0.0)
+        assert fn.kernel(0.0) is not fn.kernel(0.0)
+        assert twin.kernel() is not fn.kernel()
+        expected = fn.knots_between(-math.inf, math.inf)
+        assert fn.knots() == (None if expected is None else tuple(expected))
+        assert fn.knots() is fn.knots()
+        assert fn == twin
+        assert (hash(fn), repr(fn)) == (hash(twin), repr(twin))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskroute as rr
-from riskroute import network
+from riskroute import network, serialization
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
 from riskroute.network import (
     GraphStructureError,
@@ -297,3 +297,37 @@ def test_with_edge_functions_replaces_only_listed_edges():
     assert swapped.edges[4].latency(0.0) == 9.0
     assert swapped.edges[0] == inst.edges[0]
     assert swapped.demand == inst.demand
+
+
+def test_kept_paths_still_meet_a_smaller_cap():
+    g2, _ = build_recursive(RecursiveFamilySpec(level=2))
+    # a walk that hits its cap keeps nothing
+    with pytest.raises(PathCapExceeded):
+        rr.enumerate_paths(g2, cap=3)
+    paths = rr.enumerate_paths(g2)
+    assert len(paths) == 7
+    with pytest.raises(PathCapExceeded):
+        rr.enumerate_paths(g2, cap=6)
+    # each call returns its own list of the kept paths
+    paths.clear()
+    assert rr.enumerate_paths(g2, cap=7) == rr.enumerate_paths(g2) == _recursive_paths(g2)
+
+
+def test_copies_keep_the_graph_views(monkeypatch):
+    inst, _ = build_recursive(RecursiveFamilySpec(level=3))
+    pull, paths = inst.topological_in_edges, rr.enumerate_paths(inst)
+    stdev = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
+    copies = (stdev, rr.with_gamma(inst, 0.0), rr.with_gamma(stdev, 2.5))
+    monkeypatch.setattr(network, "_walk_paths",
+                        lambda *_: pytest.fail("a copy walked its paths again"))
+    for copy in copies:
+        assert copy.topological_in_edges is pull
+        assert rr.enumerate_paths(copy) == paths
+    monkeypatch.undo()
+    # and solve to the bytes of an equal instance that was built afresh
+    for copy in copies:
+        fresh = serialization.loads_instance(serialization.dumps_instance(copy))
+        assert fresh == copy
+        for solve in (rr.solve_rnwe, rr.solve_rawe):
+            assert (serialization.dumps_result(solve(copy))
+                    == serialization.dumps_result(solve(fresh)))

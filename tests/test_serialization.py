@@ -267,3 +267,16 @@ def test_every_instance_round_trips(inst):
     text = ser.dumps_instance(inst)
     assert ser.loads_instance(text) == inst
     assert ser.dumps_instance(ser.loads_instance(text)) == text
+
+
+def test_one_function_object_per_distinct_spec():
+    inst, _ = build_recursive(RecursiveFamilySpec(level=3))
+    text = ser.dumps_instance(inst)
+    a, b = ser.loads_instance(text), ser.loads_instance(text)
+    assert a == inst
+    assert ser.dumps_instance(a) == text
+    fns = [fn for e in a.edges for fn in (e.latency, e.variability)]
+    assert len({id(fn) for fn in fns}) == len({ser.function_to_text(fn) for fn in fns}) < len(fns)
+    # two loads share nothing
+    assert not {id(fn) for fn in fns} & {id(fn) for e in b.edges
+                                          for fn in (e.latency, e.variability)}

@@ -6,6 +6,7 @@ import hashlib
 import math
 import struct
 from bisect import bisect_right
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import riskroute as rr
 from riskroute import network, serialization, solver, synthetic
-from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
+from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive, closed_form_check
 from riskroute.solver import SolverConfig
 from riskroute.synthetic import random_small_instance
 
@@ -1445,3 +1446,44 @@ def test_solver_results_keep_their_bytes(make, digest):
         for res in (rr.solve_rnwe(inst), rr.solve_rawe(inst)):
             h.update(serialization.dumps_result(res).encode())
     assert h.hexdigest() == digest
+
+
+def test_each_function_builds_its_kernel_and_knots_once(monkeypatch):
+    # a loaded level-3 mean-stdev instance holds a few distinct functions in
+    # its 58 fields; every solve and check reads the kernel and the knots that
+    # each keeps
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=3))
+    inst = serialization.loads_instance(serialization.dumps_instance(
+        rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)))
+    kernels, knots = {}, Counter()
+    for cls in (rr.Constant, rr.Affine, rr.Polynomial, rr.PiecewiseLinear):
+        def kernel(fn, shift=-0.0, _kernel=cls.kernel):
+            k = _kernel(fn, shift)
+            if shift == 0.0 and math.copysign(1.0, shift) < 0.0:
+                kernels.setdefault(id(fn), set()).add(k)
+            return k
+
+        def knots_between(fn, lo, hi, _knots=cls.knots_between):
+            if (lo, hi) == (-math.inf, math.inf):
+                knots[id(fn)] += 1
+            return _knots(fn, lo, hi)
+        monkeypatch.setattr(cls, "kernel", kernel)
+        monkeypatch.setattr(cls, "knots_between", knots_between)
+    rr.solve_rnwe(inst)
+    rr.solve_rawe(inst)
+    assert closed_form_check(inst, oracle).passed
+    fns = {id(fn) for e in inst.edges for fn in (e.latency, e.variability)}
+    assert kernels.keys() == knots.keys() == fns
+    assert {len(built) for built in kernels.values()} == {1}
+    assert set(knots.values()) == {1}
+
+
+def test_brute_force_meets_its_limits_on_kept_paths():
+    small, _ = build_recursive(RecursiveFamilySpec(level=2))
+    big, _ = build_recursive(RecursiveFamilySpec(level=6))
+    assert len(rr.enumerate_paths(small)) == 7
+    assert len(rr.enumerate_paths(big)) == 127
+    with pytest.raises(ValueError, match="at most 4 paths, found 7"):
+        rr.brute_force_equilibrium(small)
+    with pytest.raises(rr.PathCapExceeded):
+        rr.brute_force_equilibrium(big)
