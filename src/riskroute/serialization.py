@@ -19,9 +19,14 @@ function object, which their edges share: a function keeps the kernel and
 knots the solvers derive from it (`functions.LatencyFn.kernel`), so each
 distinct spec pays for them once.  Two reads share nothing.
 
-Readers convert a record's fields with int() and float() directly; only a
-field that fails is read again through `_parse`, for the message naming
-its line.
+A reader splits each line at "::" once.  It strips the key, the value of
+a key the format has once, function specs and oracle metadata.  Ids,
+counts and amounts go to int() and float() as they stand, since both skip
+the whitespace around them; only a field that fails is stripped and read
+again through `_parse`, for the message naming its line.  That also reads
+the same value where the field is surrounded by one of the few characters
+that str.strip() removes and int() and float() reject, such as "\x1f".
+`dumps_oracle` refuses metadata that would not read back as it is.
 """
 
 from __future__ import annotations
@@ -107,28 +112,31 @@ def boolean(text: str) -> bool:
 def _records(text: str, header: str, keys: dict, values: dict):
     """Yield (line number, fields) of every record whose key is not in `keys`.
 
-    `keys` maps each key that the format has exactly once to the reader of
-    its value, and `values` receives what those readers return.  A repeated
-    key or a wrong field count raises FormatError naming its line; missing
-    keys are named once the text ends.
+    The line is split once.  The key, fields[0], is stripped, and so is a
+    `keys` record's value; the other fields are yielded as split, for the
+    caller to convert or strip.  `keys` maps each key that the format has
+    exactly once to the reader of its value, and `values` receives what
+    those readers return.  A repeated key or a wrong field count raises
+    FormatError naming its line; missing keys are named once the text ends.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise FormatError(f"missing header {header!r}")
     for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        fields = line.split("::")
+        key = fields[0].strip()
+        # a blank line is one empty field; a comment's first field starts with "#"
+        if key.startswith("#") or (not key and len(fields) == 1):
             continue
-        fields = [field.strip() for field in line.split("::")]
-        key = fields[0]
         if key not in keys:
+            fields[0] = key
             yield lineno, fields
         elif len(fields) != 2:
             raise FormatError(f"line {lineno}: {key} record needs 2 fields")
         elif key in values:
             raise FormatError(f"line {lineno}: repeated record {key!r}")
         else:
-            values[key] = _parse(keys[key], fields[1], key)
+            values[key] = _parse(keys[key], fields[1].strip(), key)
     missing = keys.keys() - values.keys()
     if missing:
         raise FormatError(f"missing records: {sorted(missing)}")
@@ -144,11 +152,11 @@ def dumps_instance(instance: NetworkInstance) -> str:
         f"gamma{_SEP}{instance.gamma!r}",
         f"risk_model{_SEP}{instance.risk_model.value}",
     ]
-    for e in instance.edges:
-        lines.append(f"edge{_SEP}{e.tail}{_SEP}{e.head}{_SEP}"
-                     f"{function_to_text(e.latency)}{_SEP}"
-                     f"{function_to_text(e.variability)}")
-    return "\n".join(lines) + "\n"
+    lines += [f"edge{_SEP}{e.tail}{_SEP}{e.head}{_SEP}{function_to_text(e.latency)}"
+              f"{_SEP}{function_to_text(e.variability)}" for e in instance.edges]
+    # the empty last line ends the text with a line break
+    lines.append("")
+    return "\n".join(lines)
 
 
 _INSTANCE_KEYS = {"vertices": int, "source": int, "sink": int, "demand": float,
@@ -175,9 +183,10 @@ def loads_instance(text: str) -> NetworkInstance:
         try:
             tail, head = int(fields[1]), int(fields[2])
         except ValueError:
-            tail, head = _parse(int, fields[1], lineno), _parse(int, fields[2], lineno)
+            tail, head = (_parse(int, fields[1].strip(), lineno),
+                          _parse(int, fields[2].strip(), lineno))
         try:
-            latency, variability = function(fields[3]), function(fields[4])
+            latency, variability = function(fields[3].strip()), function(fields[4].strip())
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         edges.append(Edge(tail, head, latency, variability))
@@ -197,21 +206,31 @@ def _path_record(fields: list[str], lineno: int) -> tuple[tuple[int, ...], float
     try:
         return tuple(map(int, fields[1].split(","))), float(fields[2])
     except ValueError:
-        return _path_from_text(fields[1], lineno), _parse(float, fields[2], lineno)
+        return (_path_from_text(fields[1].strip(), lineno),
+                _parse(float, fields[2].strip(), lineno))
 
 
 def dumps_oracle(oracle: OracleFlows, metadata: dict[str, str] | None = None) -> str:
+    """The oracle's text, with one meta record per `metadata` item.
+
+    ValueError naming the key when a key or value would not read back as
+    it is: one that holds "::" or a line break, where the reader splits, or
+    that starts or ends with whitespace, which the reader strips.
+    """
     lines = [ORACLE_HEADER]
     for key, value in (metadata or {}).items():
+        for text in (key, value):
+            if "::" in text or text != text.strip() or len(text.splitlines()) > 1:
+                raise ValueError(f"metadata {key!r}: {text!r} would not read back: it "
+                                 "holds '::' or a line break, or surrounding whitespace")
         lines.append(f"meta{_SEP}{key}{_SEP}{value}")
     lines.append(f"rawe_cost{_SEP}{oracle.rawe_cost!r}")
     lines.append(f"rnwe_cost{_SEP}{oracle.rnwe_cost!r}")
     lines.append(f"expected_pra{_SEP}{oracle.expected_pra!r}")
-    for path, amount in oracle.rawe:
-        lines.append(f"rawe{_SEP}{_path_to_text(path)}{_SEP}{amount!r}")
-    for path, amount in oracle.rnwe:
-        lines.append(f"rnwe{_SEP}{_path_to_text(path)}{_SEP}{amount!r}")
-    return "\n".join(lines) + "\n"
+    lines += [f"rawe{_SEP}{_path_to_text(path)}{_SEP}{amount!r}" for path, amount in oracle.rawe]
+    lines += [f"rnwe{_SEP}{_path_to_text(path)}{_SEP}{amount!r}" for path, amount in oracle.rnwe]
+    lines.append("")
+    return "\n".join(lines)
 
 
 _ORACLE_KEYS = {"rawe_cost": float, "rnwe_cost": float, "expected_pra": float}
@@ -226,7 +245,7 @@ def loads_oracle(text: str) -> tuple[OracleFlows, dict[str, str]]:
         if key == "meta":
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: meta record needs 3 fields")
-            metadata[fields[1]] = fields[2]
+            metadata[fields[1].strip()] = fields[2].strip()
         elif key in flows:
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: flow record needs 3 fields")
@@ -246,11 +265,12 @@ def dumps_result(result: EquilibriumResult) -> str:
         f"common_cost{_SEP}{result.common_cost!r}",
         f"vi_residual{_SEP}{result.vi_residual!r}",
     ]
-    for eid, value in enumerate(result.flow.tolist()):
-        lines.append(f"edge_flow{_SEP}{eid}{_SEP}{value!r}")
-    for path, amount in result.path_flow:
-        lines.append(f"path{_SEP}{_path_to_text(path)}{_SEP}{amount!r}")
-    return "\n".join(lines) + "\n"
+    lines += [f"edge_flow{_SEP}{eid}{_SEP}{value!r}"
+              for eid, value in enumerate(result.flow.tolist())]
+    lines += [f"path{_SEP}{_path_to_text(path)}{_SEP}{amount!r}"
+              for path, amount in result.path_flow]
+    lines.append("")
+    return "\n".join(lines)
 
 
 _RESULT_KEYS = {"converged": boolean, "iterations": int, "common_cost": float,
@@ -273,8 +293,8 @@ def loads_result(text: str) -> EquilibriumResult:
         try:
             flow_entries.append((int(fields[1]), float(fields[2])))
         except ValueError:
-            flow_entries.append((_parse(int, fields[1], lineno),
-                                 _parse(float, fields[2], lineno)))
+            flow_entries.append((_parse(int, fields[1].strip(), lineno),
+                                 _parse(float, fields[2].strip(), lineno)))
     if sorted(eid for eid, _ in flow_entries) != list(range(len(flow_entries))):
         raise FormatError("edge_flow records must cover edge ids 0..E-1 exactly once")
     flow = [0.0] * len(flow_entries)

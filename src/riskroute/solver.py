@@ -31,7 +31,13 @@ too), whether the derivative is linear between them and where the next
 shortest-path sweep starts.  The gap's dot product reads numpy mirrors of
 the flow and cost lists, which the rebuild copies and each step updates
 in place, edge by moved edge: the same call on the same values as arrays
-built afresh.
+built afresh.  A result's flow is rebuilt from the path decomposition.
+When it has the bytes of the loop's last flow mirror, as it has whenever
+no step moved flow since the last rebuild, the result reuses the loop's
+last distance and total (`_additive_result`); otherwise it evaluates
+every cost and sweeps again.  The path loop's result sums its kept
+amounts into the edge flow itself and prices its paths with the solve's
+kernels.
 
 The shortest path is one pull sweep over the vertices on source->sink
 paths in topological order: each vertex takes the cheapest of its
@@ -235,14 +241,26 @@ class _EdgeTable(NamedTuple):
 
 
 def _edge_table(instance: NetworkInstance, gamma_eff: float) -> _EdgeTable:
-    """The `_EdgeTable` of `instance` at gamma_eff: one entry per edge."""
+    """The `_EdgeTable` of `instance` at gamma_eff: one entry per edge.
+
+    Edges that share a latency and a Constant variance's shift share one
+    shifted kernel, built once per call.
+    """
     cost, constant = [], []
+    # (id of the latency, shift, its sign) -> kernel: x + 0.0 and x + -0.0
+    # differ at x = -0.0, and the two shifts compare equal
+    shifted = {}
     for e in instance.edges:
         lat, var = e.latency, e.variability
         if gamma_eff == 0.0:
             cost.append(lat.kernel())
         elif isinstance(var, Constant):
-            cost.append(lat.kernel(gamma_eff * var.value))
+            gv = gamma_eff * var.value
+            key = id(lat), gv, math.copysign(1.0, gv)
+            kernel = shifted.get(key)
+            if kernel is None:
+                kernel = shifted[key] = lat.kernel(gv)
+            cost.append(kernel)
         else:
             cost.append(lambda x, lk=lat.kernel(), vk=var.kernel(): lk(x) + gamma_eff * vk(x))
         constant.append(isinstance(e.latency, Constant)
@@ -412,15 +430,16 @@ def _moments_at(lat: list, var: list, flow: list[float]) -> tuple[list, list]:
 
 
 def _path_gap(instance: NetworkInstance, paths: list, amounts: np.ndarray,
-              flow: np.ndarray, demand: float) -> tuple[float, float, float]:
+              flow: list[float], demand: float, lat: list,
+              var: list) -> tuple[float, float, float]:
     """(gap, total, cheapest) of routing `amounts[i]` on `paths[i]`, any risk model.
 
-    `flow` is the edge flow the amounts induce; with q the path costs at
-    `flow`, total = amounts @ q, cheapest = min(q) and gap = max(total -
-    demand * cheapest, 0).
+    `flow` is the edge flow the amounts induce and `lat`, `var` are
+    `_moment_fns(instance)`; with q the path costs at `flow`, total =
+    amounts @ q, cheapest = min(q) and gap = max(total - demand * cheapest,
+    0).
     """
-    q = np.array(_path_costs(instance, paths,
-                             *_moments_at(*_moment_fns(instance), flow.tolist())))
+    q = np.array(_path_costs(instance, paths, *_moments_at(lat, var, flow)))
     cheapest = float(q.min())
     total = float(amounts @ q)
     return max(total - demand * cheapest, 0.0), total, cheapest
@@ -661,10 +680,10 @@ def _step_root(fn, t_max: float, knots, linear: bool,
     return a if -fa < fb else b
 
 
-def _flow_from_weights(instance: NetworkInstance,
-                       weights: dict[tuple[int, ...], float]) -> list[float]:
+def _flow_from_weights(instance: NetworkInstance, pairs) -> list[float]:
+    """The edge flow of (path, weight) `pairs`, summed as `induced_edge_flow` sums them."""
     flow = [0.0] * len(instance.edges)
-    for path, w in weights.items():
+    for path, w in pairs:
         for eid in path:
             flow[eid] += w
     return flow
@@ -865,7 +884,7 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, table: _EdgeT
             return None
         keep, new = step
         weights = dict(zip((p for p, k in zip(support, keep) if k), new.tolist()))
-        flow = _flow_from_weights(instance, weights)
+        flow = _flow_from_weights(instance, weights.items())
         c = [cost(x) for cost, x in zip(table.cost, flow)]
         best, _, total, gap = _frozen_gap(instance, flow, c, demand)
         if _within_tolerance(gap, total, cfg.tolerance):
@@ -874,13 +893,26 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, table: _EdgeT
 
 def _additive_result(instance: NetworkInstance, cost_of: list,
                      weights: dict[tuple[int, ...], float], iterations: int,
-                     converged: bool) -> EquilibriumResult:
-    """The additive loop's result at path `weights`: the flow rebuilt from them and its residual."""
-    flow = np.array(_flow_from_weights(instance, weights))
-    gap, total, dist = _edge_gap(instance, flow, cost_of, instance.demand)
+                     converged: bool, mirror: np.ndarray, dist: float,
+                     total: float) -> EquilibriumResult:
+    """The additive loop's result at path `weights`: the flow rebuilt from them and its residual.
+
+    `mirror` is the loop's last flow mirror, and `dist` and `total` the
+    cheapest path cost and total cost it computed there.  Both are
+    functions of the flow alone, so when the rebuilt flow has the mirror's
+    bytes they are reused: the same costs at the same flows, a restarted
+    sweep equal to a full one and the same dot product.  Otherwise every
+    cost is evaluated and swept at the rebuilt flow.
+    """
+    demand = instance.demand
+    flow = np.array(_flow_from_weights(instance, weights.items()))
+    if flow.tobytes() == mirror.tobytes():
+        gap = max(total - demand * dist, 0.0)
+    else:
+        gap, total, dist = _edge_gap(instance, flow, cost_of, demand)
     residual = gap / total if total > 0.0 else 0.0
-    return EquilibriumResult(flow, _prune_path_flow(weights, instance.demand), dist,
-                             residual, iterations, converged)
+    return EquilibriumResult(flow, _prune_path_flow(weights, demand), dist, residual,
+                             iterations, converged)
 
 
 def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: float,
@@ -930,7 +962,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
     rebuild = False
     for k in itertools.count():
         if rebuild or k % 256 == 0:
-            flow = _flow_from_weights(instance, weights)
+            flow = _flow_from_weights(instance, weights.items())
             for eid in varying:
                 c[eid] = cost_of[eid](flow[eid])
             flow_a, c_a = np.array(flow), np.array(c)
@@ -946,7 +978,8 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             callback(k, np.array(flow), total, gap)
         rebuild = _within_tolerance(gap, total, cfg.tolerance)
         if rebuild:
-            result = _additive_result(instance, cost_of, weights, iterations, True)
+            result = _additive_result(instance, cost_of, weights, iterations, True,
+                                      flow_a, dist, total)
             if result.vi_residual <= cfg.tolerance:
                 return result
         if k >= cfg.max_iterations:
@@ -956,7 +989,8 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             finished = _additive_finish(instance, cfg, table, gamma_eff, weights,
                                         flow, c, best)
             if finished is not None:
-                result = _additive_result(instance, cost_of, finished, iterations, True)
+                result = _additive_result(instance, cost_of, finished, iterations, True,
+                                          flow_a, dist, total)
                 if result.vi_residual <= cfg.tolerance:
                     return result
         iterations = k + 1
@@ -1021,7 +1055,8 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
         else:
             weights[worst] = t_max - t
 
-    return _additive_result(instance, cost_of, weights, iterations, False)
+    return _additive_result(instance, cost_of, weights, iterations, False,
+                            flow_a, dist, total)
 
 
 def solve_rnwe(instance: NetworkInstance, cfg: SolverConfig = SolverConfig(),
@@ -1172,10 +1207,12 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         kept = np.where(amounts > used_cut, amounts, 0.0)
         # `paths` is in lexicographic order, so the entries need no sort
         pf = PathFlow(tuple((p, a) for p, a in zip(paths, kept.tolist()) if a))
-        flow = induced_edge_flow(instance, pf)
-        gap, total, cheapest = _path_gap(instance, paths, kept, flow, pf.total())
+        # the instance's own paths and positive amounts: nothing to validate
+        flow = _flow_from_weights(instance, pf)
+        gap, total, cheapest = _path_gap(instance, paths, kept, flow, pf.total(), lat, var)
         residual = gap / total if total > 0.0 else 0.0
-        return EquilibriumResult(flow, pf, cheapest, residual, iterations, converged)
+        return EquilibriumResult(np.array(flow), pf, cheapest, residual, iterations,
+                                 converged)
 
     amounts = np.zeros(len(paths))
     amounts[int(np.argmin(q0))] = demand
@@ -1347,7 +1384,8 @@ def result_from_paths(instance: NetworkInstance, path_flow: PathFlow) -> Equilib
         amounts = np.zeros(len(paths))
         for p, a in path_flow:
             amounts[index[p]] += a
-        gap, total, common = _path_gap(instance, paths, amounts, flow, demand)
+        gap, total, common = _path_gap(instance, paths, amounts, flow.tolist(), demand,
+                                       *_moment_fns(instance))
     residual = gap / total if total > 0.0 else 0.0
     return EquilibriumResult(flow, path_flow, common, residual, 0,
                              _within_tolerance(gap, total, 1e-9))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import riskroute as rr
 from riskroute import serialization as ser
-from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
+from riskroute.instances import OracleFlows, RecursiveFamilySpec, Variant, build_recursive
 from riskroute.synthetic import random_polynomial_instance
 
 
@@ -280,3 +280,123 @@ def test_one_function_object_per_distinct_spec():
     # two loads share nothing
     assert not {id(fn) for fn in fns} & {id(fn) for e in b.edges
                                           for fn in (e.latency, e.variability)}
+
+
+@pytest.mark.parametrize("metadata, key", [
+    # the reader would split at the separator ...
+    ({"note": "a :: b"}, "note"),
+    ({"a::b": "c"}, "a::b"),
+    # ... or at the line break
+    ({"note": "two\nlines"}, "note"),
+    ({"note": "two\u2028lines"}, "note"),
+    # and strips what surrounds a field
+    ({" k ": "v"}, " k "),
+    ({"k": "v "}, "k"),
+    ({"k": "\tv"}, "k"),
+])
+def test_oracle_metadata_that_would_not_read_back_is_rejected(metadata, key):
+    _, oracle = build_recursive(RecursiveFamilySpec(level=1))
+    with pytest.raises(ValueError, match=f"^metadata {key!r}: "):
+        ser.dumps_oracle(oracle, {"family": "recursive", **metadata})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=3))
+def test_oracle_metadata_reads_back_or_is_rejected(metadata):
+    _, oracle = build_recursive(RecursiveFamilySpec(level=1))
+    try:
+        text = ser.dumps_oracle(oracle, metadata)
+    except ValueError:
+        return
+    back, meta = ser.loads_oracle(text)
+    assert back == oracle
+    assert meta == metadata
+
+
+# runs of blanks around every field and separator: space, tab and \x1f,
+# which str.strip() removes but int() and float() reject
+_blanks = st.text(alphabet=" \t\x1f", max_size=3)
+
+
+def _padded(draw, line: str) -> str:
+    """`line` with a drawn run of blanks around each field and each '::'."""
+    out = draw(_blanks)
+    for i, field in enumerate(line.split(" :: ")):
+        if i:
+            out += draw(_blanks) + "::" + draw(_blanks)
+        out += field + draw(_blanks)
+    return out
+
+
+_path_flows = st.lists(st.tuples(st.lists(st.integers(0, 50), min_size=1, max_size=4)
+                                 .map(tuple), _value), max_size=4).map(rr.PathFlow)
+
+
+@st.composite
+def _written_texts(draw):
+    """(reader, canonical text, writer of what the reader returns)."""
+    kind = draw(st.sampled_from(["instance", "oracle", "result"]))
+    if kind == "instance":
+        return ser.loads_instance, ser.dumps_instance(draw(_instances())), ser.dumps_instance
+    if kind == "oracle":
+        oracle = OracleFlows(draw(_path_flows), draw(_path_flows), draw(_value),
+                             draw(_value), draw(_value))
+        meta = draw(st.dictionaries(st.sampled_from(["family", "level", "note"]),
+                                    st.text(alphabet="abc 12.", max_size=5)
+                                    .map(str.strip), max_size=2))
+        return (ser.loads_oracle, ser.dumps_oracle(oracle, meta),
+                lambda read: ser.dumps_oracle(*read))
+    result = rr.EquilibriumResult(np.array(draw(st.lists(_value, min_size=1, max_size=5))),
+                                  draw(_path_flows), draw(_value), draw(_value),
+                                  draw(st.integers(0, 10**6)), draw(st.booleans()))
+    return ser.loads_result, ser.dumps_result(result), ser.dumps_result
+
+
+@settings(max_examples=300, deadline=None)
+@given(_written_texts(), st.data())
+def test_blanks_around_fields_read_the_same_values(written, data):
+    loads, text, dumps = written
+    padded = "\n".join(_padded(data.draw, line) for line in text.splitlines())
+    # the values read write back the canonical text, every float's repr included
+    assert dumps(loads(padded)) == dumps(loads(text)) == text
+
+
+@st.composite
+def _bad_numeric_fields(draw):
+    """(reader, text, expected message) with one non-numeric id, count or amount."""
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=1))
+    kind, key, column, pick = draw(st.sampled_from([
+        ("instance", "edge", 1, "int"), ("instance", "edge", 2, "int"),
+        ("result", "edge_flow", 1, "int"), ("result", "edge_flow", 2, "float"),
+        ("result", "path", 1, "int"), ("result", "path", 2, "float"),
+        ("oracle", "rawe", 1, "int"), ("oracle", "rnwe", 2, "float"),
+        ("instance", "vertices", 1, "int"), ("result", "iterations", 1, "int"),
+        ("instance", "demand", 1, "float"), ("oracle", "expected_pra", 1, "float"),
+    ]))
+    loads, text = _written(kind)
+    lines = text.splitlines()
+    # a comment and a blank line keep the line numbers honest
+    lines[1:1] = ["# comment", ""]
+    at = draw(st.sampled_from([i for i, line in enumerate(lines)
+                               if line.startswith(f"{key} ::")]))
+    fields = lines[at].split(" :: ")
+    bad = draw(st.sampled_from(["x", "1e", "--1", "0x1", "nan?"]))
+    if key in ("path", "rawe"):
+        # one id of the path; the path's other ids stay as they are
+        ids = fields[column].split(",")
+        ids[draw(st.integers(0, len(ids) - 1))] = bad
+        fields[column] = ",".join(ids)
+    else:
+        fields[column] = bad
+    lines[at] = _padded(draw, " :: ".join(fields))
+    place = f"line {at + 1}" if len(fields) > 2 else key
+    return loads, "\n".join(lines), f"{place}: expected {pick}, got {bad!r}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bad_numeric_fields())
+def test_bad_numbers_in_padded_fields_name_the_stripped_text(case):
+    loads, text, message = case
+    with pytest.raises(ser.FormatError) as info:
+        loads(text)
+    assert str(info.value) == message

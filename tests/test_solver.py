@@ -1487,3 +1487,73 @@ def test_brute_force_meets_its_limits_on_kept_paths():
         rr.brute_force_equilibrium(small)
     with pytest.raises(rr.PathCapExceeded):
         rr.brute_force_equilibrium(big)
+
+
+def _result_bits(res):
+    return (res.flow.dtype.str, res.flow.tobytes(), res.path_flow, _bits(res.common_cost),
+            _bits(res.vi_residual), res.iterations, res.converged)
+
+
+def test_additive_results_reuse_the_loops_evaluation_bit_for_bit(monkeypatch):
+    # each additive result, whether it reuses the loop's last distance and
+    # total or evaluates afresh, is the one a full evaluation of the flow
+    # rebuilt from the same weights gives
+    branches = Counter()
+    additive_result = solver._additive_result
+
+    def checked(instance, cost_of, weights, iterations, converged, mirror, dist, total):
+        demand = instance.demand
+        flow = np.array(solver._flow_from_weights(instance, weights.items()))
+        branches["reuse" if flow.tobytes() == mirror.tobytes() else "recompute"] += 1
+        gap, full_total, full_dist = solver._edge_gap(instance, flow, cost_of, demand)
+        expected = solver.EquilibriumResult(
+            flow, solver._prune_path_flow(weights, demand), full_dist,
+            gap / full_total if full_total > 0.0 else 0.0, iterations, converged)
+        res = additive_result(instance, cost_of, weights, iterations, converged, mirror,
+                              dist, total)
+        assert _result_bits(res) == _result_bits(expected)
+        return res
+
+    monkeypatch.setattr(solver, "_additive_result", checked)
+    instances = [make(seed) for make in _SWEEP_MAKERS.values() for seed in range(20)]
+    instances += [rr.with_risk_model(build_recursive(
+        RecursiveFamilySpec(level=level, variant=variant))[0], model)
+        for level in range(1, 5) for variant in Variant for model in rr.RiskModel]
+    for inst in instances:
+        rr.solve_rnwe(inst)
+        rr.solve_rawe(inst)
+    assert branches["reuse"] > 0 and branches["recompute"] > 0
+
+
+def test_edge_table_builds_one_kernel_per_latency_and_shift(monkeypatch):
+    # a loaded level-5 family instance shares 7 function objects among its
+    # 125 edges, whose variances are all Constant
+    inst, _ = build_recursive(RecursiveFamilySpec(level=5))
+    inst = serialization.loads_instance(serialization.dumps_instance(inst))
+    built = Counter()
+    for cls in (rr.Constant, rr.Affine, rr.Polynomial, rr.PiecewiseLinear):
+        def kernel(fn, shift=-0.0, _kernel=cls.kernel):
+            built[id(fn), shift] += 1
+            return _kernel(fn, shift)
+        monkeypatch.setattr(cls, "kernel", kernel)
+    table = solver._edge_table(inst, inst.gamma)
+    assert len(inst.edges) == 125
+    assert set(built.values()) == {1}
+    assert len(built) == len({(id(e.latency), e.variability.value) for e in inst.edges}) <= 7
+    monkeypatch.undo()
+    for e, cost in zip(inst.edges, table.cost):
+        shifted = e.latency.kernel(inst.gamma * e.variability.value)
+        for x in (0.0, 0.3, 1.0, 2.5):
+            assert _bits(cost(x)) == _bits(shifted(x))
+
+
+def test_edge_table_keeps_the_sign_of_a_zero_shift():
+    # x + 0.0 and x + -0.0 differ at x = -0.0: one latency under a variance of
+    # 0.0 and one of -0.0 needs a kernel for each shift
+    lat = rr.Constant(-0.0)
+    inst = rr.NetworkInstance(2, (rr.Edge(0, 1, lat, rr.Constant(0.0)),
+                                  rr.Edge(0, 1, lat, rr.Constant(-0.0))),
+                              0, 1, 1.0, 1.0, rr.RiskModel.MEAN_VAR)
+    low, high = solver._edge_table(inst, inst.gamma).cost
+    assert _bits(low(1.0)) == _bits(0.0)
+    assert _bits(high(1.0)) == _bits(-0.0)
