@@ -96,11 +96,7 @@ class CheckReport:
 _ZERO = Constant(0.0)
 _ONE = Constant(1.0)
 
-# Braess edge ids, in builder order
-BRAESS_UPPER_LEFT = 0
-BRAESS_UPPER_RIGHT = 1
-BRAESS_LOWER_LEFT = 2
-BRAESS_LOWER_RIGHT = 3
+# the Braess crossing edge's id, in `build_braess`'s edge order
 BRAESS_CROSS = 4
 
 

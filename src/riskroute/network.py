@@ -199,16 +199,24 @@ def zero_flow(instance: NetworkInstance) -> np.ndarray:
     return np.zeros(len(instance.edges))
 
 
+def _check_edge_ids(instance: NetworkInstance, path) -> None:
+    """GraphStructureError naming the first id of `path` that is not an edge
+    of `instance`; indexing would read a negative one from the end of the
+    edge tuple."""
+    m = len(instance.edges)
+    for eid in path:
+        if not 0 <= eid < m:
+            raise GraphStructureError(f"unknown edge id {eid}")
+
+
 def validate_path(instance: NetworkInstance, path) -> None:
     """Check that `path` is a simple source->sink edge-id sequence."""
     if len(path) == 0:
         raise GraphStructureError("empty path")
-    m = len(instance.edges)
+    _check_edge_ids(instance, path)
     visited = []
     at = instance.source
     for eid in path:
-        if not (0 <= eid < m):
-            raise GraphStructureError(f"unknown edge id {eid}")
         e = instance.edges[eid]
         if e.tail != at:
             raise GraphStructureError(
@@ -223,6 +231,7 @@ def validate_path(instance: NetworkInstance, path) -> None:
 
 def mean_path_latency(instance: NetworkInstance, path, flow) -> float:
     """Sum of mean latencies along `path` at the given edge flow."""
+    _check_edge_ids(instance, path)
     total = 0.0
     for eid in path:
         e = instance.edges[eid]
@@ -232,6 +241,7 @@ def mean_path_latency(instance: NetworkInstance, path, flow) -> float:
 
 def path_variance(instance: NetworkInstance, path, flow) -> float:
     """Sum of edge variances along `path` at the given edge flow."""
+    _check_edge_ids(instance, path)
     total = 0.0
     for eid in path:
         e = instance.edges[eid]
@@ -245,10 +255,6 @@ def path_cost(instance: NetworkInstance, path, flow) -> float:
     Mean-var: sum of means plus gamma times sum of variances.
     Mean-stdev: sum of means plus gamma times sqrt of summed variances.
     """
-    m = len(instance.edges)
-    for eid in path:
-        if not (0 <= eid < m):
-            raise GraphStructureError(f"unknown edge id {eid}")
     mean = mean_path_latency(instance, path, flow)
     if instance.gamma == 0.0:
         return mean

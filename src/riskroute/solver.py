@@ -18,7 +18,9 @@ the latency's kernel, so that a cost is one call; the path loop evaluates
 its latencies and variances through kernels too.  A function object keeps
 its default kernel and its knots (`LatencyFn.knots`), so the tables of
 later solves and checks, of the same instance or of another that shares
-its functions, build neither again.  A step changes the
+its functions, build neither again; a latency shifted by a Constant
+variance gets its own kernel per edge and table, which is not kept.  A
+step changes the
 flow only on the edges where the two paths differ, so it recomputes the
 costs of those edges alone, and never a constant one: that is evaluated
 once per solve.  The flow rebuild every 256 iterations recomputes every
@@ -31,13 +33,17 @@ too), whether the derivative is linear between them and where the next
 shortest-path sweep starts.  The gap's dot product reads numpy mirrors of
 the flow and cost lists, which the rebuild copies and each step updates
 in place, edge by moved edge: the same call on the same values as arrays
-built afresh.  A result's flow is rebuilt from the path decomposition.
-When it has the bytes of the loop's last flow mirror, as it has whenever
-no step moved flow since the last rebuild, the result reuses the loop's
-last distance and total (`_additive_result`); otherwise it evaluates
-every cost and sweeps again.  The path loop's result sums its kept
-amounts into the edge flow itself and prices its paths with the solve's
-kernels.
+built afresh.  Everywhere else one helper evaluates an edge-additive
+flow (`_edge_gap`): its edge costs, cheapest path and distance, total and
+gap, for `vi_residual`, `result_from_paths`, the Newton finish and a
+result.  A result's flow is rebuilt from the path decomposition.  When it
+has the bytes of the loop's last flow mirror, as it has whenever no step
+moved flow since the last rebuild, the result reuses the loop's last
+distance and total (`_additive_result`); a finish that lands hands on the
+flow, distance and total it evaluated, and its weights rebuild that flow
+exactly, so its result reuses them too.  Otherwise the result evaluates
+its flow afresh.  The path loop's result sums its kept amounts into the
+edge flow itself and prices its paths with the solve's kernels.
 
 The shortest path is one pull sweep over the vertices on source->sink
 paths in topological order: each vertex takes the cheapest of its
@@ -241,26 +247,14 @@ class _EdgeTable(NamedTuple):
 
 
 def _edge_table(instance: NetworkInstance, gamma_eff: float) -> _EdgeTable:
-    """The `_EdgeTable` of `instance` at gamma_eff: one entry per edge.
-
-    Edges that share a latency and a Constant variance's shift share one
-    shifted kernel, built once per call.
-    """
+    """The `_EdgeTable` of `instance` at gamma_eff: one entry per edge."""
     cost, constant = [], []
-    # (id of the latency, shift, its sign) -> kernel: x + 0.0 and x + -0.0
-    # differ at x = -0.0, and the two shifts compare equal
-    shifted = {}
     for e in instance.edges:
         lat, var = e.latency, e.variability
         if gamma_eff == 0.0:
             cost.append(lat.kernel())
         elif isinstance(var, Constant):
-            gv = gamma_eff * var.value
-            key = id(lat), gv, math.copysign(1.0, gv)
-            kernel = shifted.get(key)
-            if kernel is None:
-                kernel = shifted[key] = lat.kernel(gv)
-            cost.append(kernel)
+            cost.append(lat.kernel(gamma_eff * var.value))
         else:
             cost.append(lambda x, lk=lat.kernel(), vk=var.kernel(): lk(x) + gamma_eff * vk(x))
         constant.append(isinstance(e.latency, Constant)
@@ -375,18 +369,20 @@ def beckmann_potential(instance: NetworkInstance, flow) -> float:
     return total
 
 
-def _edge_gap(instance: NetworkInstance, flow: np.ndarray, cost_of: list,
-              demand: float) -> tuple[float, float, float]:
-    """(gap, total, dist) of an edge-additive flow at frozen costs.
+def _edge_gap(instance: NetworkInstance, flow: list[float], cost_of: list,
+              demand: float) -> tuple[tuple[int, ...], float, float, float, list[float]]:
+    """(best, dist, total, gap, c) of an edge-additive flow at frozen costs.
 
-    `total` is the perceived cost of `flow` under the per-edge costs
-    `cost_of` (an `_EdgeTable`'s), `dist` the cheapest source->sink path
-    cost, and `gap` is max(total - demand * dist, 0), the
-    variational-inequality residual of routing `demand`.
+    `flow` is a list of Python floats and `cost_of` the solve's per-edge
+    costs (an `_EdgeTable`'s); `c` holds the edge costs at `flow`, `best`
+    is the cheapest source->sink path and `dist` its cost, `total` the
+    perceived cost of `flow`, and `gap` is max(total - demand * dist, 0),
+    the variational-inequality residual of routing `demand`.
     """
-    c = [cost(x) for cost, x in zip(cost_of, flow.tolist())]
-    _, dist, total, gap = _frozen_gap(instance, flow, c, demand)
-    return gap, total, dist
+    c = [cost(x) for cost, x in zip(cost_of, flow)]
+    best, dist = _shortest_path(instance, c)
+    total = float(np.array(flow).dot(np.array(c)))
+    return best, dist, total, max(total - demand * dist, 0.0), c
 
 
 def _path_costs(instance: NetworkInstance, paths, means: list[float],
@@ -458,9 +454,8 @@ def vi_residual(instance: NetworkInstance, flow) -> float:
         raise ValueError("vi_residual needs edge-additive costs: mean-var, gamma 0, "
                          "or zero variances")
     flow = np.asarray(flow, dtype=float)
-    gap, _, _ = _edge_gap(instance, flow, _edge_table(instance, instance.gamma).cost,
-                          flow_demand(instance, flow))
-    return gap
+    return _edge_gap(instance, flow.tolist(), _edge_table(instance, instance.gamma).cost,
+                     flow_demand(instance, flow))[3]
 
 
 def _slope_knots(edge_knots: list, curved: list, moves,
@@ -689,6 +684,14 @@ def _flow_from_weights(instance: NetworkInstance, pairs) -> list[float]:
     return flow
 
 
+def _incidence(paths, m: int) -> np.ndarray:
+    """The 0/1 matrix whose row i marks the edges of `paths[i]`, of `m` edges."""
+    a = np.zeros((len(paths), m))
+    for i, path in enumerate(paths):
+        a[i, list(path)] = 1.0
+    return a
+
+
 def _prune_path_flow(weights: dict[tuple[int, ...], float], demand: float) -> PathFlow:
     # demand > 0: `_solve_additive` has returned at zero demand
     kept = {p: w for p, w in weights.items() if w > _PRUNE_REL * demand}
@@ -817,19 +820,6 @@ def _kkt_step(jac: np.ndarray, h: np.ndarray, q: np.ndarray, demand: float,
         keep[np.flatnonzero(keep)[negative]] = False
 
 
-def _frozen_gap(instance: NetworkInstance, flow: list[float] | np.ndarray, c: list[float],
-                demand: float) -> tuple[tuple[int, ...], float, float, float]:
-    """(best, dist, total, gap) of an edge-additive flow at the edge costs `c`.
-
-    `best` is the cheapest source->sink path and `dist` its cost, `total`
-    the perceived cost of `flow`, and `gap` is max(total - demand * dist,
-    0), the variational-inequality residual of routing `demand`.
-    """
-    best, dist = _shortest_path(instance, c)
-    total = float(np.asarray(flow).dot(np.array(c)))
-    return best, dist, total, max(total - demand * dist, 0.0)
-
-
 def _routes(amounts, demand: float) -> bool:
     """Whether the path `amounts`, summed left to right, route `demand`.
 
@@ -852,31 +842,29 @@ def _within_tolerance(gap: float, scale: float, tolerance: float) -> bool:
     return gap <= tolerance * min(1.0, scale if scale > 0.0 else 1.0)
 
 
-def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, table: _EdgeTable,
+def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, cost_of: list,
                      gamma_eff: float, weights: dict[tuple[int, ...], float],
-                     flow: list[float], c: list[float],
-                     best: tuple[int, ...]) -> dict[tuple[int, ...], float] | None:
-    """Path weights that pass the additive loop's convergence test, by Newton's method, or None.
+                     flow: list[float], c: list[float], best: tuple[int, ...]
+                     ) -> tuple[dict[tuple[int, ...], float], np.ndarray, float, float] | None:
+    """(weights, flow, dist, total) that pass the additive loop's convergence test, or None.
 
     `weights` is the loop's path decomposition, `flow` the edge flow it
-    induces, `c` the edge costs there (from `table`, the solve's
-    `_EdgeTable`) and `best` the shortest path at `c`.
+    induces, `c` the edge costs there (from `cost_of`, the solve's
+    `_EdgeTable` costs) and `best` the shortest path at `c`.
     With U the paths of positive weight and `best`, one `_kkt_step`
     equalizes their costs; the candidate is tested as the loop tests its
-    iterate, with one shortest path at the candidate's costs, and a rejected
-    one is the next point to linearize at.  A candidate that passes is
-    returned only when it routes the demand (`_routes`).  None when it does
-    not, or when `_kkt_step` gives no step.  The arguments are left as they
-    are.
+    iterate, by `_edge_gap` at the candidate's flow, and a rejected one is
+    the next point to linearize at.  A candidate that passes is returned
+    only when it routes the demand (`_routes`), with its flow as an array,
+    the cheapest path cost and the total cost there, which
+    `_additive_result` reuses.  None when it does not route the demand, or
+    when `_kkt_step` gives no step.  The arguments are left as they are.
     """
     demand = instance.demand
-    m = len(instance.edges)
     budget = iter(range(_FINISH_SOLVES))
     while True:
         support = sorted({p for p, w in weights.items() if w > 0.0} | {best})
-        a = np.zeros((len(support), m))
-        for i, path in enumerate(support):
-            a[i, list(path)] = 1.0
+        a = _incidence(support, len(instance.edges))
         jac = _cost_jacobian(instance, a, flow, gamma_eff)
         h = np.array([weights.get(p, 0.0) for p in support])
         step = _kkt_step(jac, h, a @ np.array(c), demand, budget)
@@ -885,10 +873,11 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, table: _EdgeT
         keep, new = step
         weights = dict(zip((p for p, k in zip(support, keep) if k), new.tolist()))
         flow = _flow_from_weights(instance, weights.items())
-        c = [cost(x) for cost, x in zip(table.cost, flow)]
-        best, _, total, gap = _frozen_gap(instance, flow, c, demand)
+        best, dist, total, gap, c = _edge_gap(instance, flow, cost_of, demand)
         if _within_tolerance(gap, total, cfg.tolerance):
-            return weights if _routes(weights.values(), demand) else None
+            if not _routes(weights.values(), demand):
+                return None
+            return weights, np.array(flow), dist, total
 
 
 def _additive_result(instance: NetworkInstance, cost_of: list,
@@ -897,29 +886,31 @@ def _additive_result(instance: NetworkInstance, cost_of: list,
                      total: float) -> EquilibriumResult:
     """The additive loop's result at path `weights`: the flow rebuilt from them and its residual.
 
-    `mirror` is the loop's last flow mirror, and `dist` and `total` the
-    cheapest path cost and total cost it computed there.  Both are
-    functions of the flow alone, so when the rebuilt flow has the mirror's
-    bytes they are reused: the same costs at the same flows, a restarted
-    sweep equal to a full one and the same dot product.  Otherwise every
-    cost is evaluated and swept at the rebuilt flow.
+    `mirror` is the loop's last flow mirror, or the flow of a Newton finish
+    that passed, and `dist` and `total` the cheapest path cost and total
+    cost computed there.  Both are functions of the flow alone, so when the
+    rebuilt flow has the mirror's bytes they are reused: the same costs at
+    the same flows, a restarted sweep equal to a full one and the same dot
+    product.  A finish's weights rebuild its flow exactly, so a finish's
+    result always reuses them.  Otherwise `_edge_gap` evaluates the rebuilt
+    flow.
     """
     demand = instance.demand
-    flow = np.array(_flow_from_weights(instance, weights.items()))
-    if flow.tobytes() == mirror.tobytes():
+    flow = _flow_from_weights(instance, weights.items())
+    flow_a = np.array(flow)
+    if flow_a.tobytes() == mirror.tobytes():
         gap = max(total - demand * dist, 0.0)
     else:
-        gap, total, dist = _edge_gap(instance, flow, cost_of, demand)
+        _, dist, total, gap, _ = _edge_gap(instance, flow, cost_of, demand)
     residual = gap / total if total > 0.0 else 0.0
-    return EquilibriumResult(flow, _prune_path_flow(weights, demand), dist, residual,
+    return EquilibriumResult(flow_a, _prune_path_flow(weights, demand), dist, residual,
                              iterations, converged)
 
 
 def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: float,
                     callback=None) -> EquilibriumResult:
     demand = instance.demand
-    table = _edge_table(instance, gamma_eff)
-    cost_of, constant, edge_knots, curved = table
+    cost_of, constant, edge_knots, curved = _edge_table(instance, gamma_eff)
     c = [cost(0.0) for cost in cost_of]
     first, dist = _shortest_path(instance, c)
     if demand == 0.0:
@@ -967,7 +958,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
                 c[eid] = cost_of[eid](flow[eid])
             flow_a, c_a = np.array(flow), np.array(c)
             start = 0
-        # `_frozen_gap` on the mirrors
+        # `_edge_gap` on the mirrors
         if pull is None:
             best, dist = _dijkstra(instance, c)
         else:
@@ -986,11 +977,11 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
             break
         # the flow was rebuilt from `weights` at this k, a multiple of 256
         if k >= _ADDITIVE_FINISH_FROM and (k & (k - 1)) == 0:
-            finished = _additive_finish(instance, cfg, table, gamma_eff, weights,
+            finished = _additive_finish(instance, cfg, cost_of, gamma_eff, weights,
                                         flow, c, best)
             if finished is not None:
-                result = _additive_result(instance, cost_of, finished, iterations, True,
-                                          flow_a, dist, total)
+                result = _additive_result(instance, cost_of, finished[0], iterations, True,
+                                          *finished[1:])
                 if result.vi_residual <= cfg.tolerance:
                     return result
         iterations = k + 1
@@ -1175,10 +1166,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
     paths = enumerate_paths(instance)
     demand = instance.demand
     m = len(instance.edges)
-    incidence = np.zeros((len(paths), m))
-    for i, p in enumerate(paths):
-        for eid in p:
-            incidence[i, eid] = 1.0
+    incidence = _incidence(paths, m)
     lat, var = _moment_fns(instance)
     edge_knots, curved = _edge_knots(instance, instance.gamma)
     q0 = _path_costs(instance, paths, *_moments_at(lat, var, [0.0] * m))
@@ -1354,7 +1342,7 @@ def brute_force_equilibrium(instance: NetworkInstance) -> EquilibriumResult:
 
     flow = incidence.T @ amounts
     q = costs(amounts)
-    used_cut = max(_PRUNE_REL * demand, 1e-9 * demand)
+    used_cut = 1e-9 * demand
     used = np.flatnonzero(amounts > used_cut)
     common = float(q[used].min()) if len(used) else float(q.min()) if n_paths else 0.0
     gap = float(q[used].max() - q.min()) if len(used) else 0.0
@@ -1376,8 +1364,8 @@ def result_from_paths(instance: NetworkInstance, path_flow: PathFlow) -> Equilib
     flow = induced_edge_flow(instance, path_flow)
     demand = path_flow.total()
     if instance.edge_additive:
-        gap, total, common = _edge_gap(instance, flow,
-                                       _edge_table(instance, instance.gamma).cost, demand)
+        _, common, total, gap, _ = _edge_gap(instance, flow.tolist(),
+                                             _edge_table(instance, instance.gamma).cost, demand)
     else:
         paths = enumerate_paths(instance)
         index = {p: i for i, p in enumerate(paths)}

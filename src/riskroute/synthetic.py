@@ -37,8 +37,9 @@ TOPOLOGIES = ("parallel", "braess", "layered")
 
 _MIN_INTERCEPT = 0.1
 
-# the domino-with-ears layout; each random domino instance replaces all of
-# its edges' functions
+# the Braess and domino-with-ears layouts; each random instance on them
+# replaces all of their edges' functions
+_BRAESS = build_braess()
 _DOMINO = build_domino_with_ears()
 
 
@@ -86,7 +87,7 @@ def _parallel_arcs(rng) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _braess_arcs() -> tuple[int, list[tuple[int, int]]]:
-    return 4, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)]
+    return _BRAESS.vertices, [(e.tail, e.head) for e in _BRAESS.edges]
 
 
 def _layered_arcs(rng) -> tuple[int, list[tuple[int, int]]]:

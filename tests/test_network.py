@@ -56,6 +56,19 @@ def test_validate_path_errors():
         validate_path(inst, (0, 99))       # unknown edge id
 
 
+@pytest.mark.parametrize("helper", [rr.mean_path_latency, rr.path_variance, rr.path_cost])
+@pytest.mark.parametrize("eid", [-1, -2, 5])
+def test_path_helpers_reject_edge_ids_out_of_range(helper, eid):
+    # a negative id must not read an edge from the end of the edge tuple:
+    # (-1,) would be edge 4's latency and (-2,) edge 3's variance
+    inst = rr.build_braess()
+    assert len(inst.edges) == 5
+    with pytest.raises(GraphStructureError, match=f"unknown edge id {eid}"):
+        helper(inst, (eid,), np.zeros(5))
+    with pytest.raises(GraphStructureError, match=f"unknown edge id {eid}"):
+        helper(inst, (0, eid), np.zeros(5))
+
+
 def test_meanvar_path_cost_on_braess():
     inst = rr.build_braess()  # level-1 worst-case functions, gamma*kappa = 1
     flow = np.array([1.0, 0.0, 0.0, 1.0, 1.0])

@@ -432,7 +432,7 @@ def test_gap_mirrors_stay_in_step_with_the_flow(make):
                      for e, x in zip(inst.edges, flow.tolist())]
             assert total == float(flow @ np.array(costs)), k
             table = solver._edge_table(inst, gamma)
-            assert gap == solver._edge_gap(inst, flow, table.cost, inst.demand)[0], k
+            assert gap == solver._edge_gap(inst, flow.tolist(), table.cost, inst.demand)[3], k
             seen.append(k)
 
         res = solve(inst, callback=check)
@@ -662,6 +662,86 @@ def test_finishes_reject_a_candidate_that_does_not_route_the_demand(monkeypatch)
         assert _routes_its_demand(instance, res)
     assert finishes["_additive_finish"] == [False]
     assert finishes["_newton_finish"] and not any(finishes["_newton_finish"])
+
+
+def _rising_variance_pair():
+    # two parallel links under mean-stdev: the first's variance is 0 at flow
+    # 0 and rises, so its path's standard deviation has no derivative there
+    return rr.NetworkInstance(
+        2, (rr.Edge(0, 1, rr.Affine(1.0, 1.0), rr.Affine(1.0, 0.0)),
+            rr.Edge(0, 1, rr.Constant(2.0), rr.Constant(1.0))),
+        0, 1, 1.0, 1.0, rr.RiskModel.MEAN_STDEV)
+
+
+def test_finishes_give_up_without_a_jacobian():
+    inst = _rising_variance_pair()
+    paths = rr.enumerate_paths(inst)
+    incidence = solver._incidence(paths, len(inst.edges))
+    assert incidence.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    # all the demand on the second link: the first path is the cheapest, at
+    # variance 0
+    flow, means, variances = [0.0, 1.0], [1.0, 2.0], [0.0, 1.0]
+    assert solver._cost_jacobian(inst, incidence, flow, inst.gamma, variances) is None
+    q = np.array([rr.path_cost(inst, p, np.array(flow)) for p in paths])
+    assert q.tolist() == [1.0, 3.0]
+    s = solver._PathState(flow, means, variances, q, 0, np.array([1]), 1, 2.0, False)
+
+    def state(amounts):
+        raise AssertionError("a finish without a Jacobian evaluates no candidate")
+
+    assert solver._newton_finish(inst, incidence, state, s, np.array([0.0, 1.0])) is None
+
+
+def test_kkt_step_gives_up_on_an_amount_that_is_not_finite():
+    q = np.array([math.inf, 1.0])
+    assert solver._kkt_step(np.eye(2), np.array([0.5, 0.5]), q, 1.0, iter(range(16))) is None
+
+
+def test_additive_finish_gives_up_when_the_kkt_step_does(monkeypatch):
+    # with no linear solve to spend, every additive finish gives up, and the
+    # solve is the pair loop's alone, bit for bit
+    inst, _ = build_recursive(RecursiveFamilySpec(level=4, variant=Variant.FUNCTIONAL))
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "_additive_finish", lambda *args: None)
+        alone = rr.solve_rawe_meanvar(inst)
+    finishes = []
+    additive_finish = solver._additive_finish
+
+    def counted(*args):
+        found = additive_finish(*args)
+        finishes.append(found)
+        return found
+
+    monkeypatch.setattr(solver, "_FINISH_SOLVES", 0)
+    monkeypatch.setattr(solver, "_additive_finish", counted)
+    res = rr.solve_rawe_meanvar(inst)
+    assert finishes == [None]
+    assert res.converged and res.iterations == alone.iterations == 3472
+    assert _result_bits(res) == _result_bits(alone)
+
+
+def test_a_landing_finish_is_evaluated_once(monkeypatch):
+    # the finish hands on the flow it evaluated, with its distance and total:
+    # the result that returns it sweeps no shortest path again
+    inst, _ = build_recursive(RecursiveFamilySpec(level=5, variant=Variant.FUNCTIONAL))
+    sweeps, inside = [], Counter()
+    shortest_path, additive_result = solver._shortest_path, solver._additive_result
+
+    def counted_sweep(*args):
+        inside["sweeps"] += 1
+        return shortest_path(*args)
+
+    def counted_result(*args):
+        before = inside["sweeps"]
+        res = additive_result(*args)
+        sweeps.append(inside["sweeps"] - before)
+        return res
+
+    monkeypatch.setattr(solver, "_shortest_path", counted_sweep)
+    monkeypatch.setattr(solver, "_additive_result", counted_result)
+    res = rr.solve_rawe_meanvar(inst)
+    assert res.converged and res.iterations == 2048
+    assert sweeps == [0]
 
 
 def test_converged_results_route_their_demand():
@@ -1505,7 +1585,8 @@ def test_additive_results_reuse_the_loops_evaluation_bit_for_bit(monkeypatch):
         demand = instance.demand
         flow = np.array(solver._flow_from_weights(instance, weights.items()))
         branches["reuse" if flow.tobytes() == mirror.tobytes() else "recompute"] += 1
-        gap, full_total, full_dist = solver._edge_gap(instance, flow, cost_of, demand)
+        _, full_dist, full_total, gap, _ = solver._edge_gap(instance, flow.tolist(), cost_of,
+                                                            demand)
         expected = solver.EquilibriumResult(
             flow, solver._prune_path_flow(weights, demand), full_dist,
             gap / full_total if full_total > 0.0 else 0.0, iterations, converged)
@@ -1523,28 +1604,6 @@ def test_additive_results_reuse_the_loops_evaluation_bit_for_bit(monkeypatch):
         rr.solve_rnwe(inst)
         rr.solve_rawe(inst)
     assert branches["reuse"] > 0 and branches["recompute"] > 0
-
-
-def test_edge_table_builds_one_kernel_per_latency_and_shift(monkeypatch):
-    # a loaded level-5 family instance shares 7 function objects among its
-    # 125 edges, whose variances are all Constant
-    inst, _ = build_recursive(RecursiveFamilySpec(level=5))
-    inst = serialization.loads_instance(serialization.dumps_instance(inst))
-    built = Counter()
-    for cls in (rr.Constant, rr.Affine, rr.Polynomial, rr.PiecewiseLinear):
-        def kernel(fn, shift=-0.0, _kernel=cls.kernel):
-            built[id(fn), shift] += 1
-            return _kernel(fn, shift)
-        monkeypatch.setattr(cls, "kernel", kernel)
-    table = solver._edge_table(inst, inst.gamma)
-    assert len(inst.edges) == 125
-    assert set(built.values()) == {1}
-    assert len(built) == len({(id(e.latency), e.variability.value) for e in inst.edges}) <= 7
-    monkeypatch.undo()
-    for e, cost in zip(inst.edges, table.cost):
-        shifted = e.latency.kernel(inst.gamma * e.variability.value)
-        for x in (0.0, 0.3, 1.0, 2.5):
-            assert _bits(cost(x)) == _bits(shifted(x))
 
 
 def test_edge_table_keeps_the_sign_of_a_zero_shift():
