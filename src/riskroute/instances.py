@@ -2,11 +2,12 @@
 
 The workhorse is a recursively built family of Braess-like networks that
 realizes the worst case of the topological price-of-risk-aversion bound.
-Level 1 is the Braess graph; level i wires two level i-1 copies into a new
-Braess frame.  Writing gk for gamma*kappa, a level-i instance drives the
-ratio of risk-averse to risk-neutral social cost to exactly 1 + 2^i * gk
-while keeping the alternating path between the two equilibria at 2^i
-forward subpaths on 2^(i+1) vertices.
+Level 1 is the Braess graph, and `build_braess`'s default edge functions
+are level 1's; level i wires two level i-1 copies into a new Braess frame.
+Writing gk for gamma*kappa, a level-i instance drives the ratio of
+risk-averse to risk-neutral social cost to exactly 1 + 2^i * gk while
+keeping the alternating path between the two equilibria at 2^i forward
+subpaths on 2^(i+1) vertices.
 
 Two variants share the topology and differ in the congestion-dependent
 mean latencies a_j placed on the diagonal edges:
@@ -186,16 +187,11 @@ def _grow(b: _Builder, level: int, s: int, t: int, r_a: float, r_n: float, gk: f
     return zig, par
 
 
-def build_recursive(spec: RecursiveFamilySpec) -> tuple[NetworkInstance, OracleFlows]:
-    """Build a recursive worst-case instance with its closed-form oracle.
+def _set_up(spec: RecursiveFamilySpec) -> tuple[NetworkInstance, list, list, list[str]]:
+    """Check `spec` and build its instance.
 
-    The instance stores gamma = spec.gamma_kappa with unit variance on the
-    risky edges, so the realized variance-to-mean ratio at the risk-averse
-    equilibrium is exactly 1 and gamma*kappa = spec.gamma_kappa.  The
-    risk-averse oracle routes each zig-zag path the amount `_grow` pairs
-    it with (structural; paths with amount 0 left out) or the uniform
-    share 1/(2^i - 1) (functional), the risk-neutral one r_n/2^i on each
-    parallel path.
+    Returns (instance, zig-zag paths with their structural amounts,
+    parallel paths, edge tags), the paths as `_grow` returns them.
     """
     if spec.level < 1:
         raise ValueError(f"level must be >= 1, got {spec.level}")
@@ -219,7 +215,21 @@ def build_recursive(spec: RecursiveFamilySpec) -> tuple[NetworkInstance, OracleF
         gamma=spec.gamma_kappa,
         risk_model=RiskModel.MEAN_VAR,
     )
+    return instance, zig, par, b.tags
 
+
+def build_recursive(spec: RecursiveFamilySpec) -> tuple[NetworkInstance, OracleFlows]:
+    """Build a recursive worst-case instance with its closed-form oracle.
+
+    The instance stores gamma = spec.gamma_kappa with unit variance on the
+    risky edges, so the realized variance-to-mean ratio at the risk-averse
+    equilibrium is exactly 1 and gamma*kappa = spec.gamma_kappa.  The
+    risk-averse oracle routes each zig-zag path the amount `_grow` pairs
+    it with (structural; paths with amount 0 left out) or the uniform
+    share 1/(2^i - 1) (functional), the risk-neutral one r_n/2^i on each
+    parallel path.
+    """
+    instance, zig, par, _ = _set_up(spec)
     if spec.variant is Variant.STRUCTURAL:
         rawe = PathFlow.of([(p, a) for p, a in zig if a > 0.0])
     else:
@@ -240,12 +250,7 @@ def recursive_edge_tags(level: int) -> tuple[str, ...]:
     Both variants share the topology, so the tags do not depend on the
     variant or the demand parameters.
     """
-    spec = RecursiveFamilySpec(level=level, variant=Variant.FUNCTIONAL)
-    b = _Builder()
-    s = b.vertex()
-    t = b.vertex()
-    _grow(b, level, s, t, 1.0, 1.0, 1.0, spec)
-    return tuple(b.tags)
+    return tuple(_set_up(RecursiveFamilySpec(level=level, variant=Variant.FUNCTIONAL))[3])
 
 
 def build_braess(edge_functions=None, demand: float = 1.0, gamma: float = 1.0,
@@ -255,18 +260,13 @@ def build_braess(edge_functions=None, demand: float = 1.0, gamma: float = 1.0,
     Vertices: 0 source, 1 top, 2 bottom, 3 sink.  Edge order: upper-left,
     upper-right, lower-left, lower-right, crossing (top->bottom).
     `edge_functions` is an optional sequence of five (latency, variability)
-    pairs in that order; by default the edges carry the level-1 structural
-    functions with r_a = r_n = 1 and gamma*kappa = gamma.
+    pairs in that order; by default the edges carry the functions of the
+    recursive family's level 1 (structural, r_a = r_n = 1) at gamma*kappa =
+    gamma, whose edges come in the same order.
     """
     if edge_functions is None:
-        a_fn = _diagonal(0.5, 1.0, gamma)
-        edge_functions = [
-            (a_fn, _ZERO),
-            (_ONE, Constant(1.0)),
-            (_ONE, Constant(1.0)),
-            (a_fn, _ZERO),
-            (_ONE, _ZERO),
-        ]
+        level1 = _set_up(RecursiveFamilySpec(level=1, gamma_kappa=gamma))[0]
+        edge_functions = [(e.latency, e.variability) for e in level1.edges]
     if len(edge_functions) != 5:
         raise ValueError(f"expected 5 (latency, variability) pairs, got {len(edge_functions)}")
     (ul, ur, ll, lr, cr) = edge_functions
@@ -286,16 +286,14 @@ DOMINO_EAR_EDGE_IDS = (7, 8)
 DOMINO_CONTRACT_EDGE_IDS = (4, 6)  # lower-left and upper-right rung
 
 
-def build_domino_with_ears(demand: float = 1.0, gamma: float = 1.0,
-                           risk_model: RiskModel = RiskModel.MEAN_VAR) -> NetworkInstance:
+def build_domino_with_ears() -> NetworkInstance:
     """Topology of the six-vertex domino graph plus its two ear arcs.
 
     The domino is the 2x3 grid directed from bottom-left to top-right:
     two rows of horizontal edges and three upward rungs.  The ears connect
     the two distance-2 pairs along the rows (source to bottom-right corner
-    and top-left corner to sink).  All latencies default to 1 and all
-    variances to 0; callers are expected to swap in their own functions
-    with `with_edge_functions`.
+    and top-left corner to sink).  Its callers read only the topology:
+    every latency is 1, every variance 0, and demand and gamma are 1.
 
     Edge order: bottom horizontals (0->1, 1->2), top horizontals (3->4,
     4->5), rungs left to right (0->3, 1->4, 2->5), then the two ears
@@ -312,7 +310,7 @@ def build_domino_with_ears(demand: float = 1.0, gamma: float = 1.0,
         Edge(0, 2, _ONE, _ZERO),
         Edge(3, 5, _ONE, _ZERO),
     )
-    return NetworkInstance(6, edges, 0, 5, demand, gamma, risk_model)
+    return NetworkInstance(6, edges, 0, 5, 1.0, 1.0)
 
 
 def contracted_domino_matches_braess() -> bool:

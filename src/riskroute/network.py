@@ -254,11 +254,18 @@ def path_cost(instance: NetworkInstance, path, flow) -> float:
 
     Mean-var: sum of means plus gamma times sum of variances.
     Mean-stdev: sum of means plus gamma times sqrt of summed variances.
+    One walk of the path sums both in path order, as `mean_path_latency`
+    and `path_variance` do, so the cost has their bits.
     """
-    mean = mean_path_latency(instance, path, flow)
     if instance.gamma == 0.0:
-        return mean
-    var = path_variance(instance, path, flow)
+        return mean_path_latency(instance, path, flow)
+    _check_edge_ids(instance, path)
+    mean = var = 0.0
+    for eid in path:
+        e = instance.edges[eid]
+        f = float(flow[eid])
+        mean += e.latency(f)
+        var += e.variability(f)
     if instance.risk_model is RiskModel.MEAN_VAR:
         return mean + instance.gamma * var
     return mean + instance.gamma * math.sqrt(var)
@@ -295,31 +302,6 @@ def flow_demand(instance: NetworkInstance, flow) -> float:
         if e.head == instance.source:
             into += float(flow[eid])
     return out - into
-
-
-def check_flow_feasible(instance: NetworkInstance, flow, tol: float = 1e-9) -> None:
-    """Raise GraphStructureError unless `flow` conserves the demand."""
-    flow = np.asarray(flow, dtype=float)
-    if flow.shape != (len(instance.edges),):
-        raise GraphStructureError(
-            f"flow has shape {flow.shape}, expected ({len(instance.edges)},)")
-    if np.any(flow < -tol):
-        raise GraphStructureError("flow has negative components")
-    net = np.zeros(instance.vertices)
-    for eid, e in enumerate(instance.edges):
-        net[e.tail] += flow[eid]
-        net[e.head] -= flow[eid]
-    for v in range(instance.vertices):
-        if v == instance.source:
-            if abs(net[v] - instance.demand) > tol:
-                raise GraphStructureError(
-                    f"source routes {net[v]}, expected demand {instance.demand}")
-        elif v == instance.sink:
-            if abs(net[v] + instance.demand) > tol:
-                raise GraphStructureError(
-                    f"sink absorbs {-net[v]}, expected demand {instance.demand}")
-        elif abs(net[v]) > tol:
-            raise GraphStructureError(f"flow not conserved at vertex {v}: {net[v]}")
 
 
 def enumerate_paths(instance: NetworkInstance, cap: int = 4096) -> list[tuple[int, ...]]:

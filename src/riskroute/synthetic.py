@@ -186,17 +186,18 @@ def _sp_arcs(tree, s: int, t: int, alloc, arcs: list) -> None:
         _sp_arcs(tree[2], s, t, alloc, arcs)
 
 
-def random_series_parallel_instance(seed: int, max_depth: int = 3,
+def random_series_parallel_instance(seed: int,
                                     risk_model: RiskModel = RiskModel.MEAN_STDEV
                                     ) -> NetworkInstance:
     """Random series-parallel network grown from a composition tree.
 
-    Source is vertex 0 and sink vertex 1; series joins allocate fresh
+    The tree is at most 3 levels deep.  Source is vertex 0 and sink
+    vertex 1; series joins allocate fresh
     middle vertices.  Degenerate single-edge trees are widened to a
     two-link parallel so there is always a routing choice.
     """
     rng = np.random.default_rng(seed)
-    tree = _sp_tree(rng, max_depth)
+    tree = _sp_tree(rng, 3)
     if tree[0] == "leaf":
         tree = ("parallel", ("leaf",), ("leaf",))
     arcs: list[tuple[int, int]] = []

@@ -85,6 +85,13 @@ def test_pwl_validation():
         PiecewiseLinear(((-1.0, 0.0), (1.0, 1.0)))  # negative breakpoint
 
 
+def test_pwl_needs_a_nonnegative_first_breakpoint():
+    with pytest.raises(ValueError, match="needs at least one breakpoint"):
+        PiecewiseLinear(())
+    with pytest.raises(ValueError, match="y values must be nonnegative, got -1.0"):
+        PiecewiseLinear(((0.0, -1.0), (1.0, 0.0)))
+
+
 def test_knots_between():
     pwl = PiecewiseLinear(((0.0, 0.0), (0.5, 0.0), (1.0, 2.0)))
     assert pwl.knots_between(0.0, 2.0) == [0.5, 1.0]

@@ -104,6 +104,24 @@ def test_spec_validation():
         build_recursive(RecursiveFamilySpec(level=1, gamma_kappa=-1.0))
 
 
+@pytest.mark.parametrize("level", [0, -1])
+def test_edge_tags_reject_levels_below_one(level):
+    # the tags come from the same checked set-up as the instance
+    with pytest.raises(ValueError, match=f"level must be >= 1, got {level}"):
+        recursive_edge_tags(level)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (RecursiveFamilySpec(level=1, r_a=-1.0), "demands must be nonnegative"),
+    (RecursiveFamilySpec(level=1, r_n=-1.0), "demands must be nonnegative"),
+    (RecursiveFamilySpec(level=2, r_a=2.0, variant=Variant.FUNCTIONAL),
+     "the functional variant requires r_a = r_n = 1"),
+])
+def test_spec_checks_name_the_fault(spec, message):
+    with pytest.raises(ValueError, match=message):
+        build_recursive(spec)
+
+
 def test_closed_form_check_catches_corrupt_costs():
     inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
     bad = dataclasses.replace(oracle, rawe_cost=oracle.rawe_cost + 1e-5)
@@ -163,6 +181,29 @@ def test_closed_form_check_flags_a_path_off_the_unit_cost():
     assert any("mean latency" in f for f in failures)
 
 
+def test_closed_form_check_reports_bad_oracle_paths_and_nothing_else():
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=1))
+    bad = dataclasses.replace(oracle, rawe=rr.PathFlow.of([((0, 3), 0.5), ((0,), -1.0)]))
+    report = closed_form_check(inst, bad)
+    assert not report.passed
+    assert report.failures == (
+        "rawe path (0, 3): edge 3 starts at 3, expected 2: path is not connected",
+        "rawe path (0,): path ends at 2, not at sink 1",
+        "rawe path (0,): negative amount -1.0",
+    )
+
+
+def test_closed_form_check_flags_a_meanstdev_path_above_the_cheapest():
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
+    ms = rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)
+    # 0.1 moved from the second used path to the first
+    (p0, a0), (p1, a1), *rest = oracle.rawe.entries
+    moved = rr.PathFlow(((p0, a0 + 0.1), (p1, a1 - 0.1), *rest))
+    report = closed_form_check(ms, dataclasses.replace(oracle, rawe=moved))
+    assert not report.passed
+    assert "rawe path (11, 5, 12) costs 3.200e+00 above the cheapest path" in report.failures
+
+
 def test_closed_form_check_rejects_negative_gamma_kappa():
     inst, oracle = build_recursive(RecursiveFamilySpec(level=1, gamma_kappa=0.0))
     bad = dataclasses.replace(oracle, rawe_cost=0.5, expected_pra=0.5)
@@ -178,6 +219,24 @@ def test_braess_is_level1_topology():
     assert braess.edges[BRAESS_CROSS].head == 2
 
 
+@pytest.mark.parametrize("model", list(rr.RiskModel))
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.5])
+def test_braess_defaults_are_the_level1_family(gamma, model):
+    braess = rr.build_braess(gamma=gamma, risk_model=model)
+    g1, _ = build_recursive(RecursiveFamilySpec(level=1, gamma_kappa=gamma))
+    assert [(e.latency, e.variability) for e in braess.edges] == [
+        (e.latency, e.variability) for e in g1.edges]
+    assert (braess.demand, braess.gamma, braess.risk_model) == (1.0, gamma, model)
+
+
+def test_braess_input_checks():
+    with pytest.raises(ValueError, match="gamma_kappa must be nonnegative, got -1.0"):
+        rr.build_braess(gamma=-1.0)
+    pairs = [(rr.Constant(1.0), rr.Constant(0.0))] * 4
+    with pytest.raises(ValueError, match="expected 5 .* pairs, got 4"):
+        rr.build_braess(edge_functions=pairs)
+
+
 def test_domino_with_ears_layout():
     inst = build_domino_with_ears()
     assert inst.vertices == 6
@@ -190,6 +249,13 @@ def test_domino_with_ears_layout():
 
 def test_contracting_the_domino_yields_braess():
     assert contracted_domino_matches_braess()
+
+
+def test_generator_input_checks():
+    with pytest.raises(ValueError, match="unknown topology 'ring'"):
+        synthetic.random_affine_instance(0, topology="ring")
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        synthetic.random_polynomial_instance(0, 0)
 
 
 def test_reinterpret_as_meanstdev():

@@ -1,5 +1,6 @@
 """Instance validation, path costs and path enumeration."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,6 @@ from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive
 from riskroute.network import (
     GraphStructureError,
     PathCapExceeded,
-    check_flow_feasible,
     flow_demand,
     validate_path,
 )
@@ -125,14 +125,66 @@ def test_social_cost_uses_means_only():
                           flow) == pytest.approx(3.0, abs=1e-12)
 
 
+def _level3_and_braess():
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=3, gamma_kappa=1.5))
+    flow = rr.induced_edge_flow(inst, oracle.rawe)
+    for model in rr.RiskModel:
+        yield rr.with_risk_model(inst, model), flow
+    braess = rr.build_braess(gamma=0.0)
+    yield braess, np.array([0.75, 0.25, 0.5, 1.0, 0.5])
+
+
+def test_path_cost_is_mean_plus_risk_term_bit_for_bit():
+    # path_cost walks a path once; its mean and variance are the two
+    # helpers' sums, so the cost has their bits
+    seen = 0
+    for inst, flow in _level3_and_braess():
+        for path in rr.enumerate_paths(inst):
+            mean = rr.mean_path_latency(inst, path, flow)
+            var = rr.path_variance(inst, path, flow)
+            risk = var if inst.risk_model is rr.RiskModel.MEAN_VAR else math.sqrt(var)
+            assert rr.path_cost(inst, path, flow) == mean + inst.gamma * risk
+            seen += 1
+    assert seen == 15 + 15 + 3
+
+
+def test_instance_validation_rejects_vertex_ids_out_of_range():
+    edge = rr.Edge(0, 1, rr.Constant(1.0), rr.Constant(0.0))
+    with pytest.raises(GraphStructureError, match="source/sink must be valid vertex ids"):
+        rr.NetworkInstance(2, (edge,), 0, 2, 1.0, 0.0)
+    with pytest.raises(GraphStructureError, match="source/sink must be valid vertex ids"):
+        rr.NetworkInstance(2, (edge,), -1, 1, 1.0, 0.0)
+    outside = rr.Edge(1, 2, rr.Constant(1.0), rr.Constant(0.0))
+    with pytest.raises(GraphStructureError, match="edge 1 has endpoints outside 0..1"):
+        rr.NetworkInstance(2, (edge, outside), 0, 1, 1.0, 0.0)
+
+
+def _cyclic():
+    # 0 -> 1, 1 -> 0 and 1 -> 2: a cycle through the source
+    one, zero = rr.Constant(1.0), rr.Constant(0.0)
+    return rr.NetworkInstance(
+        3, (rr.Edge(0, 1, one, zero), rr.Edge(1, 0, one, zero), rr.Edge(1, 2, one, zero)),
+        0, 2, 1.0, 0.0)
+
+
+def test_validate_path_rejects_empty_and_revisiting_paths():
+    inst = _cyclic()
+    validate_path(inst, (0, 2))
+    with pytest.raises(GraphStructureError, match="empty path"):
+        validate_path(inst, ())
+    with pytest.raises(GraphStructureError, match="path revisits vertex 0: not simple"):
+        validate_path(inst, (0, 1, 0, 2))
+
+
+def test_flow_demand_nets_out_flow_into_the_source():
+    assert flow_demand(_cyclic(), np.array([2.0, 1.0, 1.0])) == 1.0
+
+
 def test_induced_edge_flow_and_feasibility():
     inst, oracle = build_recursive(RecursiveFamilySpec(level=1))
     flow = rr.induced_edge_flow(inst, oracle.rawe)
     assert np.allclose(flow, [1.0, 0.0, 0.0, 1.0, 1.0])
     assert flow_demand(inst, flow) == pytest.approx(1.0)
-    check_flow_feasible(inst, flow)
-    with pytest.raises(GraphStructureError):
-        check_flow_feasible(inst, flow + 0.5)
 
 
 def test_induced_edge_flow_rejects_negative_amounts():

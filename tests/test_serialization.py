@@ -101,6 +101,27 @@ def test_records_with_wrong_field_counts_are_rejected(loads, header, record):
         loads(text)
 
 
+@pytest.mark.parametrize("loads, header, record, message", [
+    (ser.loads_instance, ser.INSTANCE_HEADER, "edge :: 0 :: 1 :: const 1.0",
+     "edge record needs 5 fields"),
+    (ser.loads_oracle, ser.ORACLE_HEADER, "meta :: family", "meta record needs 3 fields"),
+    (ser.loads_oracle, ser.ORACLE_HEADER, "rawe :: 0,1", "flow record needs 3 fields"),
+])
+def test_short_records_name_their_line(loads, header, record, message):
+    text = header + "\n# comment\n" + record + "\n"
+    with pytest.raises(ser.FormatError, match=f"^line 3: {message}$"):
+        loads(text)
+
+
+def test_function_without_a_text_form_is_rejected():
+    class Doubling(rr.LatencyFn):
+        def __call__(self, x):
+            return 2.0 * x
+
+    with pytest.raises(ser.FormatError, match="no text form for function type Doubling"):
+        ser.function_to_text(Doubling())
+
+
 def test_result_flow_ids_must_cover_range():
     inst, _ = build_recursive(RecursiveFamilySpec(level=1))
     res = rr.solve_rnwe(inst)

@@ -159,6 +159,15 @@ def test_meanstdev_zero_demand_is_trivially_converged():
     assert res.common_cost == 0.7963080888082151
 
 
+def test_brute_force_at_zero_demand_routes_nothing():
+    # no support to solve: the cheapest path at zero flow is the common cost
+    inst = dataclasses.replace(rr.build_braess(), demand=0.0)
+    res = rr.brute_force_equilibrium(inst)
+    assert np.array_equal(res.flow, np.zeros(5))
+    assert len(res.path_flow) == 0
+    assert (res.converged, res.vi_residual, res.common_cost) == (True, 0.0, 1.0)
+
+
 def test_meanstdev_iteration_cap_reports_non_convergence():
     inst = synthetic.random_series_parallel_instance(615)
     res = rr.solve_rawe_meanstdev(inst, SolverConfig(max_iterations=5))
