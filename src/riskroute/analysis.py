@@ -313,9 +313,11 @@ def smoothness_mu_at_flow(instance: NetworkInstance, flow) -> float:
 # absolute amount by which the observed ratio may exceed a bound it satisfies
 _SATISFIED_TOL = 1e-9
 
-# the bound kinds built on the alternating path's forward subpath count
-_ETA_KINDS = (BoundKind.TOPOLOGICAL_ETA, BoundKind.STDEV_ZERO_ALT,
-              BoundKind.STDEV_ONE_ALT)
+# the bounds 1 + r * gamma * kappa built on the alternating path's forward
+# subpath count eta, each with its cap on eta or None: r is the cap, past
+# which the kind does not apply, or eta itself when there is none
+_ETA_CAPS = {BoundKind.TOPOLOGICAL_ETA: None, BoundKind.STDEV_ZERO_ALT: 1,
+             BoundKind.STDEV_ONE_ALT: 2}
 
 
 def analyze(instance: NetworkInstance, rawe: EquilibriumResult,
@@ -332,7 +334,7 @@ def analyze(instance: NetworkInstance, rawe: EquilibriumResult,
     gamma = instance.gamma
     eta: int | None = None
     eta_notes: list[str] = []
-    if any(kind in _ETA_KINDS for kind in kinds):
+    if any(kind in _ETA_CAPS for kind in kinds):
         eta = _eta_with_fallback(instance, rawe, rnwe, eta_notes)
     mu: float | None = None
     if BoundKind.FUNCTIONAL_SMOOTH in kinds:
@@ -340,9 +342,12 @@ def analyze(instance: NetworkInstance, rawe: EquilibriumResult,
 
     reports: dict[BoundKind, BoundReport] = {}
     for kind in kinds:
-        notes = list(eta_notes) if kind in _ETA_KINDS else []
-        if kind is BoundKind.TOPOLOGICAL_ETA:
-            bound = 1.0 + eta * gamma * kappa
+        notes = list(eta_notes) if kind in _ETA_CAPS else []
+        if kind in _ETA_CAPS:
+            cap = _ETA_CAPS[kind]
+            bound = 1.0 + (eta if cap is None else cap) * gamma * kappa
+            if cap is not None and eta > cap:
+                notes.append(f"inapplicable: alternating path has {eta} forward subpaths")
         elif kind is BoundKind.TOPOLOGICAL_VERTICES:
             bound = 1.0 + gamma * kappa * math.ceil((instance.vertices - 1) / 2)
         elif kind is BoundKind.FUNCTIONAL_SMOOTH:
@@ -351,19 +356,11 @@ def analyze(instance: NetworkInstance, rawe: EquilibriumResult,
                 notes.append(f"vacuous: mu={mu!r} >= 1")
             else:
                 bound = (1.0 + gamma * kappa) / (1.0 - mu)
-        elif kind is BoundKind.STDEV_ZERO_ALT:
-            bound = 1.0 + gamma * kappa
-            if eta > 1:
-                notes.append(f"inapplicable: alternating path has {eta} forward subpaths")
-        elif kind is BoundKind.STDEV_ONE_ALT:
-            bound = 1.0 + 2.0 * gamma * kappa
-            if eta > 2:
-                notes.append(f"inapplicable: alternating path has {eta} forward subpaths")
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown bound kind {kind}")
         reports[kind] = BoundReport(
             pra, kappa, bound, kind, pra <= bound + _SATISFIED_TOL, bound - pra,
-            eta=eta if kind in _ETA_KINDS else None,
+            eta=eta if kind in _ETA_CAPS else None,
             mu=mu if kind is BoundKind.FUNCTIONAL_SMOOTH else None,
             note="; ".join(notes))
     return reports

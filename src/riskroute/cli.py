@@ -142,16 +142,12 @@ def _applies(report: analysis.BoundReport) -> bool:
 
 
 def _bound_row(instance: NetworkInstance, report: analysis.BoundReport,
-               instance_id: str, level: int | None) -> list[str]:
+               instance_id: str) -> list[str]:
+    """One sweep CSV row; its level column is empty."""
     def fmt(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+        return "" if v is None else repr(v)
 
-    return [instance_id, str(instance.vertices),
-            "" if level is None else str(level), repr(instance.gamma),
+    return [instance_id, str(instance.vertices), "", repr(instance.gamma),
             fmt(report.kappa), fmt(report.eta), fmt(report.mu),
             fmt(report.pra_observed), fmt(report.bound_value),
             fmt(report.slack), report.bound_kind.value]
@@ -174,19 +170,29 @@ def _solve_pair(instance: NetworkInstance, cfg: SolverConfig,
     return rawe, rnwe
 
 
+def _bound_reports(instance: NetworkInstance, cfg: SolverConfig,
+                   kinds) -> list[analysis.BoundReport] | None:
+    """The reports of the bounds `kinds` on `instance`, in that order, or
+    None when a solve did not converge."""
+    pair = _solve_pair(instance, cfg)
+    if pair is None:
+        return None
+    rawe, rnwe = pair
+    return list(analysis.analyze(instance, rawe, rnwe, kinds).values())
+
+
 def _analyze(args) -> int:
     cfg = SolverConfig(args.tolerance, args.max_iters)
     instance = serialization.read_instance(args.input)
-    pair = _solve_pair(instance, cfg)
-    if pair is None:
-        print("error: equilibrium solver did not converge", file=sys.stderr)
-        return 1
-    rawe, rnwe = pair
     kinds = list(_BOUND_NAMES.values()) if args.bound == "all" \
         else [_BOUND_NAMES[args.bound]]
+    reports = _bound_reports(instance, cfg, kinds)
+    if reports is None:
+        print("error: equilibrium solver did not converge", file=sys.stderr)
+        return 1
     status = 0
     lines = []
-    for rep in analysis.analyze(instance, rawe, rnwe, kinds).values():
+    for rep in reports:
         ok = "ok" if rep.satisfied else "VIOLATED"
         lines.append(f"{rep.bound_kind.value}: pra={rep.pra_observed:.9g} "
                      f"bound={rep.bound_value:.9g} slack={rep.slack:.3e} "
@@ -236,32 +242,21 @@ def _verify(args) -> int:
     return status
 
 
-def _sweep_one(what: str, seed: int, cfg: SolverConfig):
-    """(instance, bound reports) of one sweep instance, or None when a
-    solve did not converge."""
-    make, kinds = _SWEEP_FAMILIES[what]
-    instance = make(seed)
-    pair = _solve_pair(instance, cfg)
-    if pair is None:
-        return None
-    rawe, rnwe = pair
-    return instance, list(analysis.analyze(instance, rawe, rnwe, kinds).values())
-
-
 def _sweep(args) -> int:
     cfg = SolverConfig(args.tolerance, args.max_iters)
+    make, kinds = _SWEEP_FAMILIES[args.what]
     status = 0
     rows = []
     checked: list[tuple[str, analysis.BoundReport]] = []
     for seed in range(args.seed, args.seed + args.count):
-        got = _sweep_one(args.what, seed, cfg)
-        if got is None:
+        instance = make(seed)
+        reports = _bound_reports(instance, cfg, kinds)
+        if reports is None:
             print(f"error: {args.what}-{seed} did not converge", file=sys.stderr)
             status = 1
             continue
-        instance, reports = got
         for rep in reports:
-            rows.append(_bound_row(instance, rep, f"{args.what}-{seed}", None))
+            rows.append(_bound_row(instance, rep, f"{args.what}-{seed}"))
             if _applies(rep):
                 checked.append((f"{args.what}-{seed}/{rep.bound_kind.value}", rep))
     lines = [SWEEP_HEADER, ",".join(SWEEP_COLUMNS)]

@@ -43,7 +43,6 @@ from .network import (
     PathFlow,
     RiskModel,
     enumerate_paths,
-    induced_edge_flow,
     mean_path_latency,
     path_cost,
     social_cost,
@@ -100,6 +99,9 @@ _ONE = Constant(1.0)
 # the Braess crossing edge's id, in `build_braess`'s edge order
 BRAESS_CROSS = 4
 
+# `closed_form_check`'s tolerance, scaled as its docstring says
+_CHECK_TOL = 1e-10
+
 
 class _Builder:
     def __init__(self) -> None:
@@ -128,7 +130,7 @@ def _diagonal(neutral: float, averse: float, value: float) -> PiecewiseLinear:
     return PiecewiseLinear(tuple(points))
 
 
-def _grow(b: _Builder, level: int, s: int, t: int, r_a: float, r_n: float, gk: float,
+def _grow(b: _Builder, level: int, s: int, t: int, r_a: float, r_n: float,
           spec: RecursiveFamilySpec) -> tuple[list[tuple[tuple[int, ...], float]], list]:
     """Emit the level subgraph between s and t for demands r_a and r_n.
 
@@ -142,7 +144,7 @@ def _grow(b: _Builder, level: int, s: int, t: int, r_a: float, r_n: float, gk: f
     level.
 
     The diagonal a_level is zero up to r_n/2, its risk-neutral flow, and
-    2^(level-1)*gk at its risk-averse flow: the structural amounts of the
+    2^(level-1)*spec.gamma_kappa at its risk-averse flow: the structural amounts of the
     paths through it, or in the functional variant 2^(level-1) of the
     2^i - 1 equal zig-zag shares of the level-i instance, where its best
     smoothness parameter is exactly 1 - 2^-i at every level.
@@ -155,7 +157,7 @@ def _grow(b: _Builder, level: int, s: int, t: int, r_a: float, r_n: float, gk: f
         averse = r_a if level == 1 else r_a / 2.0 + r_n / 2.0 ** (level + 1)
     else:
         averse = 2.0 ** (level - 1) / (2.0 ** spec.level - 1.0)
-    a_fn = _diagonal(r_n / 2.0, averse, 2.0 ** (level - 1) * gk)
+    a_fn = _diagonal(r_n / 2.0, averse, 2.0 ** (level - 1) * spec.gamma_kappa)
     var_kappa = Constant(1.0)
 
     if level == 1:
@@ -174,9 +176,9 @@ def _grow(b: _Builder, level: int, s: int, t: int, r_a: float, r_n: float, gk: f
     sub_r_n = r_n / 2.0
     u = b.vertex()
     w = b.vertex()
-    zig_lo, par_lo = _grow(b, level - 1, s, w, sub_r_a, sub_r_n, gk, spec)
+    zig_lo, par_lo = _grow(b, level - 1, s, w, sub_r_a, sub_r_n, spec)
     e_cr = b.edge(u, w, _ONE, _ZERO, "vertical")
-    zig_up, par_up = _grow(b, level - 1, u, t, sub_r_a, sub_r_n, gk, spec)
+    zig_up, par_up = _grow(b, level - 1, u, t, sub_r_a, sub_r_n, spec)
     e_in = b.edge(s, u, a_fn, _ZERO, f"a:{level}")
     e_out = b.edge(w, t, a_fn, _ZERO, f"a:{level}")
     zig = [((e_in, e_cr, e_out), r_n / 2.0 ** level)]
@@ -205,7 +207,7 @@ def _set_up(spec: RecursiveFamilySpec) -> tuple[NetworkInstance, list, list, lis
     b = _Builder()
     s = b.vertex()
     t = b.vertex()
-    zig, par = _grow(b, spec.level, s, t, spec.r_a, spec.r_n, spec.gamma_kappa, spec)
+    zig, par = _grow(b, spec.level, s, t, spec.r_a, spec.r_n, spec)
     instance = NetworkInstance(
         vertices=b.next_vertex,
         edges=tuple(b.edges),
@@ -346,23 +348,38 @@ def contracted_domino_matches_braess() -> bool:
     return got == want
 
 
-def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
-                      tol: float = 1e-10) -> CheckReport:
+def _exact_edge_flow(instance: NetworkInstance, path_flow: PathFlow) -> list[float]:
+    """Edge flow of `path_flow` with each edge's amounts summed exactly.
+
+    The paths must be valid.  A left-to-right sum of the functional
+    family's 2^(j-1) equal shares on a diagonal a_j drifts off a_j's
+    breakpoint, and a_j's slope of about 4^i turns that drift into a cost
+    error the check can see from level 11 on.
+    """
+    amounts: list[list[float]] = [[] for _ in instance.edges]
+    for path, amount in path_flow:
+        for eid in path:
+            amounts[eid].append(amount)
+    return [math.fsum(a) for a in amounts]
+
+
+def closed_form_check(instance: NetworkInstance, oracle: OracleFlows) -> CheckReport:
     """Verify that the oracle flows are equilibria of `instance` with the
     closed-form costs of the recursive family.
 
     Checks, with per-item diagnostics: every oracle path is a simple
     source->sink path with a nonnegative amount (nothing else is checked
     when one is not); the risk-averse flow has equilibrium residual at most
-    tol (variational-inequality residual for edge-additive costs, used path
-    cost above the cheapest path for mean-stdev), and so has the
+    tol = 1e-10 (variational-inequality residual for edge-additive costs,
+    used path cost above the cheapest path for mean-stdev), and so has the
     risk-neutral flow at gamma 0; every used risk-averse path has mean
     latency and perceived cost rawe_cost / r_a (1 + 2^i * gk at level i,
     so at least 1) and every used risk-neutral path mean latency
     rnwe_cost / r_n; both social costs match the closed forms and
     expected_pra is their ratio.  Social costs are compared to tol *
     max(1, |cost|), the per-path values to tol * max(1, rawe_cost / r_a),
-    the scale of the a_i latencies that set their rounding.
+    the scale of the a_i latencies that set their rounding.  The edge flows
+    are the oracle's amounts summed exactly (`_exact_edge_flow`).
     """
     failures: list[str] = []
 
@@ -378,29 +395,29 @@ def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
     if failures:
         return CheckReport(False, tuple(failures))
 
-    rawe_flow = induced_edge_flow(instance, oracle.rawe)
-    rnwe_flow = induced_edge_flow(instance, oracle.rnwe)
+    rawe_flow = _exact_edge_flow(instance, oracle.rawe)
+    rnwe_flow = _exact_edge_flow(instance, oracle.rnwe)
 
     # perceived cost of every path at the risk-averse flow, when the costs
     # are not edge additive and the residual is read off the path costs
     costs = None
     if instance.edge_additive:
         res = vi_residual(instance, rawe_flow)
-        if res > tol:
-            failures.append(f"rawe equilibrium residual {res:.3e} exceeds {tol:.1e}")
+        if res > _CHECK_TOL:
+            failures.append(f"rawe equilibrium residual {res:.3e} exceeds {_CHECK_TOL:.1e}")
     else:
         costs = {p: path_cost(instance, p, rawe_flow) for p in enumerate_paths(instance)}
         cheapest = min(costs.values())
         for path, amount in oracle.rawe:
             if amount > 0.0:
                 gap = costs[tuple(path)] - cheapest
-                if gap > tol:
+                if gap > _CHECK_TOL:
                     failures.append(
                         f"rawe path {path} costs {gap:.3e} above the cheapest path")
 
     res = vi_residual(with_gamma(instance, 0.0), rnwe_flow)
-    if res > tol:
-        failures.append(f"rnwe equilibrium residual {res:.3e} exceeds {tol:.1e}")
+    if res > _CHECK_TOL:
+        failures.append(f"rnwe equilibrium residual {res:.3e} exceeds {_CHECK_TOL:.1e}")
 
     r_a = oracle.rawe.total()
     r_n = oracle.rnwe.total()
@@ -409,7 +426,7 @@ def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
     else:
         unit = oracle.rawe_cost / r_a
         rnwe_unit = oracle.rnwe_cost / r_n
-        path_tol = tol * max(1.0, unit)
+        path_tol = _CHECK_TOL * max(1.0, unit)
         for path, amount in oracle.rawe:
             if amount <= 0.0:
                 continue
@@ -429,18 +446,15 @@ def closed_form_check(instance: NetworkInstance, oracle: OracleFlows,
         if unit < 1.0 - path_tol:
             failures.append(f"implied gamma*kappa is negative: unit cost {unit!r} < 1")
 
-    c_rawe = social_cost(instance, rawe_flow)
-    c_rnwe = social_cost(instance, rnwe_flow)
-    if abs(c_rawe - oracle.rawe_cost) > tol * max(1.0, abs(oracle.rawe_cost)):
-        failures.append(
-            f"rawe social cost {c_rawe!r} does not match closed form {oracle.rawe_cost!r}")
-    if abs(c_rnwe - oracle.rnwe_cost) > tol * max(1.0, abs(oracle.rnwe_cost)):
-        failures.append(
-            f"rnwe social cost {c_rnwe!r} does not match closed form {oracle.rnwe_cost!r}")
+    for name, flow, closed in (("rawe", rawe_flow, oracle.rawe_cost),
+                               ("rnwe", rnwe_flow, oracle.rnwe_cost)):
+        cost = social_cost(instance, flow)
+        if abs(cost - closed) > _CHECK_TOL * max(1.0, abs(closed)):
+            failures.append(f"{name} social cost {cost!r} does not match closed form {closed!r}")
 
     if oracle.rnwe_cost > 0.0 and math.isfinite(oracle.expected_pra):
         ratio = oracle.rawe_cost / oracle.rnwe_cost
-        if abs(ratio - oracle.expected_pra) > tol * max(1.0, abs(ratio)):
+        if abs(ratio - oracle.expected_pra) > _CHECK_TOL * max(1.0, abs(ratio)):
             failures.append(
                 f"expected_pra {oracle.expected_pra!r} is not rawe_cost/rnwe_cost {ratio!r}")
 

@@ -84,8 +84,6 @@ def function_from_text(text: str) -> LatencyFn:
                 points.append((float(x), float(y)))
             return PiecewiseLinear(tuple(points))
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, FormatError):
-            raise
         raise FormatError(f"bad function spec {text!r}: {exc}") from exc
     raise FormatError(f"unknown function kind {kind!r} in {text!r}")
 

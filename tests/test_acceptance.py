@@ -85,7 +85,7 @@ def test_structural_family_attains_its_bound():
         for gamma_kappa in (0.5, 1.0, 2.0):
             spec = RecursiveFamilySpec(level=level, gamma_kappa=gamma_kappa)
             instance, oracle = build_recursive(spec)
-            assert closed_form_check(instance, oracle, tol=1e-10).passed
+            assert closed_form_check(instance, oracle).passed
             rawe, rnwe = _solve_pair(instance)
             pra = compute_pra(instance, rawe, rnwe)
             target = 1.0 + 2.0**level * gamma_kappa

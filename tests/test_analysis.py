@@ -168,6 +168,8 @@ def _golden_section_mu(fn, x):
 @example([1.0, 1.0], 1e-6)
 @example([5.0, 0.0, 2.0], 1e-5)
 @example([1e3, 1e-3], 1e-6)
+@example([1.1956257863553523, 0.0, 98159.19251032926, 0.0, 0.0, 0.0, 31849.44983786621],
+         6.823017050598216)
 def test_smoothness_of_polynomials_matches_golden_section(coeffs, x):
     # Newton's method on g' against the golden-section reference, on
     # polynomials of 1-6 coefficients, inner zeros included.  The examples
@@ -344,6 +346,24 @@ def test_functional_smooth_bound_value():
     assert report.satisfied
     assert report.mu == pytest.approx(0.75, abs=1e-12)
     assert report.bound_value == pytest.approx(8.0, rel=1e-9)
+
+
+def test_smoothness_of_one_at_a_step_makes_the_bound_vacuous():
+    # a latency that jumps within one ulp: at the top of the jump mu rounds
+    # to 1.0, and the smoothness bound says nothing
+    step = rr.PiecewiseLinear(((0.0, 0.0), (5.738154912706415, 0.0),
+                               (5.738154912706416, 0.00641771419496151)))
+    x = 5.738154912706416
+    inst = rr.NetworkInstance(2, (rr.Edge(0, 1, step, rr.Constant(0.0)),),
+                              0, 1, x, 1.0, rr.RiskModel.MEAN_VAR)
+    flow = rr.PathFlow.of([((0,), x)])
+    rawe = rr.result_from_paths(inst, flow)
+    rnwe = rr.result_from_paths(rr.with_gamma(inst, 0.0), flow)
+    report = rr.check_bound(inst, rawe, rnwe, rr.BoundKind.FUNCTIONAL_SMOOTH)
+    assert report.mu == 1.0
+    assert report.bound_value == math.inf
+    assert report.satisfied
+    assert report.note == "vacuous: mu=1.0 >= 1"
 
 
 def test_near_unit_smoothness_inflates_the_bound():

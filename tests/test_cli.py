@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 
 import pytest
@@ -420,3 +421,22 @@ def test_solve_reports_the_path_gap_of_an_unconverged_solve(tmp_path):
     # converged lines carry no path_gap
     code, out, _ = _run(["solve", "--in", str(path), "--mode", "rnwe"])
     assert code == 0 and "path_gap" not in out
+
+
+# sha256 of repr((exit code, stdout, stderr)) of `sweep --what W --seed 0
+# --count 200`: the CSV bytes and the summary lines of every sweep family
+_SWEEP_SHA256 = {
+    "affine": "e1cb1ee5af1fa17a25e42aa971b7e47b64ae74d34c6fdaa1f1d02d9c08e03c5a",
+    "poly2": "a7ef5a5d77277dc831090af50a8f6a5299cfff123aa6d513b6804e7b7f3d7dc4",
+    "poly3": "e552e8ddd39a9aab7695efb908c12700e11eddbde2191235ceb39cd03abf702a",
+    "poly4": "abdfb51fe9e49949c7e42b880f6b506df3f4d62b5dcb6d6afc4a8253b6775e36",
+    "series-parallel": "94f60be0de3d82b78e95df752ce829fd31a04bc2602079e73935271533f25e86",
+    "braess": "da2f5c218b14bc1b6c1e0b2043f8b5bb502d8d1f07ba1eaaed0f80946df897f0",
+    "domino": "4d02a3f21ebb76d2cb59c69172b247d199d208e6e3464885f51cc1d1120e0ad9",
+}
+
+
+@pytest.mark.parametrize("what", list(_SWEEP_SHA256))
+def test_sweep_csvs_keep_their_bytes(what):
+    got = _run(["sweep", "--what", what, "--seed", "0", "--count", "200"])
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == _SWEEP_SHA256[what]

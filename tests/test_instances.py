@@ -61,7 +61,7 @@ def test_each_path_has_at_most_one_risky_edge(level):
 def test_closed_forms_hold(level, gk, variant):
     inst, oracle = build_recursive(
         RecursiveFamilySpec(level=level, gamma_kappa=gk, variant=variant))
-    report = closed_form_check(inst, oracle, tol=1e-10)
+    report = closed_form_check(inst, oracle)
     assert report.passed, report.failures
     assert oracle.expected_pra == pytest.approx(1.0 + 2 ** level * gk, rel=1e-12)
 
@@ -81,7 +81,7 @@ def test_unequal_demands_still_satisfy_closed_forms():
     spec = RecursiveFamilySpec(level=2, r_a=2.0, r_n=1.0, gamma_kappa=1.0)
     inst, oracle = build_recursive(spec)
     assert inst.demand == 2.0
-    report = closed_form_check(inst, oracle, tol=1e-10)
+    report = closed_form_check(inst, oracle)
     assert report.passed, report.failures
     assert oracle.rawe_cost == pytest.approx((1 + 4.0) * 2.0)
     assert oracle.rnwe_cost == pytest.approx(1.0)
@@ -125,7 +125,7 @@ def test_spec_checks_name_the_fault(spec, message):
 def test_closed_form_check_catches_corrupt_costs():
     inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
     bad = dataclasses.replace(oracle, rawe_cost=oracle.rawe_cost + 1e-5)
-    report = closed_form_check(inst, bad, tol=1e-10)
+    report = closed_form_check(inst, bad)
     assert not report.passed
     assert any("social cost" in f or "ratio" in f for f in report.failures)
 
@@ -138,8 +138,31 @@ def test_closed_form_check_catches_corrupt_flows():
     entries[0] = (p0, a0 + 0.05)
     entries[1] = (p1, a1 - 0.05)
     bad = dataclasses.replace(oracle, rawe=rr.PathFlow(tuple(entries)))
-    report = closed_form_check(inst, bad, tol=1e-10)
+    report = closed_form_check(inst, bad)
     assert not report.passed
+
+
+def test_closed_form_check_skips_paths_of_amount_zero():
+    # a parallel path has mean latency below the unit at the risk-averse flow;
+    # listed at amount 0 it is not used, so it is not checked, and neither
+    # is a zig-zag path listed at amount 0 in the risk-neutral flow
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
+    parallel = oracle.rnwe.entries[0][0]
+    zigzag = oracle.rawe.entries[0][0]
+    padded = dataclasses.replace(
+        oracle, rawe=rr.PathFlow(oracle.rawe.entries + ((parallel, 0.0),)),
+        rnwe=rr.PathFlow(oracle.rnwe.entries + ((zigzag, 0.0),)))
+    report = closed_form_check(inst, padded)
+    assert report.passed, report.failures
+
+
+@pytest.mark.parametrize("level", [11, 12])
+def test_closed_form_check_passes_deep_functional_levels(level):
+    # the top diagonal's slope is about 4^level: its flow, a sum of
+    # 2^(level-1) equal shares, must sit on its breakpoint to the last bit
+    inst, oracle = build_recursive(RecursiveFamilySpec(level=level, variant=Variant.FUNCTIONAL))
+    report = closed_form_check(inst, oracle)
+    assert report.passed, report.failures
 
 
 def test_closed_form_check_accepts_canonical_level3():
