@@ -218,16 +218,16 @@ def estimate_smoothness_mu(fn: LatencyFn, x: float) -> float:
     smallest mu for which y*fn(x) <= y*fn(y) + mu*x*fn(x) for all y.  The
     supremum is attained on [0, x] because fn is non-decreasing.
 
-    A piecewise-linear function, one whose `fn.knots_between` is not None
-    as for the solver's step (constant, affine, piecewise linear,
-    polynomials of degree <= 1), is walked piece by piece from x down, each
-    piece's slope s its right derivative at the piece's start.  With
-    drop = fn(x) - fn(end) summed from the nonnegative s * (end - start) of
-    the pieces above, y*(fn(x) - fn(y)) on a piece is
-    y*(drop + s*(end - y)), which peaks at (drop + s*end) / (2s), clipped
-    to the piece, or at the end when s = 0.  Every term is nonnegative, so
-    mu is exact to a few rounding errors even where fn(x) - fn(y) would
-    cancel.
+    A piecewise-linear function, one whose `fn.knots()` is not None as for
+    the solver's step (constant, affine, piecewise linear, polynomials of
+    degree <= 1), is walked piece by piece from x down: the pieces start
+    at 0 and at its knots inside (0, x), and each piece's slope s is its
+    right derivative at the piece's start.  With drop = fn(x) - fn(end)
+    summed from the nonnegative s * (end - start) of the pieces above,
+    y*(fn(x) - fn(y)) on a piece is y*(drop + s*(end - y)), which peaks at
+    (drop + s*end) / (2s), clipped to the piece, or at the end when s = 0.
+    Every term is nonnegative, so mu is exact to a few rounding errors even
+    where fn(x) - fn(y) would cancel.
 
     For a curved function, a polynomial, g(y) = y*(fn(x) - fn(y)) is
     concave on [0, x], and its derivative falls from fn(x) - fn(0) >= 0 to
@@ -245,9 +245,9 @@ def estimate_smoothness_mu(fn: LatencyFn, x: float) -> float:
     if fx <= 0.0:
         raise ValueError(f"smoothness needs fn(x) > 0, got fn({x}) = {fx}")
 
-    if (knots := fn.knots_between(0.0, x)) is not None:
+    if (knots := fn.knots()) is not None:
         best, drop, end = 0.0, 0.0, x
-        for start in reversed([0.0, *knots]):
+        for start in reversed([0.0, *(k for k in knots if 0.0 < k < x)]):
             s = fn.derivative(start)
             y = min(max((drop + s * end) / (2.0 * s), start), end) if s > 0.0 else end
             best = max(best, y * (drop + s * (end - y)))

@@ -244,6 +244,8 @@ def _verify(args) -> int:
 
 def _sweep(args) -> int:
     cfg = SolverConfig(args.tolerance, args.max_iters)
+    if args.count < 0:
+        raise ValueError(f"count must be nonnegative, got {args.count}")
     make, kinds = _SWEEP_FAMILIES[args.what]
     status = 0
     rows = []

@@ -10,25 +10,24 @@ too: a piecewise-linear function is walked piece by piece, each slope its
 right derivative.  The closed-form integrals from zero serve only
 `solver.beckmann_potential`.
 
-`fn(x)` is the reference evaluation, which the analysis, the network and
-the instance builders call.  The solvers evaluate costs millions of times,
-so they call kernels instead: `fn.kernel(shift)` is a plain function of x
-that returns fn(x) + shift bit for bit, the float sum taken last, as that
-expression takes it.  The shift defaults to -0.0, and y + -0.0 is y bit
-for bit (signed zeros, NaN and inf included), so `fn.kernel()` gives
-fn(x).  A kernel holds the function's numbers as locals and does the same
-float operations in the same order as `__call__`, without its attribute
-loads and calls: a piecewise-linear function of up to three breakpoints
-picks its piece by comparisons, in place of `bisect_right`, and a
-polynomial of up to four coefficients runs Horner's rule unrolled.  The
-kernel of a longer function calls `__call__`.
+`fn(x)` runs the function's kernel.  The solvers evaluate costs millions
+of times, so they call kernels directly: `fn.kernel(shift)` is a plain
+function of x that returns fn(x) + shift, the float sum taken last.  The
+shift defaults to -0.0, and y + -0.0 is y bit for bit (signed zeros, NaN
+and inf included), so `fn.kernel()` is the function itself, and it is the
+kernel that `fn(x)` calls.  A kernel holds the function's numbers as
+locals, without attribute loads or calls: a piecewise-linear function of
+up to three breakpoints picks its piece by comparisons, a longer one by
+`bisect_right`, and a polynomial of up to four coefficients runs Horner's
+rule unrolled, a longer one as a loop.
 
 A function is built once and read by every edge that holds it and every
-solve of those edges, so it keeps what they derive from it: its default
-kernel, `fn.kernel()`, and its knots over the whole line, `fn.knots()`,
-are built on first use and kept on the object.  A shifted kernel is built
-per call.  Nothing is kept outside the object, and nothing kept takes part
-in its equality, hash or repr.
+solve of those edges.  It keeps its default kernel, `fn.kernel()`, built
+on first use; a shifted kernel is built per call.  Its knots, `fn.knots()`,
+are stored data: a piecewise-linear function's breakpoints, none for a
+constant, an affine function or a polynomial of degree <= 1, and None for
+a curved polynomial.  Nothing is kept outside the object, and nothing
+kept takes part in its equality, hash, repr or pickled state.
 
 Variants:
     Constant(value)            value everywhere
@@ -57,7 +56,16 @@ class LatencyFn:
     """
 
     def __call__(self, x: float) -> float:
-        raise NotImplementedError
+        # the kept kernel read directly: self.kernel()(x) is a call more
+        try:
+            k = self._plain_kernel
+        except AttributeError:
+            k = self.kernel()
+        return k(x)
+
+    def __getstate__(self) -> dict:
+        # the kept kernel is a closure, which pickle cannot store
+        return {k: v for k, v in vars(self).items() if k != "_plain_kernel"}
 
     def kernel(self, shift: float = -0.0):
         """A function of x computing self(x) + shift, bit for bit.
@@ -76,8 +84,7 @@ class LatencyFn:
 
     def _kernel(self, shift: float):
         """`kernel(shift)`, built afresh."""
-        call = self.__call__
-        return lambda x: call(x) + shift
+        raise NotImplementedError
 
     def integral(self, x: float) -> float:
         """Definite integral of the function from 0 to x."""
@@ -88,17 +95,7 @@ class LatencyFn:
         raise NotImplementedError
 
     def knots(self) -> tuple[float, ...] | None:
-        """All slope-change points, sorted: `knots_between(-inf, inf)`, kept."""
-        kept = getattr(self, "_knots", False)
-        if kept is False:
-            kept = self.knots_between(-math.inf, math.inf)
-            if kept is not None:
-                kept = tuple(kept)
-            object.__setattr__(self, "_knots", kept)
-        return kept
-
-    def knots_between(self, lo: float, hi: float) -> list[float] | None:
-        """Slope-change points strictly inside (lo, hi).
+        """All slope-change points, sorted.
 
         Returns None when the function is not piecewise linear: the
         solvers' step (`solver._step_root`) then runs Anderson-Bjorck
@@ -115,9 +112,6 @@ class Constant(LatencyFn):
         if not 0.0 <= self.value < math.inf:
             raise ValueError(f"constant function must be finite and nonnegative, got {self.value}")
 
-    def __call__(self, x: float) -> float:
-        return self.value
-
     def _kernel(self, shift: float):
         value = self.value + shift
         return lambda x: value
@@ -128,8 +122,8 @@ class Constant(LatencyFn):
     def derivative(self, x: float) -> float:
         return 0.0
 
-    def knots_between(self, lo: float, hi: float) -> list[float]:
-        return []
+    def knots(self) -> tuple[float, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -143,16 +137,11 @@ class Affine(LatencyFn):
         if not 0.0 <= self.intercept < math.inf:
             raise ValueError(f"affine intercept must be finite and nonnegative, got {self.intercept}")
 
-    def __call__(self, x: float) -> float:
-        # max(x, 0.0) without the call: keeps -0.0 and NaN as max does
-        if x < 0.0:
-            x = 0.0
-        return self.slope * x + self.intercept
-
     def _kernel(self, shift: float):
         a, b = self.slope, self.intercept
 
         def affine(x):
+            # max(x, 0.0) without the call: keeps -0.0 and NaN as max does
             if x < 0.0:
                 x = 0.0
             return a * x + b + shift
@@ -165,8 +154,8 @@ class Affine(LatencyFn):
     def derivative(self, x: float) -> float:
         return self.slope
 
-    def knots_between(self, lo: float, hi: float) -> list[float]:
-        return []
+    def knots(self) -> tuple[float, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -190,18 +179,18 @@ class Polynomial(LatencyFn):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: float) -> float:
-        # max(x, 0.0) without the call: keeps -0.0 and NaN as max does
-        if x < 0.0:
-            x = 0.0
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def _kernel(self, shift: float):
         if len(self.coeffs) > 4:
-            return super()._kernel(shift)
+            top_down = self.coeffs[::-1]
+
+            def horner(x):
+                if x < 0.0:
+                    x = 0.0
+                acc = 0.0
+                for c in top_down:
+                    acc = acc * x + c
+                return acc + shift
+            return horner
         # Horner unrolled from acc = 0.0, padded with zero coefficients on
         # top: 0.0 * x + 0.0 is 0.0 or NaN wherever 0.0 * x is, and times x
         # it is 0.0 * x again, signed zero and NaN included, so the padding
@@ -228,10 +217,8 @@ class Polynomial(LatencyFn):
             acc = acc * x + k * self.coeffs[k]
         return acc
 
-    def knots_between(self, lo: float, hi: float) -> list[float] | None:
-        if self.degree <= 1:
-            return []
-        return None
+    def knots(self) -> tuple[float, ...] | None:
+        return () if self.degree <= 1 else None
 
 
 @dataclass(frozen=True)
@@ -284,20 +271,20 @@ class PiecewiseLinear(LatencyFn):
         slope = pieces[-1][2] / pieces[-1][3] if pieces else 0.0
         object.__setattr__(self, "_pieces", (*pieces, (*pts[-1], slope, 1.0)))
 
-    def __call__(self, x: float) -> float:
-        # max(x, 0.0) without the call: keeps -0.0 and NaN as max does
-        if x < 0.0:
-            x = 0.0
-        i = bisect_right(self._breaks, x)
-        if i == 0:
-            return self.points[0][1]
-        xa, ya, rise, run = self._pieces[i - 1]
-        return ya + rise * (x - xa) / run
-
     def _kernel(self, shift: float):
-        if len(self.points) > 3:
-            return super()._kernel(shift)
         x0, y0 = self.points[0]
+        if len(self.points) > 3:
+            breaks, pieces = self._breaks, self._pieces
+
+            def bisected(x):
+                if x < 0.0:
+                    x = 0.0
+                i = bisect_right(breaks, x)
+                if i == 0:
+                    return y0 + shift
+                xa, ya, rise, run = pieces[i - 1]
+                return ya + rise * (x - xa) / run + shift
+            return bisected
         # x < b is the test bisect_right makes, NaN reading False, so the
         # comparisons pick its piece.  Fewer than three breakpoints are
         # padded with breakpoints at inf whose piece is the final one, and
@@ -339,5 +326,5 @@ class PiecewiseLinear(LatencyFn):
         _, _, rise, run = self._pieces[i - 1]
         return rise / run
 
-    def knots_between(self, lo: float, hi: float) -> list[float]:
-        return [x for x in self._breaks if lo < x < hi]
+    def knots(self) -> tuple[float, ...]:
+        return self._breaks

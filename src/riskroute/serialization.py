@@ -15,9 +15,9 @@ single field:
     pwl 0.0,0.0 0.5,0.0 1.0,1.0 (breakpoints)
 
 Within one instance text, fields that hold the same spec are read into one
-function object, which their edges share: a function keeps the kernel and
-knots the solvers derive from it (`functions.LatencyFn.kernel`), so each
-distinct spec pays for them once.  Two reads share nothing.
+function object, which their edges share: a function keeps the kernel
+that the solvers and its calls evaluate (`functions.LatencyFn.kernel`),
+so each distinct spec builds it once.  Two reads share nothing.
 
 A reader splits each line at "::" once.  It strips the key, the value of
 a key the format has once, function specs and oracle metadata.  Ids,

@@ -12,13 +12,14 @@ converges fast enough for tight tolerances.
 Each solve builds one table of its edges (`_EdgeTable`): each edge's
 perceived cost, whether that cost is constant (a constant latency and,
 unless gamma is 0, a constant variance) and the flows where it changes
-slope.  The costs are kernels (`LatencyFn.kernel`): plain functions that
-give the bits of `fn(x)`, with a constant variance's share added inside
-the latency's kernel, so that a cost is one call; the path loop evaluates
-its latencies and variances through kernels too.  A function object keeps
-its default kernel and its knots (`LatencyFn.knots`), so the tables of
-later solves and checks, of the same instance or of another that shares
-its functions, build neither again; a latency shifted by a Constant
+slope.  The costs are kernels (`LatencyFn.kernel`): plain functions, the
+one definition of each function's value (`fn(x)` runs its default
+kernel), with a constant variance's share added inside the latency's
+kernel, so that a cost is one call; the path loop evaluates its latencies
+and variances through kernels too.  A function object keeps its default
+kernel and stores its knots (`LatencyFn.knots`), so the tables of later
+solves and checks, of the same instance or of another that shares its
+functions, build no kernel again; a latency shifted by a Constant
 variance gets its own kernel per edge and table, which is not kept.  A
 step changes the
 flow only on the edges where the two paths differ, so it recomputes the

@@ -169,6 +169,18 @@ def test_sweep_leaves_out_unconverged_instances(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_sweep_count_must_be_nonnegative(tmp_path):
+    # a negative count is a usage error, with no CSV written; zero seeds
+    # give a CSV of the header and column lines
+    path = tmp_path / "neg.csv"
+    code, out, err = _run(["sweep", "--what", "braess", "--count", "-3", "--out", str(path)])
+    assert (code, out, err.splitlines()) == (2, "", ["error: count must be nonnegative, got -3"])
+    assert not path.exists()
+    code, out, err = _run(["sweep", "--what", "braess", "--count", "0"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [cli.SWEEP_HEADER, ",".join(cli.SWEEP_COLUMNS)]
+
+
 BRAESS_FILE = """# riskroute instance v1
 vertices :: 4
 source :: 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import struct
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riskroute.functions import Affine, Constant, PiecewiseLinear, Polynomial
+from test_solver import _pwl_reference
 
 
 def test_constant_eval_and_integral():
@@ -93,13 +95,16 @@ def test_pwl_needs_a_nonnegative_first_breakpoint():
 
 
 def test_knots_between():
+    # the knots inside an interval are those of knots() that it holds
     pwl = PiecewiseLinear(((0.0, 0.0), (0.5, 0.0), (1.0, 2.0)))
-    assert pwl.knots_between(0.0, 2.0) == [0.5, 1.0]
-    assert pwl.knots_between(0.6, 0.9) == []
-    assert Affine(1.0, 1.0).knots_between(0.0, 5.0) == []
-    assert Constant(1.0).knots_between(0.0, 5.0) == []
+    assert pwl.knots() == (0.0, 0.5, 1.0)
+    assert [x for x in pwl.knots() if 0.0 < x < 2.0] == [0.5, 1.0]
+    assert [x for x in pwl.knots() if 0.6 < x < 0.9] == []
+    assert Affine(1.0, 1.0).knots() == ()
+    assert Constant(1.0).knots() == ()
+    assert Polynomial((1.0, 2.0)).knots() == ()
     # degree >= 2 polynomials are not piecewise linear
-    assert Polynomial((0.0, 0.0, 1.0)).knots_between(0.0, 5.0) is None
+    assert Polynomial((0.0, 0.0, 1.0)).knots() is None
 
 
 _coef = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -207,23 +212,28 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def _affine_reference(fn, x):
+    return fn.slope * max(x, 0.0) + fn.intercept
+
+
+def _horner_reference(fn, x):
+    x = max(x, 0.0)
+    acc = 0.0
+    for c in reversed(fn.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @settings(max_examples=300, deadline=None)
-@given(slope=_coef, intercept=_coef, coeffs=st.lists(_coef, min_size=1, max_size=4),
+@given(slope=_coef, intercept=_coef, coeffs=st.lists(_coef, min_size=1, max_size=6),
        xs=st.lists(st.floats(-10.0, 10.0), max_size=6))
 def test_affine_and_polynomial_clamp_as_max_does(slope, intercept, coeffs, xs):
-    # the clamp is an if, not a call of max(x, 0.0); both keep -0.0 and NaN
+    # the clamp is an if, not a call of max(x, 0.0); both keep -0.0 and NaN.
+    # Five or six coefficients take the Horner loop, fewer the unrolled rule
     affine, poly = Affine(slope, intercept), Polynomial(tuple(coeffs))
-
-    def poly_reference(x):
-        x = max(x, 0.0)
-        acc = 0.0
-        for c in reversed(poly.coeffs):
-            acc = acc * x + c
-        return acc
-
     for x in [*xs, -0.0, 0.0, -1e-300, -5e-324, math.nan, -math.inf, math.inf]:
-        assert _bits(affine(x)) == _bits(slope * max(x, 0.0) + intercept), x
-        assert _bits(poly(x)) == _bits(poly_reference(x)), x
+        assert _bits(affine(x)) == _bits(_affine_reference(affine, x)), x
+        assert _bits(poly(x)) == _bits(_horner_reference(poly, x)), x
 
 
 # -0.0 passes every nonnegativity check, so it may be any parameter
@@ -257,28 +267,56 @@ def _kernel_cases(draw):
                 -math.inf, math.inf]
 
 
+_REFERENCES = {Constant: lambda fn, x: fn.value, Affine: _affine_reference,
+               Polynomial: _horner_reference, PiecewiseLinear: _pwl_reference}
+
+
 @settings(max_examples=500, deadline=None)
 @given(_kernel_cases(), st.one_of(st.floats(0.0, 50.0), st.just(-0.0)))
 def test_kernels_are_the_call_bit_for_bit(case, shift):
+    # fn(x) runs the default kernel, so both kernels, and the call, are
+    # checked against a reference written apart from them
     fn, xs = case
+    reference = _REFERENCES[type(fn)]
     plain, shifted = fn.kernel(), fn.kernel(shift)
     for x in xs:
-        assert _bits(plain(x)) == _bits(fn(x)), x
-        assert _bits(shifted(x)) == _bits(fn(x) + shift), x
+        assert _bits(plain(x)) == _bits(fn(x)) == _bits(reference(fn, x)), x
+        assert _bits(shifted(x)) == _bits(reference(fn, x) + shift), x
 
 
 def test_default_kernel_and_knots_are_kept_on_the_function():
     # built on first use and kept, a shifted kernel per call; equality, hash
     # and repr do not see what is kept
-    for fn in (Constant(1.0), Affine(1.0, 2.0), Polynomial((1.0, 0.0, 2.0)),
-               Polynomial((1.0,) * 6), PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))),
-               PiecewiseLinear(tuple((float(i), float(i * i)) for i in range(5)))):
+    for fn, expected in (
+            (Constant(1.0), ()), (Affine(1.0, 2.0), ()), (Polynomial((1.0, 0.0, 2.0)), None),
+            (Polynomial((1.0,) * 6), None), (PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))), (0.0, 1.0)),
+            (PiecewiseLinear(tuple((float(i), float(i * i)) for i in range(5))),
+             (0.0, 1.0, 2.0, 3.0, 4.0))):
         twin = dataclasses.replace(fn)
         assert fn.kernel() is fn.kernel() is fn.kernel(-0.0)
         assert fn.kernel(0.0) is not fn.kernel(0.0)
         assert twin.kernel() is not fn.kernel()
-        expected = fn.knots_between(-math.inf, math.inf)
-        assert fn.knots() == (None if expected is None else tuple(expected))
+        assert fn.knots() == expected
         assert fn.knots() is fn.knots()
         assert fn == twin
         assert (hash(fn), repr(fn)) == (hash(twin), repr(twin))
+
+
+@pytest.mark.parametrize("build", [lambda fn: fn.kernel(), lambda fn: fn(0.5)],
+                         ids=["kernel", "call"])
+@pytest.mark.parametrize("fn", [
+    Constant(1.5), Affine(2.0, 0.5), Polynomial((1.0, 0.0, 2.0)), Polynomial((1.0,) * 6),
+    PiecewiseLinear(((0.0, 0.0), (1.0, 1.0))),
+    PiecewiseLinear(tuple((float(i), float(i * i)) for i in range(5)))])
+def test_functions_pickle_after_their_kernel_is_built(fn, build):
+    # the kept kernel is a closure: it stays out of the pickled state and
+    # the copy builds its own on first use, with the same bits
+    fn = dataclasses.replace(fn)
+    build(fn)
+    assert "_plain_kernel" in vars(fn)
+    copy = pickle.loads(pickle.dumps(fn))
+    assert copy == fn and copy.knots() == fn.knots()
+    assert "_plain_kernel" not in vars(copy)
+    for x in (-1.0, 0.0, 0.5, 1.0, 2.5, 7.0):
+        assert _bits(copy(x)) == _bits(fn(x)), x
+        assert _bits(copy.kernel(1.0)(x)) == _bits(fn.kernel(1.0)(x)), x

@@ -4,6 +4,7 @@ import builtins
 import dataclasses
 import hashlib
 import math
+import pickle
 import struct
 from bisect import bisect_right
 from collections import Counter
@@ -1443,11 +1444,11 @@ def test_edge_table_is_the_cost_definition_bit_for_bit(lat, var, gamma, model, x
     # the table's knots inside (lo, hi) are those the functions report
     hi = lo + width
     fns = (lat,) if gamma == 0.0 else (lat, var)
-    found = [fn.knots_between(lo, hi) for fn in fns]
+    found = [fn.knots() for fn in fns]
     assert [x for x in knots if lo < x < hi] == sorted(
-        {x for ks in found if ks is not None for x in ks})
+        {x for ks in found if ks is not None for x in ks if lo < x < hi})
     stdev = gamma != 0.0 and model is rr.RiskModel.MEAN_STDEV
-    assert curved == any(fn.knots_between(0.0, math.inf) is None for fn in fns) or (
+    assert curved == any(ks is None for ks in found) or (
         stdev and not isinstance(var, rr.Constant))
 
 
@@ -1468,12 +1469,13 @@ def _slope_knots_reference(inst, moves, t_max, gamma_eff):
         e = inst.edges[eid]
         lo, hi = (f, f + t_max) if d > 0 else (f - t_max, f)
         for fn in (e.latency,) if gamma_eff == 0.0 else (e.latency, e.variability):
-            ks = fn.knots_between(max(lo, 0.0), hi)
+            ks = fn.knots()
             if ks is None:
                 linear = False
             else:
                 for x in ks:
-                    knots.add((x - f) / d)
+                    if max(lo, 0.0) < x < hi:
+                        knots.add((x - f) / d)
     if linear and gamma_eff != 0.0 and inst.risk_model is rr.RiskModel.MEAN_STDEV:
         linear = all(isinstance(inst.edges[eid].variability, rr.Constant)
                      for eid, _, _ in moves)
@@ -1539,32 +1541,36 @@ def test_solver_results_keep_their_bytes(make, digest):
 
 def test_each_function_builds_its_kernel_and_knots_once(monkeypatch):
     # a loaded level-3 mean-stdev instance holds a few distinct functions in
-    # its 58 fields; every solve and check reads the kernel and the knots that
-    # each keeps
+    # its 58 fields; every solve and check reads the kernel that each keeps.
+    # Knots are stored with the function, so there is nothing to build
     inst, oracle = build_recursive(RecursiveFamilySpec(level=3))
     inst = serialization.loads_instance(serialization.dumps_instance(
         rr.with_risk_model(inst, rr.RiskModel.MEAN_STDEV)))
-    kernels, knots = {}, Counter()
+    kernels = {}
     for cls in (rr.Constant, rr.Affine, rr.Polynomial, rr.PiecewiseLinear):
         def kernel(fn, shift=-0.0, _kernel=cls.kernel):
             k = _kernel(fn, shift)
             if shift == 0.0 and math.copysign(1.0, shift) < 0.0:
                 kernels.setdefault(id(fn), set()).add(k)
             return k
-
-        def knots_between(fn, lo, hi, _knots=cls.knots_between):
-            if (lo, hi) == (-math.inf, math.inf):
-                knots[id(fn)] += 1
-            return _knots(fn, lo, hi)
         monkeypatch.setattr(cls, "kernel", kernel)
-        monkeypatch.setattr(cls, "knots_between", knots_between)
     rr.solve_rnwe(inst)
     rr.solve_rawe(inst)
     assert closed_form_check(inst, oracle).passed
     fns = {id(fn) for e in inst.edges for fn in (e.latency, e.variability)}
-    assert kernels.keys() == knots.keys() == fns
+    assert kernels.keys() == fns
     assert {len(built) for built in kernels.values()} == {1}
-    assert set(knots.values()) == {1}
+
+
+def test_a_solved_instance_pickles_and_solves_again_to_the_same_bytes():
+    # solving keeps kernels on the instance's functions; they stay out of
+    # its pickled state, and the copy builds its own
+    inst, _ = build_recursive(RecursiveFamilySpec(level=3))
+    solved = [serialization.dumps_result(solve(inst)) for solve in (rr.solve_rnwe, rr.solve_rawe)]
+    copy = pickle.loads(pickle.dumps(inst))
+    assert copy == inst
+    assert [serialization.dumps_result(solve(copy))
+            for solve in (rr.solve_rnwe, rr.solve_rawe)] == solved
 
 
 def test_brute_force_meets_its_limits_on_kept_paths():
