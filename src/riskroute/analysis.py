@@ -165,13 +165,13 @@ def find_alternating_path(instance: NetworkInstance, partition: EdgePartition,
     runs).  Passing the ties restores the guarantee that a path exists for
     any two flows routing the same positive demand.
     """
-    adj: list[list[tuple[str, int, int]]] = [[] for _ in range(instance.vertices)]
+    adj: dict[int, list[tuple[str, int, int]]] = {}
     for eid in sorted(partition.set_a | (frozenset(tie_forward) & partition.set_b)):
         e = instance.edges[eid]
-        adj[e.tail].append(("forward", eid, e.head))
+        adj.setdefault(e.tail, []).append(("forward", eid, e.head))
     for eid in sorted(partition.set_b):
         e = instance.edges[eid]
-        adj[e.head].append(("backward", eid, e.tail))
+        adj.setdefault(e.head, []).append(("backward", eid, e.tail))
 
     start = (0, (), instance.source, "")
     heap = [start]
@@ -183,7 +183,7 @@ def find_alternating_path(instance: NetworkInstance, partition: EdgePartition,
         seen.add((v, last))
         if v == instance.sink:
             return _assemble_alternating(instance, moves, nseg)
-        for direction, eid, nxt in adj[v]:
+        for direction, eid, nxt in adj.get(v, ()):
             if (nxt, direction) in seen:
                 continue
             cost = nseg + (1 if direction == "forward" and last != "forward" else 0)
@@ -408,10 +408,3 @@ def vertex_bound_gap_ratio(n: int, gamma_kappa: float) -> float:
         raise ValueError(f"need n >= 3, got {n}")
     realizable = 1.0 + gamma_kappa * 2.0 ** (n.bit_length() - 1)
     return (1.0 + gamma_kappa * math.ceil((n - 1) / 2)) / realizable
-
-
-def vertex_bound_gap_below_two(n_max: int, gamma_kappas) -> bool:
-    """True iff the gap ratio is < 2 for all non-power-of-two 3 <= n <= n_max."""
-    return all(vertex_bound_gap_ratio(n, gk) < 2.0
-               for gk in gamma_kappas
-               for n in range(3, n_max + 1) if n & (n - 1))

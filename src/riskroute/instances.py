@@ -282,12 +282,6 @@ def build_braess(edge_functions=None, demand: float = 1.0, gamma: float = 1.0,
     return NetworkInstance(4, edges, 0, 3, demand, gamma, risk_model)
 
 
-# Domino-with-ears vertex layout: bottom row 0,1,2 then top row 3,4,5;
-# source 0 (bottom left), sink 5 (top right).
-DOMINO_EAR_EDGE_IDS = (7, 8)
-DOMINO_CONTRACT_EDGE_IDS = (4, 6)  # lower-left and upper-right rung
-
-
 def build_domino_with_ears() -> NetworkInstance:
     """Topology of the six-vertex domino graph plus its two ear arcs.
 
@@ -313,39 +307,6 @@ def build_domino_with_ears() -> NetworkInstance:
         Edge(3, 5, _ONE, _ZERO),
     )
     return NetworkInstance(6, edges, 0, 5, 1.0, 1.0)
-
-
-def contracted_domino_matches_braess() -> bool:
-    """Self-test: contracting the outer rungs of the domino-with-ears graph
-    (and deleting the collapsed ear images) reproduces the Braess topology.
-    """
-    domino = build_domino_with_ears()
-    merge = {}
-    for eid in DOMINO_CONTRACT_EDGE_IDS:
-        e = domino.edges[eid]
-        merge[e.head] = e.tail
-    def rep(v: int) -> int:
-        while v in merge:
-            v = merge[v]
-        return v
-    contracted = []
-    for eid, e in enumerate(domino.edges):
-        if eid in DOMINO_CONTRACT_EDGE_IDS:
-            continue
-        tail, head = rep(e.tail), rep(e.head)
-        if eid in DOMINO_EAR_EDGE_IDS:
-            # the ears collapse onto direct source->sink arcs; deleting them
-            # is the remaining minor operation
-            continue
-        contracted.append((tail, head))
-    braess = build_braess()
-    # the middle rung points bottom->top, so the domino's bottom-mid vertex
-    # plays the tail of the Braess crossing and top-mid its head
-    relabel = {rep(domino.source): braess.source, rep(domino.sink): braess.sink,
-               1: 1, 4: 2}
-    got = sorted((relabel[a], relabel[b]) for a, b in contracted)
-    want = sorted((e.tail, e.head) for e in braess.edges)
-    return got == want
 
 
 def _exact_edge_flow(instance: NetworkInstance, path_flow: PathFlow) -> list[float]:

@@ -55,7 +55,9 @@ class NetworkInstance:
     """Immutable routing instance.  Safe to share across threads.
 
     Attributes:
-        vertices: number of vertices; ids are 0 .. vertices-1.
+        vertices: number of vertices; ids are 0 .. vertices-1.  The graph's
+            tables hold only the ids that an edge, the source or the sink
+            names, so a large count with isolated ids costs no time.
         edges: edge tuple; the index of an edge is its id.
         source, sink: distinct vertex ids with at least one source->sink path.
         demand: finite nonnegative aggregate flow to route.
@@ -70,7 +72,7 @@ class NetworkInstance:
     demand: float
     gamma: float
     risk_model: RiskModel = RiskModel.MEAN_VAR
-    _out: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, compare=False, repr=False)
+    _out: dict[int, tuple[tuple[int, int], ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(self.edges))
@@ -86,18 +88,25 @@ class NetworkInstance:
             raise GraphStructureError(f"demand must be finite and nonnegative, got {self.demand}")
         if not 0.0 <= self.gamma < math.inf:
             raise GraphStructureError(f"gamma must be finite and nonnegative, got {self.gamma}")
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        out: dict[int, list[tuple[int, int]]] = {self.source: [], self.sink: []}
         for eid, e in enumerate(self.edges):
-            if not (0 <= e.tail < n and 0 <= e.head < n):
+            tail, head = e.tail, e.head
+            if not (0 <= tail < n and 0 <= head < n):
                 raise GraphStructureError(f"edge {eid} has endpoints outside 0..{n - 1}")
-            out[e.tail].append((eid, e.head))
-        object.__setattr__(self, "_out", tuple(tuple(lst) for lst in out))
+            if head not in out:
+                out[head] = []
+            if tail in out:
+                out[tail].append((eid, head))
+            else:
+                out[tail] = [(eid, head)]
+        object.__setattr__(self, "_out", {v: tuple(arcs) for v, arcs in out.items()})
         if self.sink not in _reachable(self.source, self._out):
             raise GraphStructureError("sink is not reachable from source")
 
     def out_edges(self, vertex: int) -> tuple[tuple[int, int], ...]:
-        """(edge id, head) pairs leaving `vertex`, in edge-id order."""
-        return self._out[vertex]
+        """(edge id, head) pairs leaving `vertex`, in edge-id order; () for
+        an id that no edge names."""
+        return self._out.get(vertex, ())
 
     @property
     def edge_additive(self) -> bool:
@@ -128,7 +137,7 @@ class NetworkInstance:
         pull = getattr(self, "_dag_in", False)
         if pull is not False:
             return pull
-        into: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
+        into: dict[int, list[tuple[int, int]]] = {v: [] for v in self._out}
         for eid, e in enumerate(self.edges):
             into[e.head].append((eid, e.tail))
         keep = _reachable(self.source, self._out) & _reachable(self.sink, into)
@@ -381,16 +390,3 @@ def _same_graph(instance: NetworkInstance, copy: NetworkInstance) -> NetworkInst
         if kept is not False:
             object.__setattr__(copy, name, kept)
     return copy
-
-
-def with_edge_functions(instance: NetworkInstance, assignments) -> NetworkInstance:
-    """Copy of `instance` with (latency, variability) replaced per edge id.
-
-    `assignments` maps edge id -> (latency, variability); unlisted edges
-    keep their functions.
-    """
-    edges = list(instance.edges)
-    for eid, (lat, var) in assignments.items():
-        old = edges[eid]
-        edges[eid] = Edge(old.tail, old.head, lat, var)
-    return dataclasses.replace(instance, edges=tuple(edges))

@@ -301,36 +301,11 @@ def loads_result(text: str) -> EquilibriumResult:
     return EquilibriumResult(np.array(flow), PathFlow(tuple(paths)), **values)
 
 
-def _write(path: str | os.PathLike, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _read(path: str | os.PathLike) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def write_instance(path: str | os.PathLike, instance: NetworkInstance) -> None:
-    _write(path, dumps_instance(instance))
-
-
 def read_instance(path: str | os.PathLike) -> NetworkInstance:
-    return loads_instance(_read(path))
-
-
-def write_oracle(path: str | os.PathLike, oracle: OracleFlows,
-                 metadata: dict[str, str] | None = None) -> None:
-    _write(path, dumps_oracle(oracle, metadata))
-
-
-def read_oracle(path: str | os.PathLike) -> tuple[OracleFlows, dict[str, str]]:
-    return loads_oracle(_read(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        return loads_instance(fh.read())
 
 
 def write_result(path: str | os.PathLike, result: EquilibriumResult) -> None:
-    _write(path, dumps_result(result))
-
-
-def read_result(path: str | os.PathLike) -> EquilibriumResult:
-    return loads_result(_read(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_result(result))

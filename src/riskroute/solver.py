@@ -149,15 +149,16 @@ from .network import (
     enumerate_paths,
     flow_demand,
     induced_edge_flow,
-    path_cost,
     zero_flow,
 )
 
 _PRUNE_REL = 1e-12
 
-# raised where a loop meets costs that overflowed: every path cost of the
-# additive decomposition NaN, or the path loop's amounts NaN after a step
-# between infinite costs
+# raised where a loop meets costs that overflowed.  The additive loop: every
+# path cost of its decomposition NaN, or a gap that is not finite while the
+# used paths cost finite amounts (the flow-weighted total overflowed).  The
+# path loop: its amounts NaN after a step between infinite costs, or a NaN
+# gap (a NaN cost, or every path costing inf)
 _NOT_FINITE = "perceived path costs are not finite: the instance's costs overflow"
 
 
@@ -997,7 +998,9 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
                 q += c[eid]
             if q > worst_cost or (q == worst_cost and path > worst):
                 worst, worst_cost = path, q
-        if not worst:
+        # no costliest path (a NaN cost), or a flow-weighted total that
+        # overflowed at finite costs, against which no gap can pass
+        if not worst or (not gap < math.inf and worst_cost < math.inf):
             raise ValueError(_NOT_FINITE)
         if worst == best:
             break
@@ -1187,6 +1190,8 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
             raise ValueError(_NOT_FINITE)
         worst = int(used[np.argmax(q[used])])
         gap = float(q[worst] - q[best])
+        if gap != gap:  # a NaN cost, or every path costs inf
+            raise ValueError(_NOT_FINITE)
         return _PathState(flow, means, variances, q, best, used, worst, gap,
                           _within_tolerance(gap, float(q[best]), cfg.tolerance))
 
@@ -1284,75 +1289,6 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
             del recent[0]
 
     return result(amounts, iterations, False)
-
-
-def brute_force_equilibrium(instance: NetworkInstance) -> EquilibriumResult:
-    """Reference equilibrium by support enumeration over the path set.
-
-    Only for instances with at most four simple paths.  For every support of
-    k paths it solves the equal-cost system on that support: the k - 1
-    differences of consecutive path costs, in the amounts of the first
-    k - 1 paths, the last taking the rest of the demand.  The solve is
-    scipy's `root` (method hybr, with its own finite-difference Jacobian),
-    started from the even split; a one-path support needs none.  Of the
-    candidates with no negative amount it keeps the one with the smallest
-    equilibrium violation: used-path cost spread plus any amount by which
-    an unused path undercuts the common cost.  Intentionally independent
-    of the iterative solvers so the two can cross-check: every cost comes
-    from `path_cost`.
-    """
-    from scipy.optimize import root
-
-    paths = enumerate_paths(instance, cap=64)
-    if len(paths) > 4:
-        raise ValueError(f"brute force supports at most 4 paths, found {len(paths)}")
-    demand = instance.demand
-    n_paths = len(paths)
-    incidence = np.zeros((n_paths, len(instance.edges)))
-    for i, p in enumerate(paths):
-        incidence[i, list(p)] = 1.0
-
-    def costs(amounts: np.ndarray) -> np.ndarray:
-        flow = incidence.T @ amounts
-        return np.array([path_cost(instance, p, flow) for p in paths])
-
-    if demand == 0.0:
-        amounts = np.zeros(n_paths)
-    else:
-        best_viol = math.inf
-        for size in range(1, n_paths + 1):
-            for support in itertools.combinations(range(n_paths), size):
-                idx = list(support)
-
-                def split(theta: np.ndarray) -> np.ndarray:
-                    cand = np.zeros(n_paths)
-                    cand[idx[:-1]] = theta
-                    cand[idx[-1]] = demand - theta.sum()
-                    return cand
-
-                theta = np.full(size - 1, demand / size)
-                if size > 1:
-                    theta = root(lambda th: np.diff(costs(split(th))[idx]), theta,
-                                 method="hybr", tol=1e-14).x
-                cand = split(theta)
-                q = costs(cand)
-                lam = q[idx].max()
-                viol = lam - q[idx].min() + np.maximum(lam - np.delete(q, idx), 0.0).sum()
-                if viol < best_viol and (cand >= 0.0).all():
-                    amounts, best_viol = cand, viol
-
-    flow = incidence.T @ amounts
-    q = costs(amounts)
-    used_cut = 1e-9 * demand
-    used = np.flatnonzero(amounts > used_cut)
-    common = float(q[used].min()) if len(used) else float(q.min()) if n_paths else 0.0
-    gap = float(q[used].max() - q.min()) if len(used) else 0.0
-    total = float(amounts @ q)
-    residual = max(total - demand * float(q.min()), 0.0) / total if total > 0.0 else 0.0
-    pf = PathFlow.of(sorted((paths[i], float(a)) for i, a in enumerate(amounts) if a > used_cut))
-    scale = min(1.0, common) if common > 0.0 else 1.0
-    return EquilibriumResult(np.asarray(flow), pf, common, residual, 0,
-                             gap <= 1e-6 * scale)
 
 
 def result_from_paths(instance: NetworkInstance, path_flow: PathFlow) -> EquilibriumResult:

@@ -245,21 +245,3 @@ def random_domino_instance(seed: int,
                   for e, var in zip(_DOMINO.edges, variabilities))
     return NetworkInstance(_DOMINO.vertices, edges, _DOMINO.source, _DOMINO.sink,
                            demand, gamma, risk_model)
-
-
-def random_small_instance(seed: int) -> NetworkInstance:
-    """Instance with at most four source-sink paths, for brute-force
-    cross-checks.  Mixes parallel-link and Braess topologies, affine and
-    quadratic latencies, and both risk models."""
-    rng = np.random.default_rng(seed)
-    risk_model = RiskModel.MEAN_VAR if rng.random() < 0.5 else RiskModel.MEAN_STDEV
-    if rng.random() < 0.5:
-        m = int(rng.integers(2, 5))
-        vertices, arcs = 2, [(0, 1)] * m
-    else:
-        vertices, arcs = _braess_arcs()
-    if rng.random() < 0.3:
-        latencies = [_polynomial(rng, 2) for _ in arcs]
-    else:
-        latencies = [_affine(rng) for _ in arcs]
-    return _assemble(rng, vertices, arcs, latencies, risk_model)

@@ -399,6 +399,46 @@ def test_stdev_bounds_tight_on_reinterpreted_level1():
     assert "inapplicable" in zero_alt.note
 
 
+def _stdev_zero_witness(gamma, model):
+    """Two links 0->1 at demand 1: a safe one of mean 1 and variance 1, and
+    a free one whose mean stays 0 up to flow 1/2 and climbs to 1 + gamma at
+    flow 1, with variance 0.  The risk-neutral equilibrium sends
+    1/2 + 1/(2 + 2 gamma) over the free link at a common cost 1; the
+    risk-averse one sends it everything, at cost 1 + gamma, so the PRA is
+    1 + gamma, the zero-alternation bound at kappa 1."""
+    free = rr.PiecewiseLinear(((0.0, 0.0), (0.5, 0.0), (1.0, 1.0 + gamma)))
+    return rr.NetworkInstance(
+        2, (rr.Edge(0, 1, rr.Constant(1.0), rr.Constant(1.0)),
+            rr.Edge(0, 1, free, rr.Constant(0.0))),
+        0, 1, 1.0, gamma, model)
+
+
+@pytest.mark.parametrize("model", list(rr.RiskModel))
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.5])
+def test_stdev_zero_alt_bound_is_tight_on_two_links(gamma, model):
+    inst = _stdev_zero_witness(gamma, model)
+    rawe, rnwe = rr.solve_rawe(inst, CFG), rr.solve_rnwe(inst, CFG)
+    report = rr.check_bound(inst, rawe, rnwe, rr.BoundKind.STDEV_ZERO_ALT)
+    assert report.pra_observed == pytest.approx(1.0 + gamma, rel=1e-12, abs=0.0)
+    assert report.bound_value == 1.0 + gamma
+    assert (report.kappa, report.eta, report.satisfied) == (1.0, 1, True)
+
+
+@pytest.mark.parametrize("d, satisfied", [(1e-7, False), (1e-11, True)])
+def test_a_ratio_over_its_bound_by_more_than_rounding_is_a_violation(d, satisfied):
+    # a risk-neutral flow moved d off its equilibrium towards the safe link
+    # costs 1 - 3d + 4d^2, so the PRA reads 2 + 6d over the tight bound 2:
+    # 6e-7 is a violation, and 6e-11 is within the verdict's rounding margin
+    inst = _stdev_zero_witness(1.0, rr.RiskModel.MEAN_VAR)
+    rawe = rr.solve_rawe(inst, CFG)
+    rnwe = rr.result_from_paths(rr.with_gamma(inst, 0.0),
+                                rr.PathFlow.of([((0,), 0.25 + d), ((1,), 0.75 - d)]))
+    report = rr.check_bound(inst, rawe, rnwe, rr.BoundKind.STDEV_ZERO_ALT)
+    assert (report.bound_value, report.kappa, report.eta) == (2.0, 1.0, 1)
+    assert report.pra_observed - report.bound_value == pytest.approx(6.0 * d, rel=1e-3)
+    assert report.satisfied is satisfied
+
+
 def test_coinciding_flows_give_eta_zero():
     inst = rr.NetworkInstance(
         2, (rr.Edge(0, 1, rr.Affine(1.0, 0.1), rr.Constant(1.0)),),
@@ -419,7 +459,8 @@ def test_vertex_bound_gap_values():
 
 
 def test_vertex_bound_gap_stays_below_two():
-    assert rr.vertex_bound_gap_below_two(10_000, (0.1, 1.0, 10.0))
+    assert all(rr.vertex_bound_gap_ratio(n, gk) < 2.0
+               for gk in (0.1, 1.0, 10.0) for n in range(3, 10_001) if n & (n - 1))
 
 
 def _family_instance(level, variant, model):
@@ -523,8 +564,8 @@ def test_zero_variance_equilibria_coincide_and_meet_every_bound(what):
     # instances had an applicable bound violated by solver noise.
     for seed in range(200):
         inst = _SWEEP_MAKERS[what](seed)
-        inst = rr.with_edge_functions(inst, {eid: (e.latency, rr.Constant(0.0))
-                                             for eid, e in enumerate(inst.edges)})
+        inst = dataclasses.replace(inst, edges=tuple(
+            dataclasses.replace(e, variability=rr.Constant(0.0)) for e in inst.edges))
         assert inst.gamma > 0.0 and inst.risk_model is rr.RiskModel.MEAN_STDEV
         rawe, rnwe = _solved(inst)
         assert _fields(rawe) == _fields(rnwe), seed

@@ -4,6 +4,9 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -28,7 +31,7 @@ def test_generate_solve_analyze_round_trip(tmp_path):
     assert code == 0
     inst = ser.read_instance(ipath)
     assert inst.vertices == 8
-    oracle, meta = ser.read_oracle(opath)
+    oracle, meta = ser.loads_oracle(opath.read_text())
     assert meta["level"] == "2"
     assert oracle.expected_pra == pytest.approx(5.0)
 
@@ -36,7 +39,7 @@ def test_generate_solve_analyze_round_trip(tmp_path):
                          "--out", str(tmp_path / "res")])
     assert code == 0
     assert "rawe: converged=True" in out
-    rawe = ser.read_result(tmp_path / "res.rawe.txt")
+    rawe = ser.loads_result((tmp_path / "res.rawe.txt").read_text())
     assert rawe.converged
     assert rawe.common_cost == pytest.approx(5.0, rel=1e-6)
 
@@ -152,7 +155,7 @@ def test_sweep_skips_inapplicable_bounds(tmp_path, monkeypatch):
     assert line.startswith("tightest instance: series-parallel-0/StdevOneAlt ratio=")
 
     path = tmp_path / "ms1.txt"
-    ser.write_instance(path, ms)
+    path.write_text(ser.dumps_instance(ms))
     code, out, _ = _run(["analyze", "--in", str(path), "--bound", "stdev0"])
     assert code == 0
     assert "[VIOLATED] (inapplicable" in out
@@ -277,7 +280,7 @@ def test_gamma_zero_meanstdev_instance_meets_every_bound(tmp_path):
     code, _, _ = _run(["generate", "--family", "domino", "--seed", "1",
                        "--risk-model", "mean-stdev", "--out", str(path)])
     assert code == 0
-    ser.write_instance(path, rr.with_gamma(ser.read_instance(path), 0.0))
+    path.write_text(ser.dumps_instance(rr.with_gamma(ser.read_instance(path), 0.0)))
     code, out, err = _run(["analyze", "--in", str(path)])
     assert code == 0, out + err
     assert "VIOLATED" not in out
@@ -294,7 +297,7 @@ def _parallel_pairs_in_series(pairs):
 def test_instance_over_the_path_cap_is_an_input_error(tmp_path, argv):
     # 13 pairs give 8,192 paths, more than the mean-stdev solver enumerates
     path = tmp_path / "pairs.txt"
-    ser.write_instance(path, _parallel_pairs_in_series(13))
+    path.write_text(ser.dumps_instance(_parallel_pairs_in_series(13)))
     code, out, err = _run([*argv, "--in", str(path)])
     assert code == 2
     assert out == ""
@@ -313,7 +316,7 @@ def test_instance_over_the_path_cap_is_an_input_error(tmp_path, argv):
 def test_meaningless_solver_flags_are_input_errors(tmp_path, command, flag, value, message):
     # nothing is solved or printed: one error line and exit 2
     path = tmp_path / "b.txt"
-    ser.write_instance(path, rr.build_braess())
+    path.write_text(ser.dumps_instance(rr.build_braess()))
     if command[0] in ("solve", "analyze"):
         command = [*command, "--in", str(path)]
     code, out, err = _run([*command, flag, value])
@@ -335,14 +338,72 @@ def test_overflowing_costs_are_an_input_error(tmp_path, model, mode):
     # costs of a valid, finite instance that overflow: one error line and
     # exit 2, from the additive loop and from the mean-stdev path loop
     path = tmp_path / "overflow.txt"
-    ser.write_instance(path, rr.NetworkInstance(
+    path.write_text(ser.dumps_instance(rr.NetworkInstance(
         2,
         (rr.Edge(0, 1, rr.Affine(1e308, 0.0), rr.Constant(1.0)),
          rr.Edge(0, 1, rr.Affine(1.0, 1.0), rr.Constant(1.0))),
-        0, 1, 1e308, 1.0, model))
+        0, 1, 1e308, 1.0, model)))
     code, out, err = _run(["solve", "--in", str(path), "--mode", mode])
     assert (code, out, err.splitlines()) == (
         2, "", ["error: perceived path costs are not finite: the instance's costs overflow"])
+
+
+# Runs `main(argv)` and reports the seconds it took, not counting the
+# interpreter's start.  A child process keeps numpy's overflow warnings as
+# warnings (tier-1 makes them errors), and its address space is capped, so
+# that a table sized by an input number fails fast instead of filling
+# memory; one OpenBLAS thread keeps the cap clear of its per-thread buffers.
+_TIMED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from riskroute.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(f"seconds {time.perf_counter() - start}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _run_timed_child(argv):
+    """(exit code, stdout, stderr lines but the last, seconds) of `argv`."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _TIMED_MAIN, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    *err, last = done.stderr.splitlines()
+    assert last.startswith("seconds "), done.stderr
+    return done.returncode, done.stdout, err, float(last.split()[1])
+
+
+@pytest.mark.parametrize("mode", ["rnwe", "rawe"])
+def test_totals_that_overflow_are_an_input_error(tmp_path, mode):
+    # every cost is finite, but at demand 1e300 the flow-weighted totals
+    # overflow and no gap can pass: the additive loop (rnwe) and the path
+    # loop (rawe) stop with an input error, not at their iteration cap
+    path = tmp_path / "domino.txt"
+    code, _, _ = _run(["generate", "--family", "domino", "--risk-model", "mean-stdev",
+                       "--out", str(path)])
+    assert code == 0
+    text = path.read_text()
+    path.write_text(text.replace(next(line for line in text.splitlines()
+                                      if line.startswith("demand ::")), "demand :: 1e300"))
+    code, out, err, seconds = _run_timed_child(["solve", "--in", str(path), "--mode", mode])
+    assert (code, out) == (2, "")
+    assert err[-1] == "error: perceived path costs are not finite: the instance's costs overflow"
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("extra", ["", f"edge :: 1 :: {10**40 - 1} :: const 1.0 :: const 0.0\n"])
+def test_a_declared_vertex_count_costs_no_time(tmp_path, extra):
+    # the graph's tables hold the ids its edges, source and sink name, not
+    # one entry per declared vertex: 10^40 of them, one named by a dead end
+    path = tmp_path / "braess.txt"
+    text = BRAESS_FILE.format(demand="1.0", gamma="1.0", risky="const 1.0")
+    path.write_text(text.replace("vertices :: 4", f"vertices :: {10**40}") + extra)
+    code, out, err, seconds = _run_timed_child(["analyze", "--in", str(path)])
+    assert (code, err) == (0, [])
+    assert "TopologicalEta: pra=3 bound=3 " in out
+    assert seconds < 1.0
 
 
 def test_zero_tolerances_stay_valid():
@@ -424,7 +485,7 @@ def test_solve_reports_the_path_gap_of_an_unconverged_solve(tmp_path):
     # apart: the path loop's test fails where the flow-weighted residual
     # rounds to 0, and the line names the figure that failed
     path = tmp_path / "b10.txt"
-    ser.write_instance(path, synthetic.random_braess_instance(10))
+    path.write_text(ser.dumps_instance(synthetic.random_braess_instance(10)))
     code, out, err = _run(["solve", "--in", str(path), "--mode", "rawe",
                            "--tolerance", "1e-16"])
     assert (code, err) == (1, "")

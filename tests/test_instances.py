@@ -13,17 +13,21 @@ import riskroute as rr
 from riskroute import cli, synthetic
 from riskroute.instances import (
     BRAESS_CROSS,
-    DOMINO_CONTRACT_EDGE_IDS,
-    DOMINO_EAR_EDGE_IDS,
     RecursiveFamilySpec,
     Variant,
     build_domino_with_ears,
     build_recursive,
     closed_form_check,
-    contracted_domino_matches_braess,
     recursive_edge_tags,
 )
 from riskroute.serialization import dumps_instance
+
+from reference import (
+    DOMINO_CONTRACT_EDGE_IDS,
+    DOMINO_EAR_EDGE_IDS,
+    contracted_domino_matches_braess,
+    random_small_instance,
+)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
@@ -171,10 +175,16 @@ def test_closed_form_check_accepts_canonical_level3():
     assert report.passed, report.failures
 
 
-def test_closed_form_check_rejects_corrupt_latency():
+def _level2_with_edge1_doubled():
+    """Level 2 with edge 1's latency doubled to Constant(2.0), and its oracle."""
     inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
-    broken = rr.with_edge_functions(
-        inst, {1: (rr.Constant(2.0), rr.Constant(1.0))})
+    edges = list(inst.edges)
+    edges[1] = dataclasses.replace(edges[1], latency=rr.Constant(2.0))
+    return dataclasses.replace(inst, edges=tuple(edges)), oracle
+
+
+def test_closed_form_check_rejects_corrupt_latency():
+    broken, oracle = _level2_with_edge1_doubled()
     report = closed_form_check(broken, oracle)
     assert not report.passed
     assert report.failures
@@ -183,8 +193,7 @@ def test_closed_form_check_rejects_corrupt_latency():
 def test_closed_form_check_reports_each_fault_once():
     # edge 1 lies on the risk-neutral path (0, 1, 12): its doubled latency
     # shows at that path and once in the risk-neutral social cost
-    inst, oracle = build_recursive(RecursiveFamilySpec(level=2))
-    broken = rr.with_edge_functions(inst, {1: (rr.Constant(2.0), rr.Constant(1.0))})
+    broken, oracle = _level2_with_edge1_doubled()
     failures = closed_form_check(broken, oracle).failures
     assert "rnwe path (0, 1, 12): mean latency 2.0 != 1.0" in failures
     assert [f for f in failures if "social cost" in f] == [
@@ -371,7 +380,7 @@ _RANDOM_SHA256 = [
     pytest.param(synthetic.random_domino_instance, 200,
                  "788e3d18f8847fddddef2376d44ead0d5d53ba2a99c86460c513e5743f1cde6a",
                  id="domino"),
-    pytest.param(synthetic.random_small_instance, 60,
+    pytest.param(random_small_instance, 60,
                  "57ac08574908403a5815a0b3accf2fd52024feb29539dc70dde9c5da22061ea4",
                  id="small"),
     pytest.param(lambda s: synthetic.random_affine_instance(s, risk_model=_MS), 200,

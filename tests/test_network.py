@@ -1,5 +1,6 @@
 """Instance validation, path costs and path enumeration."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -107,13 +108,17 @@ def test_edge_additive_when_every_variance_is_constant_zero():
     # gamma; only Constant(0.0) counts, not a function that happens to be 0
     stdev = _series_meanstdev()
     assert stdev.gamma > 0.0
-    zero = {eid: (e.latency, rr.Constant(0.0)) for eid, e in enumerate(stdev.edges)}
-    assert rr.with_edge_functions(stdev, zero).edge_additive
-    one_left = dict(zero)
-    del one_left[1]
-    assert not rr.with_edge_functions(stdev, one_left).edge_additive
-    flat = {eid: (lat, rr.Affine(0.0, 0.0)) for eid, (lat, _) in zero.items()}
-    assert not rr.with_edge_functions(stdev, flat).edge_additive
+
+    def with_variances(variances):
+        return dataclasses.replace(stdev, edges=tuple(
+            dataclasses.replace(e, variability=v) for e, v in zip(stdev.edges, variances)))
+
+    zero = [rr.Constant(0.0)] * len(stdev.edges)
+    assert with_variances(zero).edge_additive
+    one_left = list(zero)
+    one_left[1] = stdev.edges[1].variability
+    assert not with_variances(one_left).edge_additive
+    assert not with_variances([rr.Affine(0.0, 0.0)] * len(zero)).edge_additive
 
 
 def test_social_cost_uses_means_only():
@@ -353,15 +358,6 @@ def test_path_flow_total_and_iteration():
     assert pf.total() == pytest.approx(1.0)
     assert len(pf) == 2
     assert [p for p, _ in pf] == [(0, 1), (2, 3)]
-
-
-def test_with_edge_functions_replaces_only_listed_edges():
-    inst = rr.build_braess()
-    swapped = rr.with_edge_functions(
-        inst, {4: (rr.Constant(9.0), rr.Constant(0.0))})
-    assert swapped.edges[4].latency(0.0) == 9.0
-    assert swapped.edges[0] == inst.edges[0]
-    assert swapped.demand == inst.demand
 
 
 def test_kept_paths_still_meet_a_smaller_cap():

@@ -134,10 +134,10 @@ def test_file_round_trip(tmp_path):
     inst, oracle = build_recursive(RecursiveFamilySpec(level=1))
     ipath = tmp_path / "instance.txt"
     opath = tmp_path / "oracle.txt"
-    ser.write_instance(ipath, inst)
-    ser.write_oracle(opath, oracle, {"family": "recursive"})
+    ipath.write_text(ser.dumps_instance(inst))
+    opath.write_text(ser.dumps_oracle(oracle, {"family": "recursive"}))
     assert ser.read_instance(ipath) == inst
-    back, meta = ser.read_oracle(opath)
+    back, meta = ser.loads_oracle(opath.read_text())
     assert back == oracle and meta["family"] == "recursive"
 
 

@@ -19,7 +19,8 @@ import riskroute as rr
 from riskroute import network, serialization, solver, synthetic
 from riskroute.instances import RecursiveFamilySpec, Variant, build_recursive, closed_form_check
 from riskroute.solver import SolverConfig
-from riskroute.synthetic import random_small_instance
+
+from reference import brute_force_equilibrium, random_small_instance
 
 CFG = SolverConfig(tolerance=1e-10)
 
@@ -100,7 +101,7 @@ def test_zero_variance_rawe_matches_rnwe():
 def test_brute_force_agrees_with_iterative_solver():
     for seed in range(8):
         inst = random_small_instance(seed)
-        bf = rr.brute_force_equilibrium(inst)
+        bf = brute_force_equilibrium(inst)
         if inst.risk_model is rr.RiskModel.MEAN_VAR:
             it = rr.solve_rawe_meanvar(inst, CFG)
         else:
@@ -112,7 +113,7 @@ def test_brute_force_agrees_with_iterative_solver():
 def test_brute_force_rejects_large_path_sets():
     inst, _ = build_recursive(RecursiveFamilySpec(level=2))  # 7 paths
     with pytest.raises(ValueError):
-        rr.brute_force_equilibrium(inst)
+        brute_force_equilibrium(inst)
 
 
 def test_exact_line_search_descends_the_potential():
@@ -163,7 +164,7 @@ def test_meanstdev_zero_demand_is_trivially_converged():
 def test_brute_force_at_zero_demand_routes_nothing():
     # no support to solve: the cheapest path at zero flow is the common cost
     inst = dataclasses.replace(rr.build_braess(), demand=0.0)
-    res = rr.brute_force_equilibrium(inst)
+    res = brute_force_equilibrium(inst)
     assert np.array_equal(res.flow, np.zeros(5))
     assert len(res.path_flow) == 0
     assert (res.converged, res.vi_residual, res.common_cost) == (True, 0.0, 1.0)
@@ -461,7 +462,7 @@ def test_cyclic_graph_falls_back_to_dijkstra():
     inst = rr.NetworkInstance(4, edges, 0, 3, 1.0, 0.0, rr.RiskModel.MEAN_VAR)
     assert inst.topological_in_edges is None
     res = rr.solve_rnwe(inst, CFG)
-    bf = rr.brute_force_equilibrium(inst)
+    bf = brute_force_equilibrium(inst)
     assert res.converged and bf.converged
     assert np.max(np.abs(bf.flow - res.flow)) <= 1e-7
     assert np.allclose(res.flow, [0.375, 0.625, 0.625, 0.375, 0.0, 0.25], atol=1e-8)
@@ -894,7 +895,7 @@ def test_meanstdev_sweep_generators_converge_and_match_brute_force(monkeypatch, 
         costs = [rr.path_cost(inst, p, res.flow) for p, _ in res.path_flow]
         assert max(costs) - res.common_cost <= 1e-8 * max(1.0, res.common_cost)
         if len(rr.enumerate_paths(inst)) <= 4:
-            bf = rr.brute_force_equilibrium(inst)
+            bf = brute_force_equilibrium(inst)
             assert bf.converged, f"seed {seed}"
             assert np.max(np.abs(bf.flow - res.flow)) <= 1e-7, f"seed {seed}"
     # the solves a Newton finish ended (a finish that lands ends its solve),
@@ -1579,9 +1580,9 @@ def test_brute_force_meets_its_limits_on_kept_paths():
     assert len(rr.enumerate_paths(small)) == 7
     assert len(rr.enumerate_paths(big)) == 127
     with pytest.raises(ValueError, match="at most 4 paths, found 7"):
-        rr.brute_force_equilibrium(small)
+        brute_force_equilibrium(small)
     with pytest.raises(rr.PathCapExceeded):
-        rr.brute_force_equilibrium(big)
+        brute_force_equilibrium(big)
 
 
 def _result_bits(res):
