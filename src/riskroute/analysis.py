@@ -349,7 +349,7 @@ def analyze(instance: NetworkInstance, rawe: EquilibriumResult,
             if cap is not None and eta > cap:
                 notes.append(f"inapplicable: alternating path has {eta} forward subpaths")
         elif kind is BoundKind.TOPOLOGICAL_VERTICES:
-            bound = 1.0 + gamma * kappa * math.ceil((instance.vertices - 1) / 2)
+            bound = _vertex_bound(gamma * kappa, instance.vertices)
         elif kind is BoundKind.FUNCTIONAL_SMOOTH:
             if mu >= 1.0:
                 bound = math.inf
@@ -364,6 +364,18 @@ def analyze(instance: NetworkInstance, rawe: EquilibriumResult,
             mu=mu if kind is BoundKind.FUNCTIONAL_SMOOTH else None,
             note="; ".join(notes))
     return reports
+
+
+def _vertex_bound(gamma_kappa: float, n: int) -> float:
+    """1 + gamma_kappa * ceil((n - 1) / 2), with the ceiling in integers.
+
+    A declared vertex count may have hundreds of digits: where its half
+    does not fit a float, the bound is inf, or 1 at gamma_kappa 0.
+    """
+    try:
+        return 1.0 + gamma_kappa * (n // 2)
+    except OverflowError:
+        return math.inf if gamma_kappa > 0.0 else 1.0
 
 
 def check_bound(instance: NetworkInstance, rawe: EquilibriumResult,
@@ -407,4 +419,4 @@ def vertex_bound_gap_ratio(n: int, gamma_kappa: float) -> float:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     realizable = 1.0 + gamma_kappa * 2.0 ** (n.bit_length() - 1)
-    return (1.0 + gamma_kappa * math.ceil((n - 1) / 2)) / realizable
+    return _vertex_bound(gamma_kappa, n) / realizable

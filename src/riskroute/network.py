@@ -191,11 +191,7 @@ class PathFlow:
         return PathFlow(tuple((tuple(int(e) for e in p), float(a)) for p, a in pairs))
 
     def total(self) -> float:
-        # left to right: sum() over floats is compensated from Python 3.12 on
-        total = 0.0
-        for _, a in self.entries:
-            total += a
-        return total
+        return _sum_in_order(a for _, a in self.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -248,23 +244,13 @@ def mean_path_latency(instance: NetworkInstance, path, flow) -> float:
     return total
 
 
-def path_variance(instance: NetworkInstance, path, flow) -> float:
-    """Sum of edge variances along `path` at the given edge flow."""
-    _check_edge_ids(instance, path)
-    total = 0.0
-    for eid in path:
-        e = instance.edges[eid]
-        total += e.variability(float(flow[eid]))
-    return total
-
-
 def path_cost(instance: NetworkInstance, path, flow) -> float:
     """Perceived path cost under the instance's risk model.
 
     Mean-var: sum of means plus gamma times sum of variances.
     Mean-stdev: sum of means plus gamma times sqrt of summed variances.
-    One walk of the path sums both in path order, as `mean_path_latency`
-    and `path_variance` do, so the cost has their bits.
+    One walk of the path sums both in path order, the mean as
+    `mean_path_latency` sums it, so the cost has its bits at gamma 0.
     """
     if instance.gamma == 0.0:
         return mean_path_latency(instance, path, flow)
@@ -292,14 +278,30 @@ def social_cost(instance: NetworkInstance, flow) -> float:
 
 def induced_edge_flow(instance: NetworkInstance, path_flow: PathFlow) -> np.ndarray:
     """Edge flow vector induced by a path flow.  Validates every path."""
-    flow = zero_flow(instance)
     for path, amount in path_flow:
         validate_path(instance, path)
         if amount < 0.0:
             raise GraphStructureError(f"negative path amount {amount}")
+    return np.array(_edge_flow(instance, path_flow))
+
+
+def _edge_flow(instance: NetworkInstance, pairs) -> list[float]:
+    """The edge flow of (path, amount) `pairs`, unchecked: each edge adds its
+    paths' amounts left to right, in the order of `pairs`."""
+    flow = [0.0] * len(instance.edges)
+    for path, amount in pairs:
         for eid in path:
             flow[eid] += amount
     return flow
+
+
+def _sum_in_order(values) -> float:
+    """`values` added left to right.  Not sum(): over floats it is compensated
+    from Python 3.12 on, and a total must have the same bits on every Python."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def flow_demand(instance: NetworkInstance, flow) -> float:

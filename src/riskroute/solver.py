@@ -9,27 +9,27 @@ shifts mass from the costliest path of the maintained decomposition onto
 the shortest path with an exact line search of the potential, which
 converges fast enough for tight tolerances.
 
-Each solve builds one table of its edges (`_EdgeTable`): each edge's
-perceived cost, whether that cost is constant (a constant latency and,
-unless gamma is 0, a constant variance) and the flows where it changes
-slope.  The costs are kernels (`LatencyFn.kernel`): plain functions, the
-one definition of each function's value (`fn(x)` runs its default
-kernel), with a constant variance's share added inside the latency's
-kernel, so that a cost is one call; the path loop evaluates its latencies
-and variances through kernels too.  A function object keeps its default
-kernel and stores its knots (`LatencyFn.knots`), so the tables of later
-solves and checks, of the same instance or of another that shares its
-functions, build no kernel again; a latency shifted by a Constant
+Each solve builds one table of its edges (`_edge_table`): each edge's
+perceived cost and whether that cost is constant (a constant latency and,
+unless gamma is 0, a constant variance).  Both loops take the flows where
+a cost changes slope from one source, per-edge tuples built once per
+solve (`_edge_knots`).  The costs are kernels (`LatencyFn.kernel`): plain
+functions, the one definition of each function's value (`fn(x)` runs its
+default kernel), with a constant variance's share added inside the
+latency's kernel, so that a cost is one call; the path loop evaluates its
+latencies and variances through kernels too.  A function object keeps its
+default kernel and stores its knots (`LatencyFn.knots`), so the tables of
+later solves and checks, of the same instance or of another that shares
+its functions, build no kernel again; a latency shifted by a Constant
 variance gets its own kernel per edge and table, which is not kept.  A
-step changes the
-flow only on the edges where the two paths differ, so it recomputes the
-costs of those edges alone, and never a constant one: that is evaluated
-once per solve.  The flow rebuild every 256 iterations recomputes every
-other cost.  One pass over the moved edges sets up a step: the
-derivative's terms, in the order it sums them, its value at step 0 from
-the cost vector the loop holds (a constant edge's share is taken once per
-step), and from the moved edges whose costs the step recomputes, the
-knots from the table (`_add_step_knots`, which the path loop's steps use
+step changes the flow only on the edges where the two paths differ, so it
+recomputes the costs of those edges alone, and never a constant one: that
+is evaluated once per solve.  The flow rebuild every 256 iterations
+recomputes every other cost.  One pass over the moved edges sets up a
+step: the derivative's terms, in the order it sums them, its value at
+step 0 from the cost vector the loop holds (a constant edge's share is
+taken once per step), and from the moved edges whose costs the step
+recomputes, the knots (`_add_step_knots`, which the path loop's steps use
 too), whether the derivative is linear between them and where the next
 shortest-path sweep starts.  The gap's dot product reads numpy mirrors of
 the flow and cost lists, which the rebuild copies and each step updates
@@ -37,14 +37,15 @@ in place, edge by moved edge: the same call on the same values as arrays
 built afresh.  Everywhere else one helper evaluates an edge-additive
 flow (`_edge_gap`): its edge costs, cheapest path and distance, total and
 gap, for `vi_residual`, `result_from_paths`, the Newton finish and a
-result.  A result's flow is rebuilt from the path decomposition.  When it
+result.  A result's flow is rebuilt from the path decomposition, summed
+as `induced_edge_flow` sums it (`network._edge_flow`).  When it
 has the bytes of the loop's last flow mirror, as it has whenever no step
 moved flow since the last rebuild, the result reuses the loop's last
 distance and total (`_additive_result`); a finish that lands hands on the
 flow, distance and total it evaluated, and its weights rebuild that flow
 exactly, so its result reuses them too.  Otherwise the result evaluates
 its flow afresh.  The path loop's result sums its kept amounts into the
-edge flow itself and prices its paths with the solve's kernels.
+edge flow the same way and prices its paths with the solve's kernels.
 
 The shortest path is one pull sweep over the vertices on source->sink
 paths in topological order: each vertex takes the cheapest of its
@@ -59,8 +60,8 @@ at the first iteration and after each flow rebuild.  Both routes give the
 same path and distance, and every sum keeps the order and arithmetic of a
 full recompute, so the iterates do not depend on which route computed
 them.  Float sums are
-left-to-right loops, not sum(), which is compensated from Python 3.12 on,
-so the iterates do not depend on the Python version either.
+left-to-right loops (`network._sum_in_order` says why), so the iterates
+do not depend on the Python version either.
 
 Mean-stdev path costs with gamma > 0 are not edge additive, so that solver
 works directly on the enumerated path set.  At gamma 0, or when every
@@ -146,6 +147,8 @@ from .network import (
     NetworkInstance,
     PathFlow,
     RiskModel,
+    _edge_flow,
+    _sum_in_order,
     enumerate_paths,
     flow_demand,
     induced_edge_flow,
@@ -155,9 +158,10 @@ from .network import (
 _PRUNE_REL = 1e-12
 
 # raised where a loop meets costs that overflowed.  The additive loop: every
-# path cost of its decomposition NaN, or a gap that is not finite while the
-# used paths cost finite amounts (the flow-weighted total overflowed).  The
-# path loop: its amounts NaN after a step between infinite costs, or a NaN
+# path cost of its decomposition NaN, or from its second iteration on a gap
+# that is not finite while the used paths cost finite amounts (the
+# flow-weighted total overflowed; the all-or-nothing start's total may
+# overflow where the first step's does not).  The path loop: its amounts NaN after a step between infinite costs, or a NaN
 # gap (a NaN cost, or every path costing inf)
 _NOT_FINITE = "perceived path costs are not finite: the instance's costs overflow"
 
@@ -231,25 +235,15 @@ def _edge_knots(instance: NetworkInstance,
     return knots, curved
 
 
-class _EdgeTable(NamedTuple):
-    """Each edge's perceived cost l_e + gamma_eff * v_e, built once per solve.
+def _edge_table(instance: NetworkInstance, gamma_eff: float) -> tuple[list, list[bool]]:
+    """(cost, constant): each edge's perceived cost l_e + gamma_eff * v_e, built once per solve.
 
     `cost[e]` is x -> l_e(x) + gamma_eff * v_e(x), x -> l_e(x) at gamma_eff
     0, built from kernels (`LatencyFn.kernel`); a Constant variance is
     folded into the latency's kernel as l_e(x) + gv with gv = gamma_eff *
     value, the same bits.  `constant[e]` says that the cost
     cannot move: a Constant latency, and a Constant variance or gamma_eff 0.
-    `knots` and `curved` are `_edge_knots`.
     """
-
-    cost: list
-    constant: list[bool]
-    knots: list[tuple[float, ...]]
-    curved: list[bool]
-
-
-def _edge_table(instance: NetworkInstance, gamma_eff: float) -> _EdgeTable:
-    """The `_EdgeTable` of `instance` at gamma_eff: one entry per edge."""
     cost, constant = [], []
     for e in instance.edges:
         lat, var = e.latency, e.variability
@@ -261,7 +255,7 @@ def _edge_table(instance: NetworkInstance, gamma_eff: float) -> _EdgeTable:
             cost.append(lambda x, lk=lat.kernel(), vk=var.kernel(): lk(x) + gamma_eff * vk(x))
         constant.append(isinstance(e.latency, Constant)
                         and (gamma_eff == 0.0 or isinstance(var, Constant)))
-    return _EdgeTable(cost, constant, *_edge_knots(instance, gamma_eff))
+    return cost, constant
 
 
 def _shortest_path(instance: NetworkInstance, costs) -> tuple[tuple[int, ...], float]:
@@ -376,7 +370,7 @@ def _edge_gap(instance: NetworkInstance, flow: list[float], cost_of: list,
     """(best, dist, total, gap, c) of an edge-additive flow at frozen costs.
 
     `flow` is a list of Python floats and `cost_of` the solve's per-edge
-    costs (an `_EdgeTable`'s); `c` holds the edge costs at `flow`, `best`
+    costs (an `_edge_table`'s); `c` holds the edge costs at `flow`, `best`
     is the cheapest source->sink path and `dist` its cost, `total` the
     perceived cost of `flow`, and `gap` is max(total - demand * dist, 0),
     the variational-inequality residual of routing `demand`.
@@ -393,9 +387,8 @@ def _path_costs(instance: NetworkInstance, paths, means: list[float],
 
     `means[e]` and `variances[e]` are edge e's latency and variance at one
     flow; at gamma 0 the variances are not read.  Each path sums left to
-    right, not with sum(), which is compensated over floats from Python
-    3.12 on, so every cost has the bits `network.path_cost` gives at that
-    flow.
+    right, as `network._sum_in_order` does but inline, so every cost has
+    the bits `network.path_cost` gives at that flow.
     """
     gamma = instance.gamma
     stdev = instance.risk_model is RiskModel.MEAN_STDEV
@@ -456,7 +449,7 @@ def vi_residual(instance: NetworkInstance, flow) -> float:
         raise ValueError("vi_residual needs edge-additive costs: mean-var, gamma 0, "
                          "or zero variances")
     flow = np.asarray(flow, dtype=float)
-    return _edge_gap(instance, flow.tolist(), _edge_table(instance, instance.gamma).cost,
+    return _edge_gap(instance, flow.tolist(), _edge_table(instance, instance.gamma)[0],
                      flow_demand(instance, flow))[3]
 
 
@@ -677,15 +670,6 @@ def _step_root(fn, t_max: float, knots, linear: bool,
     return a if -fa < fb else b
 
 
-def _flow_from_weights(instance: NetworkInstance, pairs) -> list[float]:
-    """The edge flow of (path, weight) `pairs`, summed as `induced_edge_flow` sums them."""
-    flow = [0.0] * len(instance.edges)
-    for path, w in pairs:
-        for eid in path:
-            flow[eid] += w
-    return flow
-
-
 def _incidence(paths, m: int) -> np.ndarray:
     """The 0/1 matrix whose row i marks the edges of `paths[i]`, of `m` edges."""
     a = np.zeros((len(paths), m))
@@ -697,9 +681,7 @@ def _incidence(paths, m: int) -> np.ndarray:
 def _prune_path_flow(weights: dict[tuple[int, ...], float], demand: float) -> PathFlow:
     # demand > 0: `_solve_additive` has returned at zero demand
     kept = {p: w for p, w in weights.items() if w > _PRUNE_REL * demand}
-    total = 0.0
-    for w in kept.values():
-        total += w
+    total = _sum_in_order(kept.values())
     scale = demand / total if total > 0.0 else 0.0
     # the paths are tuples of ints already: no PathFlow.of re-conversion
     return PathFlow(tuple(sorted((p, float(w * scale)) for p, w in kept.items())))
@@ -829,10 +811,7 @@ def _routes(amounts, demand: float) -> bool:
     least-squares step can miss the KKT system's demand row, and an
     under-routed flow passes the gap test, which clamps at 0.
     """
-    total = 0.0
-    for a in amounts:
-        total += a
-    return abs(total - demand) <= _PRUNE_REL * demand
+    return abs(_sum_in_order(amounts) - demand) <= _PRUNE_REL * demand
 
 
 def _within_tolerance(gap: float, scale: float, tolerance: float) -> bool:
@@ -852,7 +831,7 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, cost_of: list
 
     `weights` is the loop's path decomposition, `flow` the edge flow it
     induces, `c` the edge costs there (from `cost_of`, the solve's
-    `_EdgeTable` costs) and `best` the shortest path at `c`.
+    `_edge_table` costs) and `best` the shortest path at `c`.
     With U the paths of positive weight and `best`, one `_kkt_step`
     equalizes their costs; the candidate is tested as the loop tests its
     iterate, by `_edge_gap` at the candidate's flow, and a rejected one is
@@ -874,7 +853,7 @@ def _additive_finish(instance: NetworkInstance, cfg: SolverConfig, cost_of: list
             return None
         keep, new = step
         weights = dict(zip((p for p, k in zip(support, keep) if k), new.tolist()))
-        flow = _flow_from_weights(instance, weights.items())
+        flow = _edge_flow(instance, weights.items())
         best, dist, total, gap, c = _edge_gap(instance, flow, cost_of, demand)
         if _within_tolerance(gap, total, cfg.tolerance):
             if not _routes(weights.values(), demand):
@@ -898,7 +877,7 @@ def _additive_result(instance: NetworkInstance, cost_of: list,
     flow.
     """
     demand = instance.demand
-    flow = _flow_from_weights(instance, weights.items())
+    flow = _edge_flow(instance, weights.items())
     flow_a = np.array(flow)
     if flow_a.tobytes() == mirror.tobytes():
         gap = max(total - demand * dist, 0.0)
@@ -912,7 +891,8 @@ def _additive_result(instance: NetworkInstance, cost_of: list,
 def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: float,
                     callback=None) -> EquilibriumResult:
     demand = instance.demand
-    cost_of, constant, edge_knots, curved = _edge_table(instance, gamma_eff)
+    cost_of, constant = _edge_table(instance, gamma_eff)
+    edge_knots, curved = _edge_knots(instance, gamma_eff)
     c = [cost(0.0) for cost in cost_of]
     first, dist = _shortest_path(instance, c)
     if demand == 0.0:
@@ -955,7 +935,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
     rebuild = False
     for k in itertools.count():
         if rebuild or k % 256 == 0:
-            flow = _flow_from_weights(instance, weights.items())
+            flow = _edge_flow(instance, weights.items())
             for eid in varying:
                 c[eid] = cost_of[eid](flow[eid])
             flow_a, c_a = np.array(flow), np.array(c)
@@ -989,7 +969,7 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
         iterations = k + 1
 
         # the costliest path of the decomposition, the largest (cost, path);
-        # each cost summed left to right, not with sum()
+        # each cost summed left to right inline, as `_sum_in_order` sums
         worst: tuple[int, ...] = ()
         worst_cost = -math.inf
         for path in weights:
@@ -998,9 +978,10 @@ def _solve_additive(instance: NetworkInstance, cfg: SolverConfig, gamma_eff: flo
                 q += c[eid]
             if q > worst_cost or (q == worst_cost and path > worst):
                 worst, worst_cost = path, q
-        # no costliest path (a NaN cost), or a flow-weighted total that
-        # overflowed at finite costs, against which no gap can pass
-        if not worst or (not gap < math.inf and worst_cost < math.inf):
+        # no costliest path (a NaN cost), or past the first step a
+        # flow-weighted total that overflowed at finite costs, against which
+        # no gap can pass
+        if not worst or (k and not gap < math.inf and worst_cost < math.inf):
             raise ValueError(_NOT_FINITE)
         if worst == best:
             break
@@ -1202,7 +1183,7 @@ def solve_rawe_meanstdev(instance: NetworkInstance, cfg: SolverConfig = SolverCo
         # `paths` is in lexicographic order, so the entries need no sort
         pf = PathFlow(tuple((p, a) for p, a in zip(paths, kept.tolist()) if a))
         # the instance's own paths and positive amounts: nothing to validate
-        flow = _flow_from_weights(instance, pf)
+        flow = _edge_flow(instance, pf)
         gap, total, cheapest = _path_gap(instance, paths, kept, flow, pf.total(), lat, var)
         residual = gap / total if total > 0.0 else 0.0
         return EquilibriumResult(np.array(flow), pf, cheapest, residual, iterations,
@@ -1302,7 +1283,7 @@ def result_from_paths(instance: NetworkInstance, path_flow: PathFlow) -> Equilib
     demand = path_flow.total()
     if instance.edge_additive:
         _, common, total, gap, _ = _edge_gap(instance, flow.tolist(),
-                                             _edge_table(instance, instance.gamma).cost, demand)
+                                             _edge_table(instance, instance.gamma)[0], demand)
     else:
         paths = enumerate_paths(instance)
         index = {p: i for i, p in enumerate(paths)}

@@ -458,6 +458,22 @@ def test_vertex_bound_gap_values():
         rr.vertex_bound_gap_ratio(2, 1.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2 ** 53), st.floats(0.0, 1e6))
+def test_vertex_bound_is_the_float_ceiling_below_two_to_the_53(n, gamma_kappa):
+    # ceil((n - 1) / 2) in integers has the float formula's bits wherever
+    # the float formula is exact
+    assert analysis._vertex_bound(gamma_kappa, n) == 1.0 + gamma_kappa * math.ceil((n - 1) / 2)
+
+
+def test_vertex_bound_of_a_count_past_the_float_range():
+    n = 10 ** 400
+    assert analysis._vertex_bound(1e-300, n) == math.inf
+    assert analysis._vertex_bound(0.0, n) == 1.0
+    # a half that fits a float, times gamma * kappa, may still overflow
+    assert analysis._vertex_bound(1e10, 10 ** 300) == math.inf
+
+
 def test_vertex_bound_gap_stays_below_two():
     assert all(rr.vertex_bound_gap_ratio(n, gk) < 2.0
                for gk in (0.1, 1.0, 10.0) for n in range(3, 10_001) if n & (n - 1))

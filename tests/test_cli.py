@@ -5,8 +5,11 @@ import dataclasses
 import hashlib
 import io
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -375,11 +378,12 @@ def _run_timed_child(argv):
     return done.returncode, done.stdout, err, float(last.split()[1])
 
 
-@pytest.mark.parametrize("mode", ["rnwe", "rawe"])
+@pytest.mark.parametrize("mode", ["rnwe", "rawe", "both"])
 def test_totals_that_overflow_are_an_input_error(tmp_path, mode):
     # every cost is finite, but at demand 1e300 the flow-weighted totals
     # overflow and no gap can pass: the additive loop (rnwe) and the path
-    # loop (rawe) stop with an input error, not at their iteration cap
+    # loop (rawe) stop with an input error, not at their iteration cap, and
+    # its one line is all of stderr: no numpy warning comes before it
     path = tmp_path / "domino.txt"
     code, _, _ = _run(["generate", "--family", "domino", "--risk-model", "mean-stdev",
                        "--out", str(path)])
@@ -389,7 +393,21 @@ def test_totals_that_overflow_are_an_input_error(tmp_path, mode):
                                       if line.startswith("demand ::")), "demand :: 1e300"))
     code, out, err, seconds = _run_timed_child(["solve", "--in", str(path), "--mode", mode])
     assert (code, out) == (2, "")
-    assert err[-1] == "error: perceived path costs are not finite: the instance's costs overflow"
+    assert err == ["error: perceived path costs are not finite: the instance's costs overflow"]
+    assert seconds < 1.0
+
+
+def test_a_vertex_count_past_the_float_range_has_an_infinite_vertex_bound(tmp_path):
+    # ceil((n - 1) / 2) of a 401-digit count does not fit a float: the
+    # vertex bound is inf at gamma * kappa > 0, and every other bound reads
+    # the graph as it is
+    path = tmp_path / "braess.txt"
+    text = BRAESS_FILE.format(demand="1.0", gamma="1.0", risky="const 1.0")
+    path.write_text(text.replace("vertices :: 4", f"vertices :: 1{'0' * 400}"))
+    code, out, err, seconds = _run_timed_child(["analyze", "--in", str(path)])
+    assert (code, err) == (0, [])
+    assert "TopologicalVertices: pra=3 bound=inf slack=inf kappa=1 [ok]" in out.splitlines()
+    assert "TopologicalEta: pra=3 bound=3 " in out
     assert seconds < 1.0
 
 
@@ -468,7 +486,8 @@ def test_sweep_prints_violations_and_fails(monkeypatch):
     analyze = analysis.analyze
 
     def lowered(*args):
-        return {kind: dataclasses.replace(rep, bound_value=rep.pra_observed - 1e-3)
+        return {kind: dataclasses.replace(rep, bound_value=rep.pra_observed - 1e-3,
+                                          satisfied=False)
                 for kind, rep in analyze(*args).items()}
 
     monkeypatch.setattr(analysis, "analyze", lowered)
@@ -478,6 +497,32 @@ def test_sweep_prints_violations_and_fails(monkeypatch):
     violations = [line for line in err.splitlines() if line.startswith("violation: ")]
     assert [v.split(":")[1].strip() for v in violations] == [
         f"braess-{seed}/StdevOneAlt" for seed in range(2)]
+
+
+@pytest.mark.parametrize("excess, code", [(1e-7, 1), (1e-11, 0)])
+def test_analyze_and_sweep_give_one_verdict(tmp_path, monkeypatch, excess, code):
+    # reports from one fake, each bound `excess` below the observed ratio
+    # and judged by `analyze`'s rule: both commands fail on the same rows
+    analyze = analysis.analyze
+
+    def lowered(*args):
+        reports = {}
+        for kind, rep in analyze(*args).items():
+            bound = rep.pra_observed - excess
+            reports[kind] = dataclasses.replace(
+                rep, bound_value=bound,
+                satisfied=rep.pra_observed <= bound + analysis._SATISFIED_TOL)
+        return reports
+
+    monkeypatch.setattr(analysis, "analyze", lowered)
+    path = tmp_path / "b0.txt"
+    path.write_text(ser.dumps_instance(synthetic.random_braess_instance(0)))
+    got, out, _ = _run(["analyze", "--in", str(path), "--bound", "stdev1"])
+    assert got == code
+    assert out.endswith(" [VIOLATED]\n" if code else " [ok]\n")
+    got, _, err = _run(["sweep", "--what", "braess", "--count", "1"])
+    assert got == code
+    assert ("violation: braess-0/StdevOneAlt: pra=" in err) == bool(code)
 
 
 def test_solve_reports_the_path_gap_of_an_unconverged_solve(tmp_path):
@@ -513,3 +558,61 @@ _SWEEP_SHA256 = {
 def test_sweep_csvs_keep_their_bytes(what):
     got = _run(["sweep", "--what", what, "--seed", "0", "--count", "200"])
     assert hashlib.sha256(repr(got).encode()).hexdigest() == _SWEEP_SHA256[what]
+
+
+# the generated files the fuzz test mutates: every generator, both risk
+# models, both solvers
+_FUZZ_SOURCES = (
+    ["--family", "braess"],
+    ["--family", "domino", "--risk-model", "mean-stdev"],
+    ["--family", "random-affine"],
+    ["--family", "series-parallel"],
+    ["--family", "random-poly", "--degree", "3"],
+    ["--family", "recursive", "--level", "2", "--risk-model", "mean-stdev"],
+)
+# what a fuzzed number becomes: non-finite, at and past the float range,
+# subnormal, a signed zero, and integers of 40, 400 and 5,000 digits (past
+# the 4,300 digits `int` reads)
+_FUZZ_NUMBERS = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0.0", "1e999",
+                 "1" + "0" * 39, "1" + "0" * 399, "1" + "0" * 4999)
+_FUZZ_SEPARATORS = ("::", " : ", " ::: ", "", "\t", " :: :: ")
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def _fuzzed(text, rng):
+    """`text` with one seeded edit: a number swapped (half the edits), a
+    line dropped or duplicated, or one separator rewritten."""
+    kind = rng.randrange(6)
+    if kind < 3:
+        a, b = rng.choice([m.span() for m in _NUMBER.finditer(text)])
+        return text[:a] + rng.choice(_FUZZ_NUMBERS) + text[b:]
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    if kind == 3:
+        del lines[i]
+    elif kind == 4:
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = lines[i].replace(" :: ", rng.choice(_FUZZ_SEPARATORS), 1)
+    return "".join(lines)
+
+
+def test_hostile_files_exit_with_a_code_in_bounded_time(tmp_path):
+    # 300 seeded edits of generated files, each analyzed and solved: every
+    # run returns 0, 1 or 2 from `main` (no exception escapes it, numpy's
+    # warnings included, which this suite makes errors) within 1 s
+    sources = []
+    for argv in _FUZZ_SOURCES:
+        code, text, _ = _run(["generate", *argv])
+        assert code == 0
+        sources.append(text)
+    rng = random.Random(1)
+    path = tmp_path / "fuzzed.txt"
+    for case in range(300):
+        path.write_text(_fuzzed(rng.choice(sources), rng))
+        for command in ("analyze", "solve"):
+            start = time.perf_counter()
+            code, _, _ = _run([command, "--in", str(path), "--max-iters", "2000"])
+            seconds = time.perf_counter() - start
+            assert code in (0, 1, 2), (case, command)
+            assert seconds < 1.0, (case, command, seconds)

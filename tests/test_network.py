@@ -57,11 +57,11 @@ def test_validate_path_errors():
         validate_path(inst, (0, 99))       # unknown edge id
 
 
-@pytest.mark.parametrize("helper", [rr.mean_path_latency, rr.path_variance, rr.path_cost])
+@pytest.mark.parametrize("helper", [rr.mean_path_latency, rr.path_cost])
 @pytest.mark.parametrize("eid", [-1, -2, 5])
 def test_path_helpers_reject_edge_ids_out_of_range(helper, eid):
     # a negative id must not read an edge from the end of the edge tuple:
-    # (-1,) would be edge 4's latency and (-2,) edge 3's variance
+    # (-1,) would be edge 4's latency and (-2,) edge 3's
     inst = rr.build_braess()
     assert len(inst.edges) == 5
     with pytest.raises(GraphStructureError, match=f"unknown edge id {eid}"):
@@ -78,13 +78,15 @@ def test_meanvar_path_cost_on_braess():
     assert rr.mean_path_latency(inst, (0, 4, 3), flow) == pytest.approx(3.0)
     # upper path picks up the variance term: a(1) + (1 + gamma*1)
     assert rr.path_cost(inst, (0, 1), flow) == pytest.approx(3.0, abs=1e-12)
-    assert rr.path_variance(inst, (0, 1), flow) == 1.0
+    # the variance term alone: one more unit at gamma 2
+    assert rr.path_cost(rr.with_gamma(inst, 2.0), (0, 1), flow) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_meanstdev_path_cost_takes_sqrt_at_path_level():
     inst = _series_meanstdev()
     flow = np.ones(2)
-    assert rr.path_variance(inst, (0, 1), flow) == 25.0
+    # summed variances 9 + 16, read under mean-var: 1 + 1 + 1 * 25
+    assert rr.path_cost(rr.with_risk_model(inst, rr.RiskModel.MEAN_VAR), (0, 1), flow) == 27.0
     # 1 + 1 + 1 * sqrt(9 + 16) = 7, not 1 + 1 + (3 + 4) = 9
     assert rr.path_cost(inst, (0, 1), flow) == pytest.approx(7.0, abs=1e-12)
 
@@ -140,13 +142,16 @@ def _level3_and_braess():
 
 
 def test_path_cost_is_mean_plus_risk_term_bit_for_bit():
-    # path_cost walks a path once; its mean and variance are the two
-    # helpers' sums, so the cost has their bits
+    # path_cost walks a path once; its mean is mean_path_latency's sum and
+    # its variance the same left-to-right sum of the edge variances, so the
+    # cost has their bits
     seen = 0
     for inst, flow in _level3_and_braess():
         for path in rr.enumerate_paths(inst):
             mean = rr.mean_path_latency(inst, path, flow)
-            var = rr.path_variance(inst, path, flow)
+            var = 0.0
+            for eid in path:
+                var += inst.edges[eid].variability(float(flow[eid]))
             risk = var if inst.risk_model is rr.RiskModel.MEAN_VAR else math.sqrt(var)
             assert rr.path_cost(inst, path, flow) == mean + inst.gamma * risk
             seen += 1

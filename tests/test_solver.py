@@ -292,6 +292,23 @@ def test_overflowing_costs_are_an_error(solve, model):
     assert res.converged and list(res.flow) == [0.0, 2.0]
 
 
+@pytest.mark.parametrize("model", list(rr.RiskModel))
+def test_a_total_that_overflows_only_at_the_start_solves(model):
+    # the all-or-nothing start routes all 1e300 on the Affine(1, 0) link,
+    # cheaper at flow 0: its total overflows (numpy warns in the gap's dot
+    # product), but the first pair step leaves 1e8 there, and from then on
+    # every total is finite.  Gaps inf, 1e308, 0; at gamma 0 both models run
+    # the additive loop
+    inst = rr.NetworkInstance(2, (rr.Edge(0, 1, rr.Affine(1.0, 0.0), rr.Constant(0.0)),
+                                  rr.Edge(0, 1, rr.Constant(1e8), rr.Constant(0.0))),
+                              0, 1, 1e300, 0.0, model)
+    for solve in (rr.solve_rnwe, rr.solve_rawe):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            res = solve(inst)
+        assert (res.converged, res.iterations, list(res.flow)) == (True, 2, [1e8, 1e300])
+        assert (res.common_cost, res.vi_residual) == (1e8, 0.0)
+
+
 @pytest.mark.parametrize("tolerance, max_iterations", [
     (math.nan, 10), (-1e-8, 10), (math.inf, 10), (1e-8, -1)])
 def test_solver_config_rejects_meaningless_values(tolerance, max_iterations):
@@ -442,8 +459,8 @@ def test_gap_mirrors_stay_in_step_with_the_flow(make):
             costs = [e.latency(x) + gamma * e.variability(x) if gamma else e.latency(x)
                      for e, x in zip(inst.edges, flow.tolist())]
             assert total == float(flow @ np.array(costs)), k
-            table = solver._edge_table(inst, gamma)
-            assert gap == solver._edge_gap(inst, flow.tolist(), table.cost, inst.demand)[3], k
+            cost_of = solver._edge_table(inst, gamma)[0]
+            assert gap == solver._edge_gap(inst, flow.tolist(), cost_of, inst.demand)[3], k
             seen.append(k)
 
         res = solve(inst, callback=check)
@@ -1013,7 +1030,7 @@ def _steps(draw):
              + [(eid, t_max + draw(st.floats(0.0, 2.0)), -1.0) for eid in paths[1]])
 
     if model is rr.RiskModel.MEAN_VAR or gamma == 0.0:
-        cost_of = solver._edge_table(inst, gamma).cost
+        cost_of = solver._edge_table(inst, gamma)[0]
 
         def costs(t):
             return [d * cost_of[eid](f + d * t) for eid, f, d in moves]
@@ -1238,7 +1255,7 @@ def _linear_steps(draw):
         return fn, cb - cw, knots, t_max, cb + cw, len(moves)
 
     # the additive loop's potential derivative, summed left to right
-    cost_of = solver._edge_table(inst, gamma).cost
+    cost_of = solver._edge_table(inst, gamma)[0]
 
     def fn(t):
         acc = 0.0
@@ -1301,7 +1318,7 @@ def test_bracket_search_spends_few_calls_and_falls_back_near_a_zero(monkeypatch)
             (math.nextafter(900.0, math.inf), 31, 32, None)):
         worst = rr.Edge(0, 1, rr.Constant(head_start), rr.Constant(0.0))
         inst = rr.NetworkInstance(2, (best, worst), 0, 1, 1.0, 0.0, rr.RiskModel.MEAN_VAR)
-        cost_of = solver._edge_table(inst, 0.0).cost
+        cost_of = solver._edge_table(inst, 0.0)[0]
         moves = [(0, 0.0, 1.0), (1, 40.0, -1.0)]
         calls = []
 
@@ -1427,8 +1444,8 @@ _EDGE_FLOWS = [0.0, -0.0, -5e-324, -1e-300, -1e-12]
        st.floats(0.0, 20.0), st.floats(0.0, 20.0))
 def test_edge_table_is_the_cost_definition_bit_for_bit(lat, var, gamma, model, xs, lo, width):
     inst = rr.NetworkInstance(2, (rr.Edge(0, 1, lat, var),), 0, 1, 1.0, gamma, model)
-    table = solver._edge_table(inst, gamma)
-    cost, constant, knots, curved = (column[0] for column in table)
+    (cost,), (constant,) = solver._edge_table(inst, gamma)
+    (knots,), (curved,) = solver._edge_knots(inst, gamma)
     reference = _cost_reference(lat, var, gamma)
     breaks = [x for fn in (lat, var) if isinstance(fn, rr.PiecewiseLinear)
               for x, _ in fn.points]
@@ -1442,7 +1459,7 @@ def test_edge_table_is_the_cost_definition_bit_for_bit(lat, var, gamma, model, x
                         and (gamma == 0.0 or isinstance(var, rr.Constant)))
     if constant:
         assert len(values) == 1
-    # the table's knots inside (lo, hi) are those the functions report
+    # the knots inside (lo, hi) are those the functions report
     hi = lo + width
     fns = (lat,) if gamma == 0.0 else (lat, var)
     found = [fn.knots() for fn in fns]
@@ -1599,7 +1616,7 @@ def test_additive_results_reuse_the_loops_evaluation_bit_for_bit(monkeypatch):
 
     def checked(instance, cost_of, weights, iterations, converged, mirror, dist, total):
         demand = instance.demand
-        flow = np.array(solver._flow_from_weights(instance, weights.items()))
+        flow = np.array(network._edge_flow(instance, weights.items()))
         branches["reuse" if flow.tobytes() == mirror.tobytes() else "recompute"] += 1
         _, full_dist, full_total, gap, _ = solver._edge_gap(instance, flow.tolist(), cost_of,
                                                             demand)
@@ -1629,6 +1646,6 @@ def test_edge_table_keeps_the_sign_of_a_zero_shift():
     inst = rr.NetworkInstance(2, (rr.Edge(0, 1, lat, rr.Constant(0.0)),
                                   rr.Edge(0, 1, lat, rr.Constant(-0.0))),
                               0, 1, 1.0, 1.0, rr.RiskModel.MEAN_VAR)
-    low, high = solver._edge_table(inst, inst.gamma).cost
+    low, high = solver._edge_table(inst, inst.gamma)[0]
     assert _bits(low(1.0)) == _bits(0.0)
     assert _bits(high(1.0)) == _bits(-0.0)
