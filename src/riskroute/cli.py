@@ -56,16 +56,25 @@ _SWEEP_FAMILIES = {
     "domino": (synthetic.random_domino_instance, (_B.STDEV_ONE_ALT,)),
 }
 
+
+def _seed(args) -> int:
+    """`--seed`, checked here: numpy's message for a negative one names no flag."""
+    if args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
+    return args.seed
+
+
 # generate --family, the recursive family aside: the instance from the
 # parsed flags and the risk model
 _GENERATORS = {
     "braess": lambda a, model: instances.build_braess(gamma=a.gamma_kappa, risk_model=model),
-    "domino": lambda a, model: synthetic.random_domino_instance(a.seed, risk_model=model),
-    "random-affine": lambda a, model: synthetic.random_affine_instance(a.seed, risk_model=model),
+    "domino": lambda a, model: synthetic.random_domino_instance(_seed(a), risk_model=model),
+    "random-affine": lambda a, model: synthetic.random_affine_instance(
+        _seed(a), risk_model=model),
     "random-poly": lambda a, model: synthetic.random_polynomial_instance(
-        a.seed, a.degree, risk_model=model),
+        _seed(a), a.degree, risk_model=model),
     "series-parallel": lambda a, model: synthetic.random_series_parallel_instance(
-        a.seed, risk_model=model),
+        _seed(a), risk_model=model),
 }
 
 
@@ -248,11 +257,12 @@ def _sweep(args) -> int:
     cfg = SolverConfig(args.tolerance, args.max_iters)
     if args.count < 0:
         raise ValueError(f"count must be nonnegative, got {args.count}")
+    first = _seed(args)
     make, kinds = _SWEEP_FAMILIES[args.what]
     status = 0
     rows = []
     checked: list[tuple[str, analysis.BoundReport]] = []
-    for seed in range(args.seed, args.seed + args.count):
+    for seed in range(first, first + args.count):
         instance = make(seed)
         reports = _bound_reports(instance, cfg, kinds)
         if reports is None:

@@ -197,6 +197,10 @@ def _set_up(spec: RecursiveFamilySpec) -> tuple[NetworkInstance, list, list, lis
     """
     if spec.level < 1:
         raise ValueError(f"level must be >= 1, got {spec.level}")
+    for name in ("gamma_kappa", "r_a", "r_n"):
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if spec.gamma_kappa < 0.0:
         raise ValueError(f"gamma_kappa must be nonnegative, got {spec.gamma_kappa}")
     if spec.r_a < 0.0 or spec.r_n < 0.0:

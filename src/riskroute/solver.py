@@ -95,8 +95,11 @@ bit.
 Both solvers step to the root of a non-decreasing function of the step
 length t: the potential's derivative along the step, or the cost of the
 cheapest path minus the costliest's after the transfer.  One routine
-finds it for both.  It walks the points where the moved edges' functions
-change slope and interpolates once on a linear piece; on a curved piece
+finds it for both.  Each moved edge's knots become step lengths in one
+place (`_add_step_knots`: x - f on an edge the step loads, f - x on one it
+unloads, no division); the routine sorts them once and trims the points
+at or below 0 and at or past the step's end from the two ends.  It walks
+those points and interpolates once on a linear piece; on a curved piece
 (polynomial costs, or square roots of flow-dependent variances) it runs
 Anderson-Bjorck regula falsi, and stops at the first point where the
 computed function is within the rounding error of its float sum: there it
@@ -107,8 +110,9 @@ to walk searches for the walk's last two points instead: secant and
 regula falsi steps through exact values pick the next point, and about
 three calls find them where the walk makes one per point up to the root.
 A certificate from the float sum's rounding error shows that the walk
-would have stopped there too, so the interpolation has the walk's bits;
-on the rare step where the certificate fails, the walk runs.
+would have stopped there too, so the routine interpolates that bracket at
+once, with the walk's bits; on the rare step where the certificate fails,
+the walk runs.
 
 Convergence is certified by a variational-inequality residual: the total
 perceived cost of the current flow minus the cheapest possible perceived
@@ -135,7 +139,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -475,14 +479,26 @@ def _slope_knots(edge_knots: list, curved: list, moves,
 def _add_step_knots(knots: set[float], ks: tuple[float, ...], f: float, d: float,
                     t_max: float) -> None:
     """Add to `knots` the t in (0, t_max) at which an edge whose flow goes
-    from f to f + d * t, d = +1 or -1, meets one of its knots `ks`."""
-    if ks:
-        lo, hi = (f, f + t_max) if d > 0 else (f - t_max, f)
+    from f >= 0 to f + d * t, d = +1 or -1, meets one of its knots `ks`.
+
+    A knot x in (f, f + t_max) is met at t = x - f moving up, and one in
+    (max(f - t_max, 0), f) at t = f - x moving down: the floats (x - f) / d,
+    as x - f and f - x round to each other's negation.  A t that rounds to
+    t_max is added; `_step_root` trims it."""
+    if not ks:
+        return
+    if d > 0.0:
+        hi = f + t_max
+        for x in ks:
+            if f < x < hi:
+                knots.add(x - f)
+    else:
+        lo = f - t_max
         if lo < 0.0:
             lo = 0.0
         for x in ks:
-            if lo < x < hi:
-                knots.add((x - f) / d)
+            if lo < x < f:
+                knots.add(f - x)
 
 
 # a linear step searches for its bracket when it has at least this many
@@ -557,8 +573,10 @@ def _step_root(fn, t_max: float, knots, linear: bool,
     """Where the non-decreasing `fn` turns nonnegative on [0, t_max].
 
     Returns 0 when fn(0) >= 0 and t_max when fn(t_max) <= 0.  `knots` are
-    the points where fn may change slope; the walk evaluates those inside
-    (0, t_max), then t_max, in ascending order until fn is nonnegative.  On
+    the points where fn may change slope, any floats but NaN; the walk
+    evaluates those inside (0, t_max), then t_max, in ascending order until
+    fn is nonnegative.  They are sorted once, and the points at or below 0
+    (-0.0 too) and at or past t_max are cut from the two ends.  On
     a `linear` piece the root is one interpolation.  On any other piece
     Anderson-Bjorck regula falsi narrows it: a secant step through the
     bracket's end values, the midpoint when the step leaves the bracket,
@@ -600,10 +618,11 @@ def _step_root(fn, t_max: float, knots, linear: bool,
     2 * (n + 1) * 2^-52 * S.  K = 8 in place of 2 covers the second-order
     terms, the rounding of S itself and the few roundings a path cost adds
     (its standard deviation term and the difference of the two paths).  A
-    certified bracket is the walk's, with the walk's values, so the
-    interpolation gives the walk's t, bit for bit.  Without a certificate
-    the walk runs from the start, reading the values the search knows:
-    it evaluates no point twice, and so stays within the cap.  The same
+    certified bracket is the walk's, with the walk's values, so
+    interpolating it at once gives the walk's t, bit for bit.  Without a
+    certificate the walk runs from the start, reading the values the
+    search knows: it evaluates no point twice, and so stays within the
+    cap.  The same
     terms bound the rounding error of a computed fn(t) where fn is near 0
     by G, so a computed |fn(t)| <= G cannot be told from 0: a curved step
     stops there.
@@ -611,7 +630,11 @@ def _step_root(fn, t_max: float, knots, linear: bool,
     if v0 >= 0.0:
         return 0.0
     calls = 0
-    ts = sorted(k for k in knots if 0.0 < k < t_max)
+    ts = sorted(knots)
+    if ts and ts[0] <= 0.0:
+        del ts[:bisect_right(ts, 0.0)]
+    if ts and ts[-1] >= t_max:
+        del ts[bisect_left(ts, t_max):]
     ts.append(t_max)
     a, fa = 0.0, v0
     # G, the rounding bound below
@@ -620,9 +643,13 @@ def _step_root(fn, t_max: float, knots, linear: bool,
         values = {}
         found = _search_bracket(fn, ts, v0, g, values)
         if found is not None:
-            # the walk's last step, from a certified bracket
-            a, fa, b, _ = found
-            ts = [b]
+            # the walk's last step, from a certified bracket: t_max when
+            # every point reads negative or fn(t_max) is 0, else the
+            # interpolation the walk makes
+            a, fa, b, fb = found
+            if fb < 0.0 or (fb == 0.0 and b == t_max):
+                return t_max
+            return a + (0.0 - fa) * (b - a) / (fb - fa)
         # the walk reads the values the search knows and calls fn at the
         # others: at most len(ts) calls in all, so the cap is not reached
         fn = lambda t, fn=fn, known=values: known[t] if t in known else fn(t)  # noqa: E731

@@ -187,6 +187,30 @@ def test_sweep_count_must_be_nonnegative(tmp_path):
     assert out.splitlines() == [cli.SWEEP_HEADER, ",".join(cli.SWEEP_COLUMNS)]
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["sweep", "--what", "affine", "--seed", "-5"], -5),
+    (["generate", "--family", "domino", "--seed", "-1"], -1),
+    (["generate", "--family", "random-poly", "--degree", "3", "--seed", "-2"], -2),
+])
+def test_a_negative_seed_is_named(tmp_path, argv, seed):
+    # numpy's own message, "expected non-negative integer", names no flag;
+    # nothing is written
+    path = tmp_path / "out.txt"
+    code, out, err = _run([*argv, "--out", str(path)])
+    assert (code, out, err.splitlines()) == (
+        2, "", [f"error: seed must be nonnegative, got {seed}"])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--gamma-kappa", "nan"], "gamma_kappa must be finite, got nan"),
+    (["--r-a", "inf", "--solve"], "r_a must be finite, got inf"),
+])
+def test_verify_names_a_non_finite_spec_field(flags, message):
+    code, out, err = _run(["verify", "--level", "3", *flags])
+    assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
+
+
 BRAESS_FILE = """# riskroute instance v1
 vertices :: 4
 source :: 0

@@ -94,8 +94,9 @@ def test_pwl_needs_a_nonnegative_first_breakpoint():
         PiecewiseLinear(((0.0, -1.0), (1.0, 0.0)))
 
 
-def test_knots_between():
-    # the knots inside an interval are those of knots() that it holds
+def test_knots_are_the_breakpoints_or_none_when_curved():
+    # knots() is the stored breakpoints, () for a linear function and None
+    # for a curved one; the knots inside an interval are those it holds
     pwl = PiecewiseLinear(((0.0, 0.0), (0.5, 0.0), (1.0, 2.0)))
     assert pwl.knots() == (0.0, 0.5, 1.0)
     assert [x for x in pwl.knots() if 0.0 < x < 2.0] == [0.5, 1.0]

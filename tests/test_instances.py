@@ -3,6 +3,7 @@ the bytes of every generated instance."""
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -118,6 +119,11 @@ def test_edge_tags_reject_levels_below_one(level):
 @pytest.mark.parametrize("spec, message", [
     (RecursiveFamilySpec(level=1, r_a=-1.0), "demands must be nonnegative"),
     (RecursiveFamilySpec(level=1, r_n=-1.0), "demands must be nonnegative"),
+    (RecursiveFamilySpec(level=3, gamma_kappa=math.nan), "gamma_kappa must be finite, got nan"),
+    (RecursiveFamilySpec(level=1, gamma_kappa=math.inf), "gamma_kappa must be finite, got inf"),
+    (RecursiveFamilySpec(level=1, r_a=math.inf), "r_a must be finite, got inf"),
+    (RecursiveFamilySpec(level=1, r_a=-math.inf), "r_a must be finite, got -inf"),
+    (RecursiveFamilySpec(level=2, r_n=math.nan), "r_n must be finite, got nan"),
     (RecursiveFamilySpec(level=2, r_a=2.0, variant=Variant.FUNCTIONAL),
      "the functional variant requires r_a = r_n = 1"),
 ])

@@ -1272,15 +1272,23 @@ def _linear_steps(draw):
 @settings(max_examples=400, deadline=None)
 @given(_linear_steps(), st.integers(0, 40).flatmap(
     lambda n: st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)),
+       st.lists(st.sampled_from(["-1.0", "-0.0", "0.0", "t_max", "past t_max"]), max_size=3),
        st.one_of(st.just(99), st.sampled_from([2, 5, 8, 20])), st.sampled_from([2, 10]))
-def test_bracket_search_returns_the_walks_step_bit_for_bit(step, extra_knots, cap, search_from):
+def test_bracket_search_returns_the_walks_step_bit_for_bit(step, extra_knots, end_knots, cap,
+                                                          search_from):
     # the search certifies the walk's bracket or hands back to the walk, so
     # the step is the walk's to the bit, whichever steps search.  Extra
     # knots, where fn does not change slope, make long walks, and more
     # points than the cap leave the walk alone; each point is evaluated at
-    # most once
+    # most once.  Knots at or below 0 and at or past t_max, which
+    # `_step_root` trims from the ends of its sorted points, are never
+    # evaluated: t_max is, once, as the walk's last point
     fn, v0, knots, t_max, size, terms = step
+    ends = {"-1.0": -1.0, "-0.0": -0.0, "0.0": 0.0, "t_max": t_max,
+            "past t_max": math.nextafter(t_max, math.inf)}
     knots = set(knots) | set(extra_knots)
+    for name in end_knots:
+        knots.add(ends[name])
     calls = []
 
     def counted(t):
@@ -1292,6 +1300,7 @@ def test_bracket_search_returns_the_walks_step_bit_for_bit(step, extra_knots, ca
         got = solver._step_root(counted, t_max, knots, True, v0, size, terms)
     assert _bits(got) == _bits(_walked_root(fn, t_max, knots, cap, v0))
     assert len(calls) <= cap and len(set(calls)) == len(calls)
+    assert all(0.0 < t <= t_max for t in calls)
 
 
 def test_bracket_search_spends_few_calls_and_falls_back_near_a_zero(monkeypatch):
